@@ -93,70 +93,52 @@ class LevelSet:
         return len(self.regions)
 
 
-def _frontier_levels(lam, d, depth):
-    """Yield the deduplicated frontier of each level 0..depth in turn."""
-    frontier = [CornerRegion(bounds=_zero_bounds(lam, d), level=0, word=())]
-    pw = lam * 0 + 1
-    one_minus = 1 - lam
-    yield frontier
-    for _ in range(depth):
-        step = one_minus * pw
-        seen = {}
-        for reg in frontier:
-            for digit in range(d + 1):
-                child = _child(reg, digit, step)
-                if child not in seen:
-                    seen[child] = child
-        frontier = list(seen.values())
-        pw = pw * lam
-        yield frontier
+def _levels(lam, d, depth, max_words=None):
+    """Yield each deduplicated level 0..depth with its parents' child links.
 
-
-def build_level(lam, d, n):
-    """The level-n set as deduplicated corner regions.
-
-    Children of bound-identical regions are bound-identical, so dedup runs
-    level by level and merged branches are never revisited.  Word order of
-    first appearance is kept, which makes the output deterministic.
+    Level k comes as ``(regions, links)``: the regions in word order of
+    first appearance, and one flat list of child indices into ``regions``
+    (``None`` at level 0), where ``links[i*(d+1):(i+1)*(d+1)]`` are the
+    children of region i of level k-1.  One flat list per level keeps the
+    links small next to the regions.  Children of bound-identical regions
+    are bound-identical, so dedup runs level by level and merged branches
+    are never revisited.  The (d+1)^depth words are checked against
+    ``max_words``, or ``word_cap()`` when it is None.
     """
-    _check_level(d, n)
-    lam = _check_lam(lam)
-    if (d + 1) ** n > word_cap():
+    cap = word_cap() if max_words is None else max_words
+    if (d + 1) ** depth > cap:
         raise ResourceLimit(
             "%d words at level %d exceed the cap %d"
-            % ((d + 1) ** n, n, word_cap())
+            % ((d + 1) ** depth, depth, cap)
         )
-    for frontier in _frontier_levels(lam, d, n):
-        pass
-    return LevelSet(lam=lam, d=d, n=n, regions=tuple(frontier))
-
-
-def _region_tree(lam, d, depth):
-    """Deduplicated level lists plus child-index links between them."""
-    levels = [[CornerRegion(bounds=_zero_bounds(lam, d), level=0, word=())]]
-    children = []
+    level = [CornerRegion(bounds=_zero_bounds(lam, d), level=0, word=())]
     pw = lam * 0 + 1
     one_minus = 1 - lam
+    yield level, None
     for _ in range(depth):
         step = one_minus * pw
         index = {}
-        next_level = []
-        links_per_parent = []
-        for reg in levels[-1]:
-            links = []
-            for digit in range(d + 1):
-                child = _child(reg, digit, step)
-                at = index.get(child)
-                if at is None:
-                    at = len(next_level)
-                    index[child] = at
-                    next_level.append(child)
-                links.append(at)
-            links_per_parent.append(links)
-        levels.append(next_level)
-        children.append(links_per_parent)
+        links = [
+            index.setdefault(_child(reg, digit, step), len(index))
+            for reg in level
+            for digit in range(d + 1)
+        ]
+        level = list(index)
         pw = pw * lam
-    return levels, children
+        yield level, links
+
+
+def build_level(lam, d, n, max_words=None):
+    """The level-n set as deduplicated corner regions.
+
+    Word order of first appearance is kept, which makes the output
+    deterministic.  ``max_words`` overrides the GASKET_MAX_WORDS cap.
+    """
+    _check_level(d, n)
+    lam = _check_lam(lam)
+    for regions, _ in _levels(lam, d, n, max_words):
+        pass
+    return LevelSet(lam=lam, d=d, n=n, regions=tuple(regions))
 
 
 @dataclass(frozen=True)
@@ -188,7 +170,7 @@ class HoleReport:
         }
 
 
-def classify_holes(lam, d, n):
+def classify_holes(lam, d, n, max_words=None):
     """Classify the candidate holes f_w(H_0), |w| = n, against level n+1.
 
     Candidates are deduplicated by their exact bound vectors.  Each one is
@@ -198,12 +180,7 @@ def classify_holes(lam, d, n):
     """
     _check_level(d, n)
     lam = _check_lam(lam)
-    if (d + 1) ** (n + 1) > word_cap():
-        raise ResourceLimit(
-            "%d words at level %d exceed the cap %d"
-            % ((d + 1) ** (n + 1), n + 1, word_cap())
-        )
-    levels, children = _region_tree(lam, d, n + 1)
+    levels, links = zip(*_levels(lam, d, n + 1, max_words))
     width = (1 - lam) * lam**n
     holes = [
         HoleRegion(tuple(b + width for b in reg.bounds), n, reg.word)
@@ -223,7 +200,9 @@ def classify_holes(lam, d, n):
             if level == n + 1:
                 hits.append(reg)
                 continue
-            stack.extend((level + 1, c) for c in children[level][at])
+            first = at * (d + 1)
+            children = links[level + 1][first:first + d + 1]
+            stack.extend((level + 1, c) for c in children)
         if hits:
             hits.sort(key=lambda reg: reg.word)
             violations.extend((hole, reg) for reg in hits)
@@ -252,13 +231,13 @@ class Violation:
     level: int
 
 
-def check_total_self_similarity(lam, d, n_max):
+def check_total_self_similarity(lam, d, n_max, max_words=None):
     """First hole violation in levels 0..n_max, or consistency up to n_max."""
     lam = _check_lam(lam)
     if compare(lam, Fraction(1, 2)) <= 0 or compare(lam, Fraction(2, 3)) >= 0:
         raise DomainError("self-similarity scan expects lam in (1/2, 2/3)")
     for n in range(n_max + 1):
-        report = classify_holes(lam, d, n)
+        report = classify_holes(lam, d, n, max_words)
         if report.violations:
             hole, _ = report.violations[0]
             return Violation(word=hole.word, level=n)
@@ -363,7 +342,7 @@ def _grid_counts(regions, r, want_lo):
     return lo_count, hi_count
 
 
-def estimate_area(lam, d=2, n=0, resolution=256):
+def estimate_area(lam, d=2, n=0, resolution=256, max_words=None):
     """Two-sided bracket of area(level-n set) / area(simplex) on an r-grid.
 
     Cells contained in some region count toward lo; cells meeting some open
@@ -374,13 +353,13 @@ def estimate_area(lam, d=2, n=0, resolution=256):
         raise DomainError("area grid is implemented for the planar case d = 2")
     if not isinstance(resolution, int) or resolution < 64:
         raise DomainError("resolution must be an integer >= 64")
-    level = build_level(lam, d, n)
+    level = build_level(lam, d, n, max_words)
     lo_count, hi_count = _grid_counts(level.regions, resolution, want_lo=True)
     cells = resolution * resolution
     return Fraction(lo_count, cells), Fraction(hi_count, cells)
 
 
-def box_dimension_estimate(lam, d=2, n=8, delta_range=None):
+def box_dimension_estimate(lam, d=2, n=8, delta_range=None, max_words=None):
     """Least-squares slope of log N against log(1/scale).
 
     N(delta) counts the cylinder cells occupied by the level-n set: the
@@ -409,13 +388,7 @@ def box_dimension_estimate(lam, d=2, n=8, delta_range=None):
         if not 1 <= k <= n:
             raise DomainError("scale %g falls outside lam^1 .. lam^n" % delta)
         ks.append(k)
-    top = max(ks)
-    if (d + 1) ** top > word_cap():
-        raise ResourceLimit(
-            "%d words at level %d exceed the cap %d"
-            % ((d + 1) ** top, top, word_cap())
-        )
-    counts = [len(regions) for regions in _frontier_levels(lam, d, top)]
+    counts = [len(regions) for regions, _ in _levels(lam, d, max(ks), max_words)]
     xs = [-k * math.log(lam_f) for k in ks]
     ys = [math.log(counts[k]) for k in ks]
     mean_x = sum(xs) / len(xs)
@@ -464,7 +437,7 @@ def _tri_path(p, q, s):
     )
 
 
-def render_svg(lam, d=2, n=6, path="gasket.svg", options=None):
+def render_svg(lam, d=2, n=6, path="gasket.svg", options=None, max_words=None):
     """Write the level-n set as a deterministic SVG and return the path.
 
     One filled path per deduplicated region on the outline of the simplex;
@@ -474,7 +447,7 @@ def render_svg(lam, d=2, n=6, path="gasket.svg", options=None):
     if d != 2:
         raise DomainError("rendering is implemented for the planar case d = 2")
     opts = options if options is not None else RenderOptions()
-    level = build_level(lam, d, n)
+    level = build_level(lam, d, n, max_words)
     lam_s = level.lam
     side = float(lam_s**n)
 
@@ -508,7 +481,7 @@ def render_svg(lam, d=2, n=6, path="gasket.svg", options=None):
     lines.append("</g>")
 
     if opts.overlap_regions:
-        first = build_level(lam_s, 2, 1).regions
+        first = build_level(lam_s, 2, 1, max_words).regions
         lines.append('<g fill="%s" fill-rule="nonzero">' % opts.overlap_fill)
         for a in range(3):
             for b in range(a + 1, 3):

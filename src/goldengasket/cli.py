@@ -16,9 +16,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .attractor import (
@@ -39,6 +37,7 @@ from .errors import (
 )
 from .exact import (
     AlgebraicNumber,
+    as_scalar,
     compare,
     gasket_dimension,
     lambda_star,
@@ -48,6 +47,7 @@ from .exact import (
 from .separation import (
     DEFAULT_NODE_CAP,
     NotFound,
+    SeparationReport,
     converse_witness,
     ell_upper,
     golden_ratio,
@@ -64,7 +64,7 @@ from .words import (
     u_sequence,
 )
 
-__all__ = ["RunConfig", "main", "parse_ratio_token", "parse_theta_token"]
+__all__ = ["main", "parse_ratio_token", "parse_theta_token"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -86,6 +86,18 @@ class _Parser(argparse.ArgumentParser):
 # exact tokens
 
 
+def _rational_token(kind, rest):
+    """The value of a rational:<p>/<q> or real:<decimal> token, else None."""
+    if kind == "rational":
+        p, slash, q = rest.partition("/")
+        if not slash:
+            raise DomainError("rational token needs <p>/<q>")
+        return Fraction(int(p), int(q))
+    if kind == "real":
+        return Fraction(rest)
+    return None
+
+
 def parse_ratio_token(token):
     """omega:<m> | rational:<p>/<q> | lambda-star | real:<decimal>"""
     if token == "lambda-star":
@@ -94,13 +106,9 @@ def parse_ratio_token(token):
     if sep and rest:
         if kind == "omega":
             return multinacci(int(rest))
-        if kind == "rational":
-            p, slash, q = rest.partition("/")
-            if not slash:
-                raise DomainError("rational token needs <p>/<q>")
-            return Fraction(int(p), int(q))
-        if kind == "real":
-            return Fraction(rest)
+        value = _rational_token(kind, rest)
+        if value is not None:
+            return value
     raise DomainError("unrecognized ratio token %r" % token)
 
 
@@ -114,19 +122,13 @@ def parse_theta_token(token):
             return multinacci_reciprocal(int(rest))
         if kind == "pisot":
             return pisot_number(int(rest))
-        if kind == "rational":
-            p, slash, q = rest.partition("/")
-            if not slash:
-                raise DomainError("rational token needs <p>/<q>")
-            return Fraction(int(p), int(q))
-        if kind == "real":
-            return Fraction(rest)
+        value = _rational_token(kind, rest)
+        if value is not None:
+            return value
     raise DomainError("unrecognized base token %r" % token)
 
 
 def _describe(value):
-    if value is None:
-        return None
     if isinstance(value, Fraction):
         return "%d/%d" % (value.numerator, value.denominator)
     if isinstance(value, AlgebraicNumber):
@@ -134,97 +136,25 @@ def _describe(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand run depends on, resolved and exact."""
-
-    subcommand: str
-    lam_token: str = None
-    lam: object = None
-    theta_token: str = None
-    theta: object = None
-    depth: int = None
-    dimension: int = 2
-    resolution: int = 256
-    degree: int = None
-    m: int = None
-    which: str = None
-    x: Fraction = None
-    tail: bool = False
-    size: int = 640
-    radial_holes: bool = False
-    overlaps: bool = False
-    output: str = None
-    fmt: str = None
-    max_words: int = None
-    node_cap: int = DEFAULT_NODE_CAP
-    threads: int = 1
-
-    def dry_run_dict(self):
-        d = {
-            "subcommand": self.subcommand,
-            "caps": {
-                "max_words": self.max_words,
-                "node_cap": self.node_cap,
-                "threads": self.threads,
-            },
-        }
-        if self.lam is not None:
-            d["lambda"] = {
-                "token": self.lam_token,
-                "exact": _describe(self.lam),
-                "float": float(self.lam),
+def _dry_run_dict(args):
+    d = {
+        "subcommand": args.command,
+        "caps": {"max_words": args.max_words, "node_cap": args.node_cap},
+    }
+    for key, name in (("lambda", "lam"), ("theta", "theta")):
+        if hasattr(args, name):
+            value = getattr(args, name)
+            d[key] = {
+                "token": getattr(args, name + "_token"),
+                "exact": _describe(value),
+                "float": float(value),
             }
-        if self.theta is not None:
-            d["theta"] = {
-                "token": self.theta_token,
-                "exact": _describe(self.theta),
-                "float": float(self.theta),
-            }
-        for name in ("depth", "dimension", "resolution", "degree", "m",
-                     "which", "output", "fmt"):
-            value = getattr(self, name)
-            if value is not None:
-                d[name] = value
-        return d
-
-
-def _config_from(args):
-    lam = parse_ratio_token(args.lam_token) if getattr(args, "lam_token", None) else None
-    theta = parse_theta_token(args.theta_token) if getattr(args, "theta_token", None) else None
-    x = None
-    if getattr(args, "x", None) is not None:
-        p, slash, q = args.x.partition("/")
-        x = Fraction(int(p), int(q)) if slash else Fraction(args.x)
-    threads = getattr(args, "threads", 1)
-    if threads < 1:
-        raise DomainError("--threads must be >= 1")
-    node_cap = getattr(args, "node_cap", None) or DEFAULT_NODE_CAP
-    if node_cap < 1:
-        raise DomainError("--node-cap must be >= 1")
-    return RunConfig(
-        subcommand=args.command,
-        lam_token=getattr(args, "lam_token", None),
-        lam=lam,
-        theta_token=getattr(args, "theta_token", None),
-        theta=theta,
-        depth=getattr(args, "depth", None),
-        dimension=getattr(args, "dimension", 2),
-        resolution=getattr(args, "resolution", 256),
-        degree=getattr(args, "degree", None),
-        m=getattr(args, "m", None),
-        which=getattr(args, "which", None),
-        x=x,
-        tail=getattr(args, "tail", False),
-        size=getattr(args, "size", 640),
-        radial_holes=getattr(args, "radial_holes", False),
-        overlaps=getattr(args, "overlaps", False),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "fmt", None),
-        max_words=getattr(args, "max_words", None),
-        node_cap=node_cap,
-        threads=threads,
-    )
+    for name in ("depth", "dimension", "resolution", "degree", "m",
+                 "which", "output", "fmt"):
+        value = getattr(args, name, None)
+        if value is not None:
+            d[name] = value
+    return d
 
 
 # ----------------------------------------------------------------------
@@ -250,11 +180,11 @@ def _emit_csv(rows, path):
     _write_text(path, buf.getvalue())
 
 
-def _check_format(cfg, allowed):
-    if cfg.fmt is not None and cfg.fmt not in allowed:
+def _check_format(args, allowed):
+    if args.fmt is not None and args.fmt not in allowed:
         raise DomainError(
             "subcommand %s writes %s, not %s"
-            % (cfg.subcommand, "/".join(allowed), cfg.fmt)
+            % (args.command, "/".join(allowed), args.fmt)
         )
 
 
@@ -262,8 +192,8 @@ def _check_format(cfg, allowed):
 # subcommands
 
 
-def cmd_table1(cfg, args):
-    _check_format(cfg, ("csv",))
+def cmd_table1(args):
+    _check_format(args, ("csv",))
     rows = [["m", "omega", "dimension"]]
     for m in range(2, 10):
         rows.append([
@@ -272,12 +202,12 @@ def cmd_table1(cfg, args):
             "%.5f" % gasket_dimension(m),
         ])
     rows.append(["inf", "%.5f" % 0.5, "%.5f" % (math.log(3) / math.log(2))])
-    _emit_csv(rows, cfg.output)
+    _emit_csv(rows, args.output)
     return EXIT_OK
 
 
-def cmd_table2(cfg, args):
-    _check_format(cfg, ("csv",))
+def cmd_table2(args):
+    _check_format(args, ("csv",))
     header = ["d"] + ["m=%d" % m for m in range(2, 7)] + ["half"]
     rows = [header]
     for d in range(2, 7):
@@ -285,167 +215,164 @@ def cmd_table2(cfg, args):
         row += ["%.2f" % gasket_dimension(m, d) for m in range(2, 7)]
         row.append("%.3f" % sierpinski_dimension(d, Fraction(1, 2)))
         rows.append(row)
-    _emit_csv(rows, cfg.output)
+    _emit_csv(rows, args.output)
     return EXIT_OK
 
 
-def cmd_render(cfg, args):
-    _check_format(cfg, ("svg",))
+def cmd_render(args):
+    _check_format(args, ("svg",))
     options = RenderOptions(
-        size=cfg.size,
-        radial_holes=cfg.radial_holes,
-        overlap_regions=cfg.overlaps,
+        size=args.size,
+        radial_holes=args.radial_holes,
+        overlap_regions=args.overlaps,
     )
     path = render_svg(
-        cfg.lam,
-        d=cfg.dimension,
-        n=cfg.depth,
-        path=cfg.output or "gasket.svg",
+        args.lam,
+        d=args.dimension,
+        n=args.depth,
+        path=args.output or "gasket.svg",
         options=options,
+        max_words=args.max_words,
     )
     print(path)
     return EXIT_OK
 
 
-def cmd_holes(cfg, args):
-    _check_format(cfg, ("json",))
-    report = classify_holes(cfg.lam, cfg.dimension, cfg.depth)
-    _emit_json(report.as_json_dict(float(cfg.lam)), cfg.output)
+def cmd_holes(args):
+    _check_format(args, ("json",))
+    report = classify_holes(args.lam, args.dimension, args.depth,
+                            max_words=args.max_words)
+    _emit_json(report.as_json_dict(float(args.lam)), args.output)
     return EXIT_VERDICT if report.violations else EXIT_OK
 
 
-def cmd_selfsim(cfg, args):
-    _check_format(cfg, ("json",))
-    verdict = check_total_self_similarity(cfg.lam, cfg.dimension, cfg.depth)
+def cmd_selfsim(args):
+    _check_format(args, ("json",))
+    verdict = check_total_self_similarity(args.lam, args.dimension, args.depth,
+                                          max_words=args.max_words)
     if isinstance(verdict, ConsistentUpTo):
         _emit_json(
-            {"lambda": float(cfg.lam), "consistent_up_to": verdict.n_max},
-            cfg.output,
+            {"lambda": float(args.lam), "consistent_up_to": verdict.n_max},
+            args.output,
         )
         return EXIT_OK
     _emit_json(
         {
-            "lambda": float(cfg.lam),
+            "lambda": float(args.lam),
             "violation": {"word": list(verdict.word), "level": verdict.level},
         },
-        cfg.output,
+        args.output,
     )
     return EXIT_VERDICT
 
 
-def cmd_area(cfg, args):
-    _check_format(cfg, ("json",))
-    lo, hi = estimate_area(cfg.lam, cfg.dimension, cfg.depth, cfg.resolution)
+def cmd_area(args):
+    _check_format(args, ("json",))
+    lo, hi = estimate_area(args.lam, args.dimension, args.depth, args.resolution,
+                           max_words=args.max_words)
     _emit_json(
         {
-            "lambda": float(cfg.lam),
-            "n": cfg.depth,
-            "resolution": cfg.resolution,
+            "lambda": float(args.lam),
+            "n": args.depth,
+            "resolution": args.resolution,
             "lower": float(lo),
             "upper": float(hi),
             "lower_exact": _describe(lo),
             "upper_exact": _describe(hi),
         },
-        cfg.output,
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_boxdim(cfg, args):
-    _check_format(cfg, ("json",))
-    estimate = box_dimension_estimate(cfg.lam, cfg.dimension, cfg.depth)
+def cmd_boxdim(args):
+    _check_format(args, ("json",))
+    estimate = box_dimension_estimate(args.lam, args.dimension, args.depth,
+                                      max_words=args.max_words)
     _emit_json(
-        {"lambda": float(cfg.lam), "n": cfg.depth, "estimate": estimate},
-        cfg.output,
+        {"lambda": float(args.lam), "n": args.depth, "estimate": estimate},
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_ell(cfg, args):
-    _check_format(cfg, ("json",))
-    theta = cfg.theta
-    in_window = (
-        compare(theta if isinstance(theta, Fraction) else theta.as_scalar(),
-                Fraction(3, 2)) > 0
-        and compare(theta if isinstance(theta, Fraction) else theta.as_scalar(),
-                    2) < 0
-    )
-    if in_window:
-        report = separation_bound_check(theta, cfg.degree, node_cap=cfg.node_cap)
-        _emit_json(report.as_json_dict(), cfg.output)
-        return EXIT_OK
-    # Outside (3/2, 2) the ceiling does not apply: report the raw minimum.
-    min_abs, witness = ell_upper(theta, cfg.degree, node_cap=cfg.node_cap)
-    m = is_multinacci_reciprocal(theta)
-    _emit_json(
-        {
-            "theta": float(theta),
-            "n_max": cfg.degree,
-            "min_abs": min_abs,
-            "witness_coeffs": list(witness.coeffs),
-            "bound_2_over_2_plus_theta": 2.0 / (2.0 + float(theta)),
-            "certified": False,
-            "multinacci_reciprocal": m if m is not None else 0,
-        },
-        cfg.output,
-    )
+def cmd_ell(args):
+    _check_format(args, ("json",))
+    theta = args.theta
+    theta_s = as_scalar(theta)
+    if compare(theta_s, Fraction(3, 2)) > 0 and compare(theta_s, 2) < 0:
+        report = separation_bound_check(theta, args.degree, node_cap=args.node_cap)
+    else:
+        # Outside (3/2, 2) the ceiling does not apply: report the raw minimum.
+        min_abs, witness = ell_upper(theta, args.degree, node_cap=args.node_cap)
+        m = is_multinacci_reciprocal(theta)
+        report = SeparationReport(
+            theta_float=float(theta),
+            n_max=args.degree,
+            min_abs=min_abs,
+            witness=witness,
+            bound=2.0 / (2.0 + float(theta)),
+            certified=False,
+            multinacci_reciprocal=m if m is not None else 0,
+        )
+    _emit_json(report.as_json_dict(), args.output)
     return EXIT_OK
 
 
-def cmd_witness(cfg, args):
-    _check_format(cfg, ("json",))
-    result = converse_witness(cfg.lam, cfg.depth)
+def cmd_witness(args):
+    _check_format(args, ("json",))
+    result = converse_witness(args.lam, args.depth)
     if isinstance(result, NotFound):
         _emit_json(
-            {"lambda": float(cfg.lam), "not_found": result.reason},
-            cfg.output,
+            {"lambda": float(args.lam), "not_found": result.reason},
+            args.output,
         )
         return EXIT_VERDICT
     _emit_json(
-        {"lambda": float(cfg.lam), "n": result.n, "digits": list(result.digits)},
-        cfg.output,
+        {"lambda": float(args.lam), "n": result.n, "digits": list(result.digits)},
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_uniq(cfg, args):
-    _check_format(cfg, ("csv",))
+def cmd_uniq(args):
+    _check_format(args, ("csv",))
     rows = [["n", "count", "ratio"]]
     prev = None
-    for n in range(1, cfg.depth + 1):
-        c = count_unique_addresses(cfg.m, n)
+    for n in range(1, args.depth + 1):
+        c = count_unique_addresses(args.m, n)
         ratio = "" if prev is None else "%.10f" % (c / prev)
         rows.append([str(n), str(c), ratio])
         prev = c
-    _emit_csv(rows, cfg.output)
+    _emit_csv(rows, args.output)
     return EXIT_OK
 
 
-def cmd_seq(cfg, args):
-    _check_format(cfg, ("csv",))
-    if cfg.which == "u":
-        seq = u_sequence(cfg.depth)
-    elif cfg.which == "h":
-        seq = h_sequence(cfg.m, cfg.depth)
+def cmd_seq(args):
+    _check_format(args, ("csv",))
+    if args.which == "u":
+        seq = u_sequence(args.depth)
+    elif args.which == "h":
+        seq = h_sequence(args.m, args.depth)
     else:
-        seq = p_sequence(cfg.m, cfg.depth)
+        seq = p_sequence(args.m, args.depth)
     rows = [["n", "value"]]
     rows += [[str(n), str(v)] for n, v in enumerate(seq.values)]
-    _emit_csv(rows, cfg.output)
+    _emit_csv(rows, args.output)
     return EXIT_OK
 
 
-def cmd_expand(cfg, args):
-    _check_format(cfg, ("json",))
-    x = Fraction(1) if cfg.x is None else cfg.x
-    expansion = greedy_expansion(cfg.lam, x, cfg.depth, tail_convention=cfg.tail)
+def cmd_expand(args):
+    _check_format(args, ("json",))
+    x = Fraction(1) if args.x is None else args.x
+    expansion = greedy_expansion(args.lam, x, args.depth, tail_convention=args.tail)
     _emit_json(
         {
-            "lambda": float(cfg.lam),
+            "lambda": float(args.lam),
             "x": _describe(x),
             "digits": list(expansion.digits),
         },
-        cfg.output,
+        args.output,
     )
     return EXIT_OK
 
@@ -454,7 +381,8 @@ def cmd_expand(cfg, args):
 # parser
 
 
-def _add_common(sub, lam=False, theta=False, depth=None, res=False):
+def _add_common(sub, lam=False, theta=False, depth=None, res=False,
+                dimension=False):
     if lam:
         sub.add_argument("--lambda", dest="lam_token", required=True,
                          help="omega:<m> | rational:<p>/<q> | lambda-star | real:<dec>")
@@ -466,16 +394,15 @@ def _add_common(sub, lam=False, theta=False, depth=None, res=False):
         sub.add_argument("--depth", "-n", type=int, default=depth)
     if res:
         sub.add_argument("--resolution", type=int, default=256)
-    sub.add_argument("--dimension", "-d", type=int, default=2)
+    if dimension:
+        sub.add_argument("--dimension", "-d", type=int, default=2)
     sub.add_argument("-o", "--output", default=None)
     sub.add_argument("--format", dest="fmt", default=None,
                      choices=("svg", "csv", "json"))
     sub.add_argument("--dry-run", action="store_true", dest="dry_run")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for forward compatibility; runs are single-threaded")
     sub.add_argument("--max-words", type=int, default=None,
                      help="override the enumeration cap (GASKET_MAX_WORDS)")
-    sub.add_argument("--node-cap", type=int, default=None,
+    sub.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
                      help="search-node budget for the signed-sum minimizer")
 
 
@@ -494,26 +421,26 @@ def build_parser():
     s.set_defaults(handler=cmd_table2)
 
     s = subs.add_parser("render", help="write an SVG of the level-n region set")
-    _add_common(s, lam=True, depth=6)
+    _add_common(s, lam=True, depth=6, dimension=True)
     s.add_argument("--size", type=int, default=640)
     s.add_argument("--radial-holes", action="store_true")
     s.add_argument("--overlaps", action="store_true")
     s.set_defaults(handler=cmd_render)
 
     s = subs.add_parser("holes", help="classify level-n hole candidates")
-    _add_common(s, lam=True, depth=4)
+    _add_common(s, lam=True, depth=4, dimension=True)
     s.set_defaults(handler=cmd_holes)
 
     s = subs.add_parser("selfsim", help="search for a self-similarity violation")
-    _add_common(s, lam=True, depth=6)
+    _add_common(s, lam=True, depth=6, dimension=True)
     s.set_defaults(handler=cmd_selfsim)
 
     s = subs.add_parser("area", help="bracket the covered fraction of the simplex")
-    _add_common(s, lam=True, depth=8, res=True)
+    _add_common(s, lam=True, depth=8, res=True, dimension=True)
     s.set_defaults(handler=cmd_area)
 
     s = subs.add_parser("boxdim", help="box-counting dimension estimate")
-    _add_common(s, lam=True, depth=8)
+    _add_common(s, lam=True, depth=8, dimension=True)
     s.set_defaults(handler=cmd_boxdim)
 
     s = subs.add_parser("ell", help="degree-bounded separation minimum")
@@ -553,27 +480,27 @@ def main(argv=None):
     except _ParseFailure as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    saved_cap = os.environ.get("GASKET_MAX_WORDS")
     try:
-        cfg = _config_from(args)
-        if cfg.max_words is not None:
-            if cfg.max_words < 1:
-                raise DomainError("--max-words must be >= 1")
-            os.environ["GASKET_MAX_WORDS"] = str(cfg.max_words)
+        if hasattr(args, "lam_token"):
+            args.lam = parse_ratio_token(args.lam_token)
+        if hasattr(args, "theta_token"):
+            args.theta = parse_theta_token(args.theta_token)
+        if getattr(args, "x", None) is not None:
+            p, slash, q = args.x.partition("/")
+            args.x = Fraction(int(p), int(q)) if slash else Fraction(args.x)
+        if args.node_cap < 1:
+            raise DomainError("--node-cap must be >= 1")
+        if args.max_words is not None and args.max_words < 1:
+            raise DomainError("--max-words must be >= 1")
         if args.dry_run:
-            _emit_json(cfg.dry_run_dict(), cfg.output)
+            _emit_json(_dry_run_dict(args), args.output)
             return EXIT_OK
-        return args.handler(cfg, args)
+        return args.handler(args)
     except (DomainError, NoRootError, MultipleRootsError, PrecisionExhausted,
             ResourceLimit, OSError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    finally:
-        if saved_cap is None:
-            os.environ.pop("GASKET_MAX_WORDS", None)
-        else:
-            os.environ["GASKET_MAX_WORDS"] = saved_cap
 
 
 if __name__ == "__main__":

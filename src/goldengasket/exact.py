@@ -27,7 +27,6 @@ __all__ = [
     "lambda_star",
     "multinacci",
     "scalar_ceil",
-    "scalar_float",
     "scalar_floor",
     "scalar_is_integer",
     "scalar_sign",
@@ -574,10 +573,6 @@ def scalar_sign(v):
         return v.sign()
     v = Fraction(v)
     return 0 if v == 0 else (1 if v > 0 else -1)
-
-
-def scalar_float(v):
-    return float(v)
 
 
 def _scalar_int_boundary(v, op):

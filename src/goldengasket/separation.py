@@ -25,6 +25,7 @@ from .exact import (
     isolate_root,
     lambda_star,
     multinacci,
+    poly_trim,
     scalar_sign,
 )
 from .words import greedy_expansion
@@ -166,13 +167,6 @@ class SignedPolyValue:
         return float((lo + hi) / 2)
 
 
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
 def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     """Exact minimum of |sum(s_k base^k)|, s in {0,+-1}^(n_max+1) nonzero.
 
@@ -240,9 +234,9 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
         if cmp < 0:
             best_val = abs_val
             best_abs_f = float(abs_val)
-            best_coeffs = _trim(coeffs)
+            best_coeffs = tuple(poly_trim(coeffs))
         elif cmp == 0:
-            cand = _trim(coeffs)
+            cand = tuple(poly_trim(coeffs))
             if (len(cand), cand) < (len(best_coeffs), best_coeffs):
                 best_coeffs = cand
 

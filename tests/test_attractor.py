@@ -81,6 +81,11 @@ def test_word_cap_limits_enumeration(monkeypatch):
         build_level(W2, 2, 5)
     with pytest.raises(ResourceLimit):
         classify_holes(W2, 2, 4)
+    # an explicit max_words wins over the env var, in both directions
+    assert len(build_level(W2, 2, 5, max_words=243)) == 162
+    monkeypatch.delenv("GASKET_MAX_WORDS")
+    with pytest.raises(ResourceLimit):
+        classify_holes(W2, 2, 4, max_words=100)
     monkeypatch.setenv("GASKET_MAX_WORDS", "banana")
     with pytest.raises(DomainError):
         word_cap()

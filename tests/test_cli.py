@@ -188,8 +188,19 @@ def test_dry_run_reports_config(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["subcommand"] == "selfsim"
-    assert doc["caps"]["node_cap"] == 5000000
-    assert doc["caps"]["threads"] == 1
+    assert doc["caps"] == {"max_words": None, "node_cap": 5000000}
+    # only the options the subcommand takes are reported
+    expected = {
+        ("table1",): {"subcommand", "caps"},
+        ("ell", "--theta", "golden"): {"subcommand", "caps", "theta", "degree"},
+        ("area", "--lambda", "omega:2"): {
+            "subcommand", "caps", "lambda", "depth", "dimension", "resolution",
+        },
+    }
+    for argv, keys in expected.items():
+        code, out, _ = run(capsys, *argv, "--dry-run")
+        assert code == EXIT_OK
+        assert set(json.loads(out)) == keys
 
 
 def test_bad_ratio_token(capsys):
@@ -209,13 +220,29 @@ def test_rational_token_rejects_zero_denominator(capsys):
     assert code == EXIT_ERROR
 
 
-def test_max_words_cap_and_env_restore(capsys):
+def test_max_words_cap_and_env_restore(capsys, monkeypatch):
     before = os.environ.get("GASKET_MAX_WORDS")
-    code, _, err = run(
-        capsys, "holes", "--lambda", "omega:2", "-n", "6", "--max-words", "100"
-    )
+
+    def no_write(*args):
+        raise AssertionError("os.environ written during a run")
+
+    # --max-words reaches the library as a parameter, not through the env
+    with monkeypatch.context() as mp:
+        mp.setattr(type(os.environ), "__setitem__", no_write)
+        mp.setattr(type(os.environ), "__delitem__", no_write)
+        code, _, err = run(
+            capsys, "holes", "--lambda", "omega:2", "-n", "6", "--max-words", "100"
+        )
     assert code == EXIT_ERROR
+    assert "exceed the cap 100" in err
     assert os.environ.get("GASKET_MAX_WORDS") == before
+
+
+def test_node_cap_zero_rejected(capsys):
+    code, _, err = run(capsys, "ell", "--theta", "golden", "--degree", "6",
+                       "--node-cap", "0")
+    assert code == EXIT_ERROR
+    assert "--node-cap must be >= 1" in err
 
 
 def test_domain_error_exits_one(capsys):
