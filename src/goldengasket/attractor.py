@@ -260,21 +260,21 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
 # 0 < r * lam^n; only the two-deficient corner cells need an exact check.
 
 
-def _grid_counts(regions, r, want_lo):
+def _grid_counts(regions, r):
     up_base = []
     acc = 0
     for i in range(r):
         up_base.append(acc)
         acc += r - i
     up_hi = bytearray(acc)
-    up_lo = bytearray(acc) if want_lo else None
+    up_lo = bytearray(acc)
     dn_base = []
     acc = 0
     for i in range(r - 1):
         dn_base.append(acc)
         acc += r - 1 - i
     dn_hi = bytearray(acc)
-    dn_lo = bytearray(acc) if want_lo else None
+    dn_lo = bytearray(acc)
     ones = bytes([1]) * r
 
     for reg in regions:
@@ -290,13 +290,11 @@ def _grid_counts(regions, r, want_lo):
             a = up_base[i] + c1
             b = up_base[i] + (r - c2 - i)
             up_hi[a:b] = ones[: b - a]
-            if want_lo:
-                up_lo[a:b] = ones[: b - a]
-        if want_lo:
-            for i in range(c0, r - 1 - c1 - c2):
-                a = dn_base[i] + c1
-                b = dn_base[i] + (r - 1 - c2 - i)
-                dn_lo[a:b] = ones[: b - a]
+            up_lo[a:b] = ones[: b - a]
+        for i in range(c0, r - 1 - c1 - c2):
+            a = dn_base[i] + c1
+            b = dn_base[i] + (r - 1 - c2 - i)
+            dn_lo[a:b] = ones[: b - a]
 
         # downward cells with positive-area overlap: idx >= D
         for i in range(d0, r - 1 - d1 - d2):
@@ -337,7 +335,7 @@ def _grid_counts(regions, r, want_lo):
         if all(frac) and c0 >= 1 and c1 >= 1 and c2 >= 1 and c0 + c1 + c2 == r + 2:
             up_hi[up_base[c0 - 1] + (c1 - 1)] = 1
 
-    lo_count = (sum(up_lo) + sum(dn_lo)) if want_lo else 0
+    lo_count = sum(up_lo) + sum(dn_lo)
     hi_count = sum(up_hi) + sum(dn_hi)
     return lo_count, hi_count
 
@@ -354,7 +352,7 @@ def estimate_area(lam, d=2, n=0, resolution=256, max_words=None):
     if not isinstance(resolution, int) or resolution < 64:
         raise DomainError("resolution must be an integer >= 64")
     level = build_level(lam, d, n, max_words)
-    lo_count, hi_count = _grid_counts(level.regions, resolution, want_lo=True)
+    lo_count, hi_count = _grid_counts(level.regions, resolution)
     cells = resolution * resolution
     return Fraction(lo_count, cells), Fraction(hi_count, cells)
 

@@ -136,24 +136,28 @@ def _describe(value):
     return str(value)
 
 
+# Namespace entries that are parser plumbing rather than options of the run.
+_PLUMBING = ("command", "handler", "dry_run", "lam_token", "theta_token")
+_CAPS = ("max_words", "node_cap")
+
+
 def _dry_run_dict(args):
-    d = {
-        "subcommand": args.command,
-        "caps": {"max_words": args.max_words, "node_cap": args.node_cap},
-    }
-    for key, name in (("lambda", "lam"), ("theta", "theta")):
-        if hasattr(args, name):
-            value = getattr(args, name)
-            d[key] = {
+    """Every option the subcommand takes, with exact tokens resolved."""
+    d = {"subcommand": args.command}
+    caps = {name: getattr(args, name) for name in _CAPS if hasattr(args, name)}
+    if caps:
+        d["caps"] = caps
+    for name, value in vars(args).items():
+        if name in _PLUMBING or name in _CAPS or value is None:
+            continue
+        if name in ("lam", "theta"):
+            d["lambda" if name == "lam" else name] = {
                 "token": getattr(args, name + "_token"),
                 "exact": _describe(value),
                 "float": float(value),
             }
-    for name in ("depth", "dimension", "resolution", "degree", "m",
-                 "which", "output", "fmt"):
-        value = getattr(args, name, None)
-        if value is not None:
-            d[name] = value
+        else:
+            d[name] = _describe(value) if isinstance(value, Fraction) else value
     return d
 
 
@@ -364,12 +368,12 @@ def cmd_seq(args):
 
 def cmd_expand(args):
     _check_format(args, ("json",))
-    x = Fraction(1) if args.x is None else args.x
-    expansion = greedy_expansion(args.lam, x, args.depth, tail_convention=args.tail)
+    expansion = greedy_expansion(args.lam, args.x, args.depth,
+                                 tail_convention=args.tail)
     _emit_json(
         {
             "lambda": float(args.lam),
-            "x": _describe(x),
+            "x": _describe(args.x),
             "digits": list(expansion.digits),
         },
         args.output,
@@ -395,15 +399,14 @@ def _add_common(sub, lam=False, theta=False, depth=None, res=False,
     if res:
         sub.add_argument("--resolution", type=int, default=256)
     if dimension:
+        # only the subcommands that enumerate levels take a word budget
         sub.add_argument("--dimension", "-d", type=int, default=2)
+        sub.add_argument("--max-words", type=int, default=None,
+                         help="override the enumeration cap (GASKET_MAX_WORDS)")
     sub.add_argument("-o", "--output", default=None)
     sub.add_argument("--format", dest="fmt", default=None,
                      choices=("svg", "csv", "json"))
     sub.add_argument("--dry-run", action="store_true", dest="dry_run")
-    sub.add_argument("--max-words", type=int, default=None,
-                     help="override the enumeration cap (GASKET_MAX_WORDS)")
-    sub.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
-                     help="search-node budget for the signed-sum minimizer")
 
 
 def build_parser():
@@ -446,6 +449,8 @@ def build_parser():
     s = subs.add_parser("ell", help="degree-bounded separation minimum")
     _add_common(s, theta=True)
     s.add_argument("--degree", type=int, default=14)
+    s.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
+                   help="search-node budget for the signed-sum minimizer")
     s.set_defaults(handler=cmd_ell)
 
     s = subs.add_parser("witness", help="digit witness against total self-similarity")
@@ -465,7 +470,7 @@ def build_parser():
 
     s = subs.add_parser("expand", help="greedy digit expansion")
     _add_common(s, lam=True, depth=12)
-    s.add_argument("--x", default=None, help="rational argument, e.g. 1 or 3/4")
+    s.add_argument("--x", default="1", help="rational argument, e.g. 1 or 3/4")
     s.add_argument("--tail", action="store_true",
                    help="use the periodic tail form of the expansion of 1")
     s.set_defaults(handler=cmd_expand)
@@ -485,12 +490,12 @@ def main(argv=None):
             args.lam = parse_ratio_token(args.lam_token)
         if hasattr(args, "theta_token"):
             args.theta = parse_theta_token(args.theta_token)
-        if getattr(args, "x", None) is not None:
+        if hasattr(args, "x"):
             p, slash, q = args.x.partition("/")
             args.x = Fraction(int(p), int(q)) if slash else Fraction(args.x)
-        if args.node_cap < 1:
+        if getattr(args, "node_cap", 1) < 1:
             raise DomainError("--node-cap must be >= 1")
-        if args.max_words is not None and args.max_words < 1:
+        if getattr(args, "max_words", None) is not None and args.max_words < 1:
             raise DomainError("--max-words must be >= 1")
         if args.dry_run:
             _emit_json(_dry_run_dict(args), args.output)

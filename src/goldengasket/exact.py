@@ -27,7 +27,6 @@ __all__ = [
     "lambda_star",
     "multinacci",
     "scalar_ceil",
-    "scalar_floor",
     "scalar_is_integer",
     "scalar_sign",
     "sierpinski_dimension",
@@ -37,7 +36,7 @@ __all__ = [
     "uniqueness_dimension",
 ]
 
-# Refinement rounds allowed before a sign query gives up.
+# Refinement rounds allowed before a sign, ceiling or float query gives up.
 MAX_REFINE_ROUNDS = 256
 
 # Default isolating-interval width, chosen so float conversion is faithful.
@@ -339,14 +338,6 @@ class LinearCombination:
             return LinearCombination(self.alg, (other,))
         return None
 
-    def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise DomainError("combination is irrational")
-        return Fraction(self.coeffs[0])
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -404,28 +395,18 @@ class LinearCombination:
     # -- sign and order
 
     def sign(self):
-        if self.alg.rational is not None:
-            v = poly_eval(self.coeffs, self.alg.rational)
-            return 0 if v == 0 else (1 if v > 0 else -1)
-        if all(c == 0 for c in self.coeffs):
-            return 0
-        for _ in range(MAX_REFINE_ROUNDS):
-            lo, hi = self.alg.interval
-            vlo, vhi = _interval_eval(self.coeffs, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            self.alg.refine()
-        raise PrecisionExhausted(
-            "sign of %r undecided after %d rounds" % (self.coeffs, MAX_REFINE_ROUNDS)
-        )
+        return _settle(self, _sign_of, "sign")
 
     def enclosure(self):
-        lo, hi = self.alg.interval
+        """Rational bounds on the value; a single point when it is known."""
         if self.alg.rational is not None:
             v = poly_eval(self.coeffs, self.alg.rational)
             return v, v
+        if not any(self.coeffs[1:]):
+            # Exact for a constant vector; the signed-sum search meets many
+            # zero vectors, and Horner on them would dominate its time.
+            return self.coeffs[0], self.coeffs[0]
+        lo, hi = self.alg.interval
         return _interval_eval(self.coeffs, lo, hi)
 
     def __eq__(self, other):
@@ -466,27 +447,54 @@ class LinearCombination:
         return hash((id(self.alg), self.coeffs))
 
     def __float__(self):
-        if self.alg.rational is not None:
-            return float(poly_eval(self.coeffs, self.alg.rational))
-        for _ in range(MAX_REFINE_ROUNDS):
-            vlo, vhi = self.enclosure()
-            if vhi - vlo < Fraction(1, 10**17) * max(1, abs(vlo)):
-                return float((vlo + vhi) / 2)
-            self.alg.refine()
-        return float((vlo + vhi) / 2)
+        return _settle(self, _float_of, "float")
 
     def __repr__(self):
         return "LinearCombination(%s ~ %.12g)" % (list(self.coeffs), float(self))
 
 
+def _settle(v, decide, what):
+    """The answer of ``decide(lo, hi)`` on the first enclosure of ``v``
+    that settles it (``decide`` returns None while the bounds are too wide).
+
+    Each unsettled round bisects the base number's isolating interval once.
+    This is the only place where a question about a combination is refined.
+    """
+    for _ in range(MAX_REFINE_ROUNDS):
+        answer = decide(*v.enclosure())
+        if answer is not None:
+            return answer
+        v.alg.refine()
+    raise PrecisionExhausted(
+        "%s of %r undecided after %d rounds" % (what, v.coeffs, MAX_REFINE_ROUNDS)
+    )
+
+
+def _sign_of(lo, hi):
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    if lo == hi:
+        # A point enclosure is the exact value, here zero.
+        return 0
+    return None
+
+
+def _float_of(lo, hi):
+    if hi - lo < Fraction(1, 10**17) * max(1, abs(lo)):
+        return float((lo + hi) / 2)
+    return None
+
+
+def _ceil_of(lo, hi):
+    c = math.ceil(lo)
+    return c if c == math.ceil(hi) else None
+
+
 def compare(a, b):
     """Exact trichotomy for combinations over one base number: -1, 0 or +1."""
-    if isinstance(a, LinearCombination):
-        return (a - b).sign()
-    if isinstance(b, LinearCombination):
-        return -(b - a).sign()
-    d = Fraction(a) - Fraction(b)
-    return 0 if d == 0 else (1 if d > 0 else -1)
+    return scalar_sign(a - b)
 
 
 def compare_values(a, b):
@@ -504,18 +512,12 @@ def compare_values(a, b):
     if isinstance(a, Fraction):
         return -compare_values(b, a)
     if isinstance(b, Fraction):
-        if a.rational is not None:
-            return compare_values(a.rational, b)
-        for _ in range(MAX_REFINE_ROUNDS):
-            lo, hi = a.interval
-            if b <= lo:
-                return 1
-            if b >= hi:
-                return -1
-            if poly_eval(a.poly, b) == 0:
-                return 0
-            a.refine()
-        raise PrecisionExhausted("could not separate %r from %s" % (a, b))
+        # A rational root that _rational_roots skipped (huge coefficients)
+        # is not a.rational, and no refinement would separate it from b.
+        lo, hi = a.interval
+        if lo < b < hi and poly_eval(a.poly, b) == 0:
+            return 0
+        return compare(a.as_scalar(), b)
     if a is b:
         return 0
     if a.rational is not None:
@@ -575,43 +577,15 @@ def scalar_sign(v):
     return 0 if v == 0 else (1 if v > 0 else -1)
 
 
-def _scalar_int_boundary(v, op):
-    if isinstance(v, (int, Fraction)):
-        return op(Fraction(v))
-    if v.is_rational():
-        return op(v.rational_value())
-    for _ in range(MAX_REFINE_ROUNDS):
-        lo, hi = v.enclosure()
-        a, b = op(lo), op(hi)
-        if a == b:
-            return a
-        v.alg.refine()
-    raise PrecisionExhausted("floor/ceil of %r undecided" % (v,))
-
-
-def scalar_floor(v):
-    return _scalar_int_boundary(v, math.floor)
-
-
 def scalar_ceil(v):
-    return _scalar_int_boundary(v, math.ceil)
+    if isinstance(v, LinearCombination):
+        return _settle(v, _ceil_of, "ceiling")
+    return math.ceil(Fraction(v))
 
 
 def scalar_is_integer(v):
     """True when the exact value is an integer."""
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v).denominator == 1
-    if v.is_rational():
-        return v.rational_value().denominator == 1
-    for _ in range(MAX_REFINE_ROUNDS):
-        lo, hi = v.enclosure()
-        lo_i, hi_i = math.ceil(lo), math.floor(hi)
-        if lo_i > hi_i:
-            return False
-        if lo_i == hi_i:
-            return (v - lo_i).sign() == 0
-        v.alg.refine()
-    raise PrecisionExhausted("integrality of %r undecided" % (v,))
+    return scalar_sign(v - scalar_ceil(v)) == 0
 
 
 # ----------------------------------------------------------------------

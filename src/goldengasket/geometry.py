@@ -109,8 +109,7 @@ def apply_map(sim, point):
     if len(point) != len(sim.matrix):
         raise DomainError("point dimension does not match matrix")
     return tuple(
-        sum((row[c] * point[c] for c in range(len(point))), row[0] * 0)
-        for row in sim.matrix
+        sum(row[c] * point[c] for c in range(len(point))) for row in sim.matrix
     )
 
 
@@ -161,10 +160,7 @@ class HoleRegion:
 
     def is_empty(self):
         if self._empty is None:
-            total = self.bounds[0] * 0
-            for u in self.bounds:
-                total = total + u
-            self._empty = compare(total, 1) <= 0
+            self._empty = compare(sum(self.bounds), 1) <= 0
         return self._empty
 
     def __eq__(self, other):
@@ -207,11 +203,7 @@ def intersection_bounds(a, b):
 
 def regions_intersect(a, b):
     """Closed regions meet iff the componentwise max bounds are feasible."""
-    m = intersection_bounds(a, b)
-    total = m[0] * 0
-    for x in m:
-        total = total + x
-    return compare(total, 1) <= 0
+    return compare(sum(intersection_bounds(a, b)), 1) <= 0
 
 
 def hole_meets_region(h, r):
@@ -225,15 +217,9 @@ def hole_meets_region(h, r):
     for lj, uj in zip(r.bounds, h.bounds):
         if compare(lj, uj) >= 0:
             return False
-    tl = r.bounds[0] * 0
-    for lj in r.bounds:
-        tl = tl + lj
-    if compare(tl, 1) > 0:
+    if compare(sum(r.bounds), 1) > 0:
         return False
-    tu = h.bounds[0] * 0
-    for uj in h.bounds:
-        tu = tu + uj
-    return compare(tu, 1) > 0
+    return not h.is_empty()
 
 
 def region_feasible_point(a, b):
@@ -243,10 +229,7 @@ def region_feasible_point(a, b):
     inside both regions; raises DomainError when they are disjoint.
     """
     m = intersection_bounds(a, b)
-    total = m[0] * 0
-    for x in m:
-        total = total + x
-    rem = 1 - total
+    rem = 1 - sum(m)
     if scalar_sign(rem) < 0:
         raise DomainError("regions are disjoint")
     share = Fraction(1, len(m))
@@ -266,13 +249,8 @@ def feasible_point(h, r):
     lower = r.bounds
     upper = h.bounds
     gaps = [u - l for l, u in zip(lower, upper)]
-    total_l = lower[0] * 0
-    for l in lower:
-        total_l = total_l + l
-    rem = 1 - total_l
-    total_g = gaps[0] * 0
-    for g in gaps:
-        total_g = total_g + g
+    rem = 1 - sum(lower)
+    total_g = sum(gaps)
     # sum(g) > rem holds by feasibility; find B with (1 - 2^-B) sum(g) >= rem.
     shrink = Fraction(1, 2)
     while compare(total_g * (1 - shrink), rem) < 0:

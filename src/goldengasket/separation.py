@@ -146,7 +146,8 @@ class SignedPolyValue:
     """A nonzero signed power sum: coefficients s_0..s_n and exact value.
 
     Trailing zero coefficients are trimmed, so len(coeffs) - 1 is the true
-    degree of the witness.
+    degree of the witness.  ``min_abs_signed_sum`` stores the absolute
+    value |sum(s_k base^k)| in ``value``, which is therefore positive.
     """
 
     coeffs: tuple
@@ -361,8 +362,7 @@ def separation_bound_check(theta, n_max, node_cap=DEFAULT_NODE_CAP):
     if m is not None:
         certified = False
     else:
-        abs_val = witness.value if scalar_sign(witness.value) > 0 else -witness.value
-        certified = compare((2 + theta_s) * abs_val, 2) < 0
+        certified = compare((2 + theta_s) * witness.value, 2) < 0
     return SeparationReport(
         theta_float=float(theta_s),
         n_max=n_max,
@@ -390,8 +390,7 @@ def gap_property_holds(lam, n, node_cap=DEFAULT_NODE_CAP):
     if scalar_sign(lam_s) <= 0 or compare(lam_s, 1) >= 0:
         raise DomainError("ratio must lie in (0, 1)")
     _, witness = min_abs_signed_sum(lam_s, n, node_cap=node_cap)
-    abs_val = witness.value if scalar_sign(witness.value) > 0 else -witness.value
-    return compare(abs_val, lam_s ** (n + 1)) >= 0
+    return compare(witness.value, lam_s ** (n + 1)) >= 0
 
 
 def erdos_joo_gap_check(m, n):

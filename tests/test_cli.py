@@ -188,19 +188,31 @@ def test_dry_run_reports_config(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["subcommand"] == "selfsim"
-    assert doc["caps"] == {"max_words": None, "node_cap": 5000000}
-    # only the options the subcommand takes are reported
+    assert doc["caps"] == {"max_words": None}
+    # every option the subcommand takes is reported, and only those
     expected = {
-        ("table1",): {"subcommand", "caps"},
+        ("table1",): {"subcommand"},
         ("ell", "--theta", "golden"): {"subcommand", "caps", "theta", "degree"},
         ("area", "--lambda", "omega:2"): {
             "subcommand", "caps", "lambda", "depth", "dimension", "resolution",
+        },
+        ("render", "--lambda", "omega:2"): {
+            "subcommand", "caps", "lambda", "depth", "dimension", "size",
+            "radial_holes", "overlaps",
+        },
+        ("expand", "--lambda", "omega:2", "--x", "6/8"): {
+            "subcommand", "lambda", "depth", "x", "tail",
         },
     }
     for argv, keys in expected.items():
         code, out, _ = run(capsys, *argv, "--dry-run")
         assert code == EXIT_OK
         assert set(json.loads(out)) == keys
+    code, out, _ = run(capsys, "expand", "--lambda", "omega:2", "--x", "6/8",
+                       "--dry-run")
+    assert json.loads(out)["x"] == "3/4"
+    code, out, _ = run(capsys, "ell", "--theta", "golden", "--dry-run")
+    assert json.loads(out)["caps"] == {"node_cap": 5000000}
 
 
 def test_bad_ratio_token(capsys):
@@ -243,6 +255,18 @@ def test_node_cap_zero_rejected(capsys):
                        "--node-cap", "0")
     assert code == EXIT_ERROR
     assert "--node-cap must be >= 1" in err
+
+
+def test_budgets_only_on_subcommands_that_spend_them(capsys):
+    # --max-words belongs to the level subcommands and --node-cap to ell;
+    # elsewhere they would be accepted and silently ignored.
+    code, _, err = run(capsys, "uniq", "--m", "2", "-n", "3", "--max-words", "1")
+    assert code == EXIT_ERROR
+    assert "--max-words" in err
+    code, _, err = run(capsys, "witness", "--lambda", "rational:59/100",
+                       "--node-cap", "1")
+    assert code == EXIT_ERROR
+    assert "--node-cap" in err
 
 
 def test_domain_error_exits_one(capsys):

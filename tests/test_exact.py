@@ -27,6 +27,7 @@ from goldengasket.exact import (
     isolate_root,
     lambda_star,
     multinacci,
+    scalar_ceil,
     scalar_is_integer,
     sierpinski_dimension,
     sigma,
@@ -176,6 +177,14 @@ def test_precision_exhausted_on_masked_zero():
         combo.sign()
 
 
+def test_precision_exhausted_on_masked_integer_ceiling():
+    # Over the same sqrt(2) window, x^2 + 1 equals 3 without reducing to a
+    # constant, so its enclosure straddles 3 at every refinement.
+    alg = AlgebraicNumber([2, 2, -3, -1, 1], Fraction(14, 10), Fraction(29, 20))
+    with pytest.raises(PrecisionExhausted, match="ceiling.*256 rounds"):
+        scalar_ceil(alg.as_scalar() ** 2 + 1)
+
+
 def test_compare_values_equality_across_polynomials():
     # (x^2 + x - 1)(x^2 - 3) shares the golden-ratio root with the
     # multinacci quadratic but is a different defining polynomial.
@@ -191,6 +200,10 @@ def test_compare_values_orderings():
     assert compare_values(w2, Fraction(618, 1000)) == 1
     assert compare_values(Fraction(619, 1000), w2) == 1
     assert compare_values(w2, w2) == 0
+    # a rational at an endpoint of the isolating interval is never equal
+    lo, hi = w2.interval
+    assert compare_values(w2, lo) == 1
+    assert compare_values(w2, hi) == -1
 
 
 def test_multiple_roots_rejected():

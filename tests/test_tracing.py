@@ -2,7 +2,7 @@
 
 ``bench/tracing.py`` wraps functions by name and binds some of their
 arguments by name, so a refactor that renames one silently zeroes a
-per-layer metric.  This runs one traced job and checks two counts.
+per-layer metric.  Each test runs one traced job and checks its counts.
 """
 
 from pathlib import Path
@@ -12,23 +12,43 @@ from goldengasket import cli
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_traced_area_job_counts_layers(monkeypatch, capsys):
+def traced_metrics(monkeypatch, capsys, argv):
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        code = tracer.run_job(
-            cli.main,
-            ["area", "--lambda", "omega:2", "-n", "2", "--resolution", "64"],
-        )
+        code = tracer.run_job(cli.main, argv)
     finally:
         tracer.restore()
     capsys.readouterr()
     assert code == cli.EXIT_OK
-    metrics = tracer.layer_metrics()
+    return tracer.layer_metrics()
+
+
+def test_traced_area_job_counts_layers(monkeypatch, capsys):
+    metrics = traced_metrics(
+        monkeypatch, capsys,
+        ["area", "--lambda", "omega:2", "-n", "2", "--resolution", "64"],
+    )
     assert metrics["attractor.regions"] == 9
     assert metrics["attractor.grid_cells"] == 4096
     assert metrics["attractor.words"] == 9
     assert metrics["exact.ceil_calls"] > 0
+
+
+def test_traced_holes_job_counts_hole_tests(monkeypatch, capsys):
+    metrics = traced_metrics(
+        monkeypatch, capsys, ["holes", "--lambda", "omega:2", "-n", "2"]
+    )
+    assert metrics["geometry.hole_tests"] == 90
+    assert metrics["attractor.candidates"] == 9
+
+
+def test_traced_ell_job_counts_leaves(monkeypatch, capsys):
+    metrics = traced_metrics(
+        monkeypatch, capsys, ["ell", "--theta", "golden", "--degree", "8"]
+    )
+    assert metrics["separation.leaf_evals"] == 97
+    assert metrics["separation.leaf_compares"] == 44
