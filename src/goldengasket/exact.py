@@ -4,7 +4,8 @@ Everything here is rational-interval based: an algebraic number is an integer
 polynomial plus an isolating interval with rational endpoints, and derived
 quantities are integer (or rational) combinations of its powers.  Signs are
 decided either symbolically (a combination that reduces to the zero vector is
-exactly zero) or by shrinking the isolating interval until an interval Horner
+exactly zero), from certified integer bounds on a fixed-point image of the
+powers, or by shrinking the isolating interval until an interval Horner
 evaluation excludes zero.  No float ever feeds back into a comparison.
 """
 
@@ -41,6 +42,10 @@ MAX_REFINE_ROUNDS = 256
 
 # Default isolating-interval width, chosen so float conversion is faithful.
 DEFAULT_TOL = Fraction(1, 10**15)
+
+# Fraction bits of the fixed-point image of a base number's powers that
+# screens signs and ceilings before any interval evaluation.
+FIXED_BITS = 96
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +203,7 @@ class AlgebraicNumber:
     exact value in ``rational``.
     """
 
-    __slots__ = ("poly", "rational", "_lo", "_hi", "_sign_lo", "_gen")
+    __slots__ = ("poly", "rational", "_lo", "_hi", "_sign_lo", "_gen", "_fixed")
 
     def __init__(self, coeffs, lo, hi, tol=DEFAULT_TOL):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -227,6 +232,7 @@ class AlgebraicNumber:
         self._lo, self._hi = lo, hi
         self._sign_lo = 1 if poly_eval(self.poly, lo) > 0 else -1
         self._gen = 0
+        self._fixed = None
         self.refine_to(tol)
 
     # -- interval state
@@ -262,6 +268,17 @@ class AlgebraicNumber:
     def midpoint(self):
         return (self._lo + self._hi) / 2
 
+    def fixed_powers(self):
+        """Integer pairs (lo_k, hi_k) with lo_k <= 2^FIXED_BITS * x^k <= hi_k
+        for every x in the current isolating interval, k below the degree.
+
+        Cached until the next ``refine``.
+        """
+        if self._fixed is None or self._fixed[0] != self._gen:
+            bounds = _power_bounds(self._lo, self._hi, len(self.poly) - 1)
+            self._fixed = (self._gen, bounds)
+        return self._fixed[1]
+
     # -- conversions
 
     def combination(self, coeffs):
@@ -287,6 +304,22 @@ class AlgebraicNumber:
 
 
 ScalarLike = Union[int, Fraction, "LinearCombination"]
+
+
+def _power_bounds(lo, hi, count):
+    """Floor and ceiling of 2^FIXED_BITS times the range of x^k over
+    [lo, hi], for k = 0 .. count - 1."""
+    out = []
+    for k in range(count):
+        ends = [lo**k, hi**k]
+        if k and lo < 0 < hi:
+            ends.append(Fraction(0))
+        a, b = min(ends), max(ends)
+        out.append((
+            (a.numerator << FIXED_BITS) // a.denominator,
+            -((-b.numerator << FIXED_BITS) // b.denominator),
+        ))
+    return out
 
 
 def _interval_eval(coeffs, lo, hi):
@@ -395,7 +428,7 @@ class LinearCombination:
     # -- sign and order
 
     def sign(self):
-        return _settle(self, _sign_of, "sign")
+        return _settle(self, _sign_of, "sign", _sign_of)
 
     def enclosure(self):
         """Rational bounds on the value; a single point when it is known."""
@@ -453,13 +486,23 @@ class LinearCombination:
         return "LinearCombination(%s ~ %.12g)" % (list(self.coeffs), float(self))
 
 
-def _settle(v, decide, what):
+def _settle(v, decide, what, screen=None):
     """The answer of ``decide(lo, hi)`` on the first enclosure of ``v``
     that settles it (``decide`` returns None while the bounds are too wide).
 
     Each unsettled round bisects the base number's isolating interval once.
     This is the only place where a question about a combination is refined.
+    Before the first round, ``screen`` asks the same question of integer
+    bounds on 2^FIXED_BITS * v from the fixed-point image of the base's
+    powers; those bounds are certified, so its answer is final, and when it
+    has none the rounds run as if it had not been asked.
     """
+    if screen is not None:
+        bounds = _fixed_enclosure(v)
+        if bounds is not None:
+            answer = screen(*bounds)
+            if answer is not None:
+                return answer
     for _ in range(MAX_REFINE_ROUNDS):
         answer = decide(*v.enclosure())
         if answer is not None:
@@ -468,6 +511,26 @@ def _settle(v, decide, what):
     raise PrecisionExhausted(
         "%s of %r undecided after %d rounds" % (what, v.coeffs, MAX_REFINE_ROUNDS)
     )
+
+
+def _fixed_enclosure(v):
+    """Integer bounds lo <= 2^FIXED_BITS * v <= hi from one dot product
+    with ``fixed_powers``, off by at most sum |c_k| (hi_k - lo_k); None for
+    a constant vector, a rational base or a non-int coefficient."""
+    alg, coeffs = v.alg, v.coeffs
+    if alg.rational is not None or not any(coeffs[1:]):
+        return None
+    lo = hi = 0
+    for c, (a, b) in zip(coeffs, alg.fixed_powers()):
+        if type(c) is not int:
+            return None
+        if c < 0:
+            lo += c * b
+            hi += c * a
+        else:
+            lo += c * a
+            hi += c * b
+    return lo, hi
 
 
 def _sign_of(lo, hi):
@@ -490,6 +553,11 @@ def _float_of(lo, hi):
 def _ceil_of(lo, hi):
     c = math.ceil(lo)
     return c if c == math.ceil(hi) else None
+
+
+def _fixed_ceil_of(lo, hi):
+    c = -(-lo >> FIXED_BITS)
+    return c if c == -(-hi >> FIXED_BITS) else None
 
 
 def compare(a, b):
@@ -579,7 +647,7 @@ def scalar_sign(v):
 
 def scalar_ceil(v):
     if isinstance(v, LinearCombination):
-        return _settle(v, _ceil_of, "ceiling")
+        return _settle(v, _ceil_of, "ceiling", _fixed_ceil_of)
     return math.ceil(Fraction(v))
 
 

@@ -3,7 +3,7 @@
 The central quantity is the smallest nonzero modulus of sum(s_k theta^k)
 over coefficient vectors s in {0, +-1}, found by branch and bound over the
 coefficients in order of decreasing weight.  Floats steer the pruning with
-a safety margin; every surviving candidate is evaluated and compared
+a margin that covers their rounding; every surviving candidate is compared
 exactly, so the reported minimum and witness are exact for the given
 degree bound.  The same search runs the small-difference gap check at
 ratios below one.  Converse witnesses for the failure of the hole pattern
@@ -52,8 +52,9 @@ __all__ = [
 # Search nodes allowed before the branch and bound gives up.
 DEFAULT_NODE_CAP = 5_000_000
 
-# Slack added to the float pruning test; candidates this close to the
-# incumbent survive to the exact comparison.
+# Least slack added to the float pruning test; candidates this close to
+# the incumbent survive to the exact comparison.  ``prune_margin`` raises it
+# where the float rounding could exceed it.
 PRUNE_MARGIN = 1e-6
 
 
@@ -153,19 +154,27 @@ class SignedPolyValue:
     coeffs: tuple
     value: object
 
-    def abs_bracket(self):
-        v = self.value
-        if isinstance(v, Fraction):
-            a = abs(v)
-            return (a, a)
-        lo, hi = v.enclosure()
-        if lo >= 0:
-            return (lo, hi)
-        return (-hi, -lo)
 
-    def abs_float(self):
-        lo, hi = self.abs_bracket()
-        return float((lo + hi) / 2)
+def prune_margin(total_weight, n_max):
+    """Slack of the float pruning tests of a search over degrees <= n_max
+    whose float weights w_k ~ |base^k| sum to ``total_weight``.
+
+    With u = 2^-53 and W = total_weight + n_max + 1:
+    - each w_k is within u*base^k + 1e-17*max(1, base^k) of its exact
+      value (a ``_settle`` float of a combination, or a correctly rounded
+      Fraction), and 1e-17 < 0.1*u, so the weights of one test are off
+      by at most 1.1*u*W, and so is the float of the incumbent;
+    - the prefix, tail and table sums add at most n_max + 1 weights
+      between them, so their rounding error is below (n_max + 2)*u*W;
+    - the final subtraction or addition and the sum incumbent + margin
+      round once each, under 2*u*W.
+    Hence a pruning test is off by less than (n_max + 7)*u*W, and taking
+    2^-52 = 2u with n_max + 8 covers the (1 + O(n*u)) factors dropped.
+    So a test that fires discards only candidates whose exact modulus
+    exceeds the incumbent's, and exact ties still reach the tie rule.
+    """
+    bound = (n_max + 8) * 2.0**-52 * (total_weight + n_max + 1)
+    return max(PRUNE_MARGIN, bound)
 
 
 def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
@@ -198,6 +207,7 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     tails = [0.0] * (n_max + 2)
     for pos in range(n_max, -1, -1):
         tails[pos] = tails[pos + 1] + fweights[order[pos]]
+    margin = prune_margin(tails[0], n_max)
 
     # Positions split into a branched prefix and a tabulated low half.
     table_len = min(12, max(1, (n_max + 2) // 2))
@@ -283,7 +293,7 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
             else:
                 pick, right = right, right + 1
                 dist = dr
-            if best_abs_f is not None and dist > best_abs_f + PRUNE_MARGIN:
+            if best_abs_f is not None and dist > best_abs_f + margin:
                 return
             apply_patch(table[pick][1], any_nonzero)
 
@@ -294,7 +304,7 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
             return
         if (
             best_abs_f is not None
-            and abs(partial) - tails[pos] > best_abs_f + PRUNE_MARGIN
+            and abs(partial) - tails[pos] > best_abs_f + margin
         ):
             return
         k = order[pos]

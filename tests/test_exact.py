@@ -19,8 +19,10 @@ from goldengasket.errors import (
     NoRootError,
     PrecisionExhausted,
 )
+from goldengasket import exact
 from goldengasket.exact import (
     AlgebraicNumber,
+    LinearCombination,
     compare,
     compare_values,
     gasket_dimension,
@@ -35,6 +37,7 @@ from goldengasket.exact import (
     tau,
     uniqueness_dimension,
 )
+from goldengasket.separation import pisot_number
 
 
 def bisect_root(f, lo, hi, steps=200):
@@ -251,3 +254,88 @@ def test_exact_sign_agrees_with_clear_floats(a, b):
         return
     got = compare(w.combination(a), w.combination(b))
     assert got == (1 if fa > fb else -1)
+
+
+# ----------------------------------------------------------------------
+# the fixed-point screen of exact._settle against the interval rounds
+
+
+def _screen_pair(make, index):
+    """The base at its default isolating width and a deep-refined copy."""
+    deep = make(index)
+    deep.refine_to(Fraction(1, 10**60))
+    return make(index), deep
+
+
+SCREEN_BASES = [_screen_pair(multinacci, m) for m in (2, 3, 4)] + [
+    _screen_pair(pisot_number, i) for i in (1, 3)
+]
+
+
+def _screened(base, coeffs):
+    """(sign, ceiling) that the screen alone gives at the base's current
+    interval, each None where it defers."""
+    bounds = exact._fixed_enclosure(LinearCombination(base, coeffs))
+    assert bounds is not None
+    return exact._sign_of(*bounds), exact._fixed_ceil_of(*bounds)
+
+
+def _exact(deep, coeffs):
+    """(sign, ceiling) from the interval rounds alone, on the deep copy."""
+    v = LinearCombination(deep, coeffs)
+    return (exact._settle(v, exact._sign_of, "sign"),
+            exact._settle(v, exact._ceil_of, "ceiling"))
+
+
+def _check_screen(index, coeffs):
+    base, deep = SCREEN_BASES[index]
+    sign, ceil = _screened(base, coeffs)
+    want_sign, want_ceil = _exact(deep, coeffs)
+    assert sign in (None, want_sign)
+    assert ceil in (None, want_ceil)
+    return sign, ceil
+
+
+screen_coeff = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-10**18, max_value=10**18),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=len(SCREEN_BASES) - 1),
+       st.lists(screen_coeff, min_size=5, max_size=5))
+def test_fixed_screen_never_contradicts_exact_path(index, coeffs):
+    base, deep = SCREEN_BASES[index]
+    degree = len(base.poly) - 1
+    coeffs = coeffs[:degree]
+    if not any(coeffs[1:]):
+        coeffs[-1] = 1
+    _check_screen(index, coeffs)
+    # The cached image brackets every power of a point of the interval.
+    x = deep.midpoint()
+    for k, (lo, hi) in enumerate(base.fixed_powers()):
+        assert lo <= x**k * 2**exact.FIXED_BITS <= hi
+
+
+def test_fixed_screen_defers_near_zero():
+    """(F_(n-1), -F_n) is +-omega_2^n.  From n = 40 on, F_n times the
+    1e-15 isolating width exceeds omega_2^n, so the screen must defer on
+    the sign, and on the ceilings of k +- omega_2^n, which sit just off an
+    integer."""
+    base, deep = SCREEN_BASES[0]
+    w = deep.as_scalar()
+    fib = [0, 1]
+    while len(fib) < 82:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(2, 81):
+        coeffs = (fib[n - 1], -fib[n])
+        assert LinearCombination(deep, coeffs) in (w**n, -(w**n))
+        sign, _ = _check_screen(0, coeffs)
+        if n >= 40:
+            assert sign is None
+        for k in (-3, 0, 1, 7):
+            for s in (1, -1):
+                _, ceil = _check_screen(0, (k + s * coeffs[0], s * coeffs[1]))
+                if n >= 40:
+                    assert ceil is None

@@ -8,12 +8,14 @@ tuple.  The search must reproduce both the minimum and the witness.
 
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from goldengasket.errors import DomainError, ResourceLimit
 from goldengasket.exact import as_scalar, compare, multinacci, scalar_sign
 from goldengasket.separation import (
+    PRUNE_MARGIN,
     ConverseWitness,
     NotFound,
     SignedPolyValue,
@@ -26,8 +28,10 @@ from goldengasket.separation import (
     min_abs_signed_sum,
     multinacci_reciprocal,
     pisot_number,
+    prune_margin,
     separation_bound_check,
 )
+from goldengasket.cli import parse_theta_token
 from goldengasket.attractor import check_total_self_similarity, Violation
 
 
@@ -286,3 +290,30 @@ def test_witness_implies_hole_violation():
         verdict = check_total_self_similarity(lam, 2, wit.n)
         assert isinstance(verdict, Violation)
         assert verdict.level <= wit.n
+
+
+def _weight_sum(theta, n_max):
+    """The float weight total that min_abs_signed_sum prunes with."""
+    base = as_scalar(theta)
+    return sum(sorted((float(base**k) for k in range(n_max + 1)), reverse=True))
+
+
+def test_prune_margin_covers_float_rounding(monkeypatch):
+    # Near base 2 the pruning sums reach 1e9 at degree 30, and their
+    # rounding can exceed the fixed margin.
+    assert prune_margin(_weight_sum(Fraction(19, 10), 30), 30) > 1e-6
+    # Every ell job of the benchmark keeps the fixed margin, so its search
+    # visits the same leaves as before.  The seeded rational base is drawn
+    # below 1.9, and the weight total grows with the base.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import make_jobs
+
+    cases = {("rational:19/10", 20)}
+    for seed in range(10):
+        for job in make_jobs("ell-pisot", seed):
+            cases.add((job.argv[job.argv.index("--theta") + 1],
+                       int(job.argv[job.argv.index("--degree") + 1])))
+    assert len(cases) > 7
+    for token, degree in sorted(cases):
+        total = _weight_sum(parse_theta_token(token), degree)
+        assert prune_margin(total, degree) == PRUNE_MARGIN, token
