@@ -6,6 +6,7 @@ golden one where only radial holes survive, and the classical half case.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -37,17 +38,7 @@ GALLERY = [
 def run(outdir, size):
     os.makedirs(outdir, exist_ok=True)
     for name, lam, depth, options in GALLERY:
-        options = RenderOptions(
-            size=size,
-            fill=options.fill,
-            outline=options.outline,
-            outline_width=options.outline_width,
-            background=options.background,
-            radial_holes=options.radial_holes,
-            radial_fill=options.radial_fill,
-            overlap_regions=options.overlap_regions,
-            overlap_fill=options.overlap_fill,
-        )
+        options = dataclasses.replace(options, size=size)
         target = os.path.join(outdir, name + ".svg")
         render_svg(lam(), n=depth, path=target, options=options)
         print(target)

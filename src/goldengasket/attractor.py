@@ -10,7 +10,6 @@ reduce to integer comparisons once the region bounds have exact ceilings.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,21 +35,10 @@ __all__ = [
     "classify_holes",
     "estimate_area",
     "render_svg",
-    "word_cap",
 ]
 
+# Words enumerated per level entry point unless ``max_words`` says otherwise.
 DEFAULT_WORD_CAP = 3**14
-
-
-def word_cap():
-    """Word-count ceiling for level enumeration (env GASKET_MAX_WORDS)."""
-    raw = os.environ.get("GASKET_MAX_WORDS")
-    if raw is None:
-        return DEFAULT_WORD_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError("GASKET_MAX_WORDS must be an integer") from None
 
 
 def _check_lam(lam):
@@ -103,9 +91,9 @@ def _levels(lam, d, depth, max_words=None):
     links small next to the regions.  Children of bound-identical regions
     are bound-identical, so dedup runs level by level and merged branches
     are never revisited.  The (d+1)^depth words are checked against
-    ``max_words``, or ``word_cap()`` when it is None.
+    ``max_words``, or ``DEFAULT_WORD_CAP`` when it is None.
     """
-    cap = word_cap() if max_words is None else max_words
+    cap = DEFAULT_WORD_CAP if max_words is None else max_words
     if (d + 1) ** depth > cap:
         raise ResourceLimit(
             "%d words at level %d exceed the cap %d"
@@ -132,7 +120,7 @@ def build_level(lam, d, n, max_words=None):
     """The level-n set as deduplicated corner regions.
 
     Word order of first appearance is kept, which makes the output
-    deterministic.  ``max_words`` overrides the GASKET_MAX_WORDS cap.
+    deterministic.  ``max_words`` overrides ``DEFAULT_WORD_CAP``.
     """
     _check_level(d, n)
     lam = _check_lam(lam)
@@ -408,19 +396,22 @@ _VERTS = (
 )
 
 
+# Greyscale palette of render_svg.
+_FILL = "#4d4d4d"
+_OUTLINE = "#1a1a1a"
+_OUTLINE_WIDTH = 0.006
+_BACKGROUND = "#ffffff"
+_RADIAL_FILL = "#c9c9c9"
+_OVERLAP_FILL = "#8f8f8f"
+
+
 @dataclass(frozen=True)
 class RenderOptions:
-    """Appearance knobs for render_svg; defaults are greyscale."""
+    """What render_svg draws: image size and the optional overlays."""
 
     size: int = 640
-    fill: str = "#4d4d4d"
-    outline: str = "#1a1a1a"
-    outline_width: float = 0.006
-    background: str = "#ffffff"
     radial_holes: bool = False
-    radial_fill: str = "#c9c9c9"
     overlap_regions: bool = False
-    overlap_fill: str = "#8f8f8f"
 
 
 def _plane(bary):
@@ -445,6 +436,8 @@ def render_svg(lam, d=2, n=6, path="gasket.svg", options=None, max_words=None):
     if d != 2:
         raise DomainError("rendering is implemented for the planar case d = 2")
     opts = options if options is not None else RenderOptions()
+    if not isinstance(opts.size, int) or opts.size < 1:
+        raise DomainError("image size must be an integer >= 1")
     level = build_level(lam, d, n, max_words)
     lam_s = level.lam
     side = float(lam_s**n)
@@ -452,19 +445,16 @@ def render_svg(lam, d=2, n=6, path="gasket.svg", options=None, max_words=None):
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'width="%d" height="%d" viewBox="-0.72 -0.72 1.44 1.44">'
-        % (opts.size, opts.size)
+        % (opts.size, opts.size),
+        '<rect x="-0.72" y="-0.72" width="1.44" height="1.44" fill="%s"/>'
+        % _BACKGROUND,
     ]
-    if opts.background:
-        lines.append(
-            '<rect x="-0.72" y="-0.72" width="1.44" height="1.44" fill="%s"/>'
-            % opts.background
-        )
     corners = [_plane((1.0, 0.0, 0.0)), _plane((0.0, 1.0, 0.0)), _plane((0.0, 0.0, 1.0))]
     lines.append(
         '<path d="%s" fill="none" stroke="%s" stroke-width="%.6f"/>'
-        % (_tri_path(*corners), opts.outline, opts.outline_width)
+        % (_tri_path(*corners), _OUTLINE, _OUTLINE_WIDTH)
     )
-    lines.append('<g fill="%s" fill-rule="nonzero">' % opts.fill)
+    lines.append('<g fill="%s" fill-rule="nonzero">' % _FILL)
     for reg in level.regions:
         fb = [float(b) for b in reg.bounds]
         pts = []
@@ -480,7 +470,7 @@ def render_svg(lam, d=2, n=6, path="gasket.svg", options=None, max_words=None):
 
     if opts.overlap_regions:
         first = build_level(lam_s, 2, 1, max_words).regions
-        lines.append('<g fill="%s" fill-rule="nonzero">' % opts.overlap_fill)
+        lines.append('<g fill="%s" fill-rule="nonzero">' % _OVERLAP_FILL)
         for a in range(3):
             for b in range(a + 1, 3):
                 m = intersection_bounds(first[a], first[b])
@@ -499,7 +489,7 @@ def render_svg(lam, d=2, n=6, path="gasket.svg", options=None, max_words=None):
 
     if opts.radial_holes:
         words = [()] + [(i,) * k for k in range(1, n + 1) for i in range(3)]
-        lines.append('<g fill="%s" fill-rule="nonzero">' % opts.radial_fill)
+        lines.append('<g fill="%s" fill-rule="nonzero">' % _RADIAL_FILL)
         for w in words:
             h = hole_region(w, lam_s, 2)
             if h.is_empty():

@@ -184,20 +184,11 @@ def _emit_csv(rows, path):
     _write_text(path, buf.getvalue())
 
 
-def _check_format(args, allowed):
-    if args.fmt is not None and args.fmt not in allowed:
-        raise DomainError(
-            "subcommand %s writes %s, not %s"
-            % (args.command, "/".join(allowed), args.fmt)
-        )
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
 
 def cmd_table1(args):
-    _check_format(args, ("csv",))
     rows = [["m", "omega", "dimension"]]
     for m in range(2, 10):
         rows.append([
@@ -211,7 +202,6 @@ def cmd_table1(args):
 
 
 def cmd_table2(args):
-    _check_format(args, ("csv",))
     header = ["d"] + ["m=%d" % m for m in range(2, 7)] + ["half"]
     rows = [header]
     for d in range(2, 7):
@@ -224,7 +214,6 @@ def cmd_table2(args):
 
 
 def cmd_render(args):
-    _check_format(args, ("svg",))
     options = RenderOptions(
         size=args.size,
         radial_holes=args.radial_holes,
@@ -243,7 +232,6 @@ def cmd_render(args):
 
 
 def cmd_holes(args):
-    _check_format(args, ("json",))
     report = classify_holes(args.lam, args.dimension, args.depth,
                             max_words=args.max_words)
     _emit_json(report.as_json_dict(float(args.lam)), args.output)
@@ -251,7 +239,6 @@ def cmd_holes(args):
 
 
 def cmd_selfsim(args):
-    _check_format(args, ("json",))
     verdict = check_total_self_similarity(args.lam, args.dimension, args.depth,
                                           max_words=args.max_words)
     if isinstance(verdict, ConsistentUpTo):
@@ -271,7 +258,6 @@ def cmd_selfsim(args):
 
 
 def cmd_area(args):
-    _check_format(args, ("json",))
     lo, hi = estimate_area(args.lam, args.dimension, args.depth, args.resolution,
                            max_words=args.max_words)
     _emit_json(
@@ -290,7 +276,6 @@ def cmd_area(args):
 
 
 def cmd_boxdim(args):
-    _check_format(args, ("json",))
     estimate = box_dimension_estimate(args.lam, args.dimension, args.depth,
                                       max_words=args.max_words)
     _emit_json(
@@ -301,7 +286,6 @@ def cmd_boxdim(args):
 
 
 def cmd_ell(args):
-    _check_format(args, ("json",))
     theta = args.theta
     theta_s = as_scalar(theta)
     if compare(theta_s, Fraction(3, 2)) > 0 and compare(theta_s, 2) < 0:
@@ -324,7 +308,6 @@ def cmd_ell(args):
 
 
 def cmd_witness(args):
-    _check_format(args, ("json",))
     result = converse_witness(args.lam, args.depth)
     if isinstance(result, NotFound):
         _emit_json(
@@ -340,7 +323,6 @@ def cmd_witness(args):
 
 
 def cmd_uniq(args):
-    _check_format(args, ("csv",))
     rows = [["n", "count", "ratio"]]
     prev = None
     for n in range(1, args.depth + 1):
@@ -353,7 +335,6 @@ def cmd_uniq(args):
 
 
 def cmd_seq(args):
-    _check_format(args, ("csv",))
     if args.which == "u":
         seq = u_sequence(args.depth)
     elif args.which == "h":
@@ -367,7 +348,6 @@ def cmd_seq(args):
 
 
 def cmd_expand(args):
-    _check_format(args, ("json",))
     expansion = greedy_expansion(args.lam, args.x, args.depth,
                                  tail_convention=args.tail)
     _emit_json(
@@ -402,10 +382,8 @@ def _add_common(sub, lam=False, theta=False, depth=None, res=False,
         # only the subcommands that enumerate levels take a word budget
         sub.add_argument("--dimension", "-d", type=int, default=2)
         sub.add_argument("--max-words", type=int, default=None,
-                         help="override the enumeration cap (GASKET_MAX_WORDS)")
+                         help="override the enumeration cap of 3^14 words")
     sub.add_argument("-o", "--output", default=None)
-    sub.add_argument("--format", dest="fmt", default=None,
-                     choices=("svg", "csv", "json"))
     sub.add_argument("--dry-run", action="store_true", dest="dry_run")
 
 

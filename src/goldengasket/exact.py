@@ -205,7 +205,7 @@ class AlgebraicNumber:
 
     __slots__ = ("poly", "rational", "_lo", "_hi", "_sign_lo", "_gen", "_fixed")
 
-    def __init__(self, coeffs, lo, hi, tol=DEFAULT_TOL):
+    def __init__(self, coeffs, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo < hi:
             raise DomainError("empty isolating interval")
@@ -233,7 +233,7 @@ class AlgebraicNumber:
         self._sign_lo = 1 if poly_eval(self.poly, lo) > 0 else -1
         self._gen = 0
         self._fixed = None
-        self.refine_to(tol)
+        self.refine_to(DEFAULT_TOL)
 
     # -- interval state
 
@@ -660,17 +660,17 @@ def scalar_is_integer(v):
 # named roots
 
 
-def isolate_root(coeffs, interval, tol=DEFAULT_TOL):
+def isolate_root(coeffs, interval):
     """Isolate the unique simple root of an integer polynomial in an interval.
 
     The interval must bracket exactly one root with a sign change across its
-    endpoints; the result interval has width at most ``tol``.
+    endpoints; the result interval has width at most ``DEFAULT_TOL``.
     """
     lo, hi = interval
-    return AlgebraicNumber(coeffs, lo, hi, tol=Fraction(tol))
+    return AlgebraicNumber(coeffs, lo, hi)
 
 
-def smallest_positive_root(coeffs, window_hi=Fraction(1), tol=DEFAULT_TOL):
+def smallest_positive_root(coeffs, window_hi=Fraction(1)):
     """The smallest root in (0, window_hi); raises NoRootError if none."""
     window_hi = Fraction(window_hi)
     ints = _primitive_int([Fraction(c) for c in coeffs])
@@ -707,15 +707,14 @@ def smallest_positive_root(coeffs, window_hi=Fraction(1), tol=DEFAULT_TOL):
     best_irr = None
     if intervals:
         a, b = intervals[0]
-        best_irr = AlgebraicNumber(deflated, a, b, tol=Fraction(tol))
+        best_irr = AlgebraicNumber(deflated, a, b)
     if best_rat is None and best_irr is None:
         raise NoRootError("no root in (0, %s)" % (window_hi,))
     if best_rat is None:
         return best_irr
     if best_irr is None or compare_values(best_rat, best_irr) < 0:
         return AlgebraicNumber([-best_rat.numerator, best_rat.denominator],
-                               best_rat - Fraction(1, 64), best_rat + Fraction(1, 64),
-                               tol=Fraction(tol))
+                               best_rat - Fraction(1, 64), best_rat + Fraction(1, 64))
     return best_irr
 
 

@@ -97,6 +97,11 @@ def pisot_number(index):
 # ----------------------------------------------------------------------
 # multinacci proximity checks
 
+# Largest multinacci index the proximity checks look for.  Beyond it the
+# ratios crowd against 1/2 closer than the isolating width and the
+# distinction stops being meaningful.
+MULTINACCI_MAX = 30
+
 _MULTINACCI_CACHE = {}
 
 
@@ -107,16 +112,13 @@ def _multinacci_interval(m):
     return _MULTINACCI_CACHE[m]
 
 
-def near_multinacci(lam, m_max=30):
-    """The m whose omega_m isolating interval contains lam, else None.
-
-    Beyond m_max the ratios crowd against 1/2 closer than the isolating
-    width and the distinction stops being meaningful.
-    """
+def near_multinacci(lam):
+    """The m <= MULTINACCI_MAX whose omega_m isolating interval contains
+    lam, else None."""
     lam = _rational_ratio(lam)
     if not Fraction(1, 2) < lam < Fraction(3, 4):
         return None
-    for m in range(2, m_max + 1):
+    for m in range(2, MULTINACCI_MAX + 1):
         lo, hi = _multinacci_interval(m)
         if lo <= lam <= hi:
             return m
@@ -126,16 +128,16 @@ def near_multinacci(lam, m_max=30):
     return None
 
 
-def is_multinacci_reciprocal(theta, m_max=30):
+def is_multinacci_reciprocal(theta):
     """Is theta exactly (algebraic input) or nearly (rational input) some
     1/omega_m?  Returns the matching m or None."""
     if isinstance(theta, AlgebraicNumber):
-        for m in range(2, m_max + 1):
+        for m in range(2, MULTINACCI_MAX + 1):
             if list(theta.poly) == [-1] * m + [1]:
                 return m
         return None
     inv = 1 / _rational_ratio(theta)
-    return near_multinacci(inv, m_max)
+    return near_multinacci(inv)
 
 
 # ----------------------------------------------------------------------
@@ -199,34 +201,55 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
         raise DomainError("base must be positive")
     if isinstance(base, Fraction) and base == 1:
         raise DomainError("base 1 admits no nonzero minimum structure")
-    powers = [base * 0 + 1]
-    for _ in range(n_max):
-        powers.append(powers[-1] * base)
-    fweights = [float(p) for p in powers]
-    order = sorted(range(n_max + 1), key=lambda k: -fweights[k])
-    tails = [0.0] * (n_max + 2)
-    for pos in range(n_max, -1, -1):
-        tails[pos] = tails[pos + 1] + fweights[order[pos]]
-    margin = prune_margin(tails[0], n_max)
+    search = _SignedSumSearch(base, n_max, node_cap)
+    search.descend(0, 0.0, False)
+    return search.best_abs_f, search.incumbent()
 
-    # Positions split into a branched prefix and a tabulated low half.
-    table_len = min(12, max(1, (n_max + 2) // 2))
-    boundary = n_max + 1 - table_len
-    table = [(0.0, ())]
-    for pos in range(boundary, n_max + 1):
-        w = fweights[order[pos]]
-        table = [
-            (s + d * w, patch + (d,)) for s, patch in table for d in (-1, 0, 1)
-        ]
-    table.sort(key=lambda e: e[0])
-    tsums = [e[0] for e in table]
 
-    best_val = None
-    best_abs_f = None
-    best_coeffs = None
-    nodes = 0
+class _SignedSumSearch:
+    """One run of the branch and bound behind ``min_abs_signed_sum``.
 
-    def exact_value(coeffs):
+    The state lives on the instance rather than in nested closures: a
+    recursive closure refers to itself through its cell, which would leave
+    every call's powers and half-table behind as cyclic garbage.
+    """
+
+    def __init__(self, base, n_max, node_cap):
+        self.powers = powers = [base * 0 + 1]
+        for _ in range(n_max):
+            powers.append(powers[-1] * base)
+        self.fweights = fweights = [float(p) for p in powers]
+        self.order = order = sorted(range(n_max + 1), key=lambda k: -fweights[k])
+        self.tails = tails = [0.0] * (n_max + 2)
+        for pos in range(n_max, -1, -1):
+            tails[pos] = tails[pos + 1] + fweights[order[pos]]
+        self.margin = prune_margin(tails[0], n_max)
+
+        # Positions split into a branched prefix and a tabulated low half.
+        table_len = min(12, max(1, (n_max + 2) // 2))
+        self.boundary = boundary = n_max + 1 - table_len
+        table = [(0.0, ())]
+        for pos in range(boundary, n_max + 1):
+            w = fweights[order[pos]]
+            table = [
+                (s + d * w, patch + (d,)) for s, patch in table for d in (-1, 0, 1)
+            ]
+        table.sort(key=lambda e: e[0])
+        self.table = table
+        self.tsums = [e[0] for e in table]
+
+        self.node_cap = node_cap
+        self.nodes = 0
+        self.coeffs = [0] * (n_max + 1)
+        self.best_val = self.best_abs_f = self.best_coeffs = None
+
+    def incumbent(self):
+        if self.best_coeffs is None:
+            return None
+        return SignedPolyValue(coeffs=self.best_coeffs, value=self.best_val)
+
+    def exact_value(self, coeffs):
+        powers = self.powers
         acc = None
         for k, s in enumerate(coeffs):
             if s:
@@ -234,52 +257,48 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
                 acc = term if acc is None else acc + term
         return acc
 
-    def consider(coeffs):
-        nonlocal best_val, best_abs_f, best_coeffs
-        value = exact_value(coeffs)
+    def consider(self, coeffs):
+        value = self.exact_value(coeffs)
         sgn = scalar_sign(value)
         if sgn == 0:
             return
         abs_val = value if sgn > 0 else -value
-        cmp = -1 if best_val is None else compare(abs_val, best_val)
+        cmp = -1 if self.best_val is None else compare(abs_val, self.best_val)
         if cmp < 0:
-            best_val = abs_val
-            best_abs_f = float(abs_val)
-            best_coeffs = tuple(poly_trim(coeffs))
+            self.best_val = abs_val
+            self.best_abs_f = float(abs_val)
+            self.best_coeffs = tuple(poly_trim(coeffs))
         elif cmp == 0:
             cand = tuple(poly_trim(coeffs))
-            if (len(cand), cand) < (len(best_coeffs), best_coeffs):
-                best_coeffs = cand
+            if (len(cand), cand) < (len(self.best_coeffs), self.best_coeffs):
+                self.best_coeffs = cand
 
-    coeffs = [0] * (n_max + 1)
-
-    def check_budget():
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            witness = None
-            if best_coeffs is not None:
-                witness = SignedPolyValue(coeffs=best_coeffs, value=best_val)
-            err = ResourceLimit("signed-sum search exceeded %d nodes" % node_cap)
-            err.best = witness
+    def check_budget(self):
+        self.nodes += 1
+        if self.nodes > self.node_cap:
+            err = ResourceLimit("signed-sum search exceeded %d nodes"
+                                % self.node_cap)
+            err.best = self.incumbent()
             raise err
 
-    def apply_patch(patch, any_nonzero):
+    def apply_patch(self, patch, any_nonzero):
         # Sign symmetry: with an all-zero prefix the patch must open with +1.
         if not any_nonzero:
             lead = next((d for d in patch if d), 0)
             if lead <= 0:
                 return
+        coeffs, order, boundary = self.coeffs, self.order, self.boundary
         for off, d in enumerate(patch):
             coeffs[order[boundary + off]] = d
-        consider(coeffs)
+        self.consider(coeffs)
         for off in range(len(patch)):
             coeffs[order[boundary + off]] = 0
 
-    def finish(partial, any_nonzero):
+    def finish(self, partial, any_nonzero):
         # Walk table entries outward from -partial until the float distance
         # clears the incumbent plus margin; every visited entry is checked
         # exactly, so near-ties and true ties all reach consider().
+        tsums, table = self.tsums, self.table
         idx = bisect.bisect_left(tsums, -partial)
         left, right = idx - 1, idx
         while True:
@@ -293,31 +312,27 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
             else:
                 pick, right = right, right + 1
                 dist = dr
-            if best_abs_f is not None and dist > best_abs_f + margin:
+            if self.best_abs_f is not None and dist > self.best_abs_f + self.margin:
                 return
-            apply_patch(table[pick][1], any_nonzero)
+            self.apply_patch(table[pick][1], any_nonzero)
 
-    def descend(pos, partial, any_nonzero):
-        check_budget()
-        if pos == boundary:
-            finish(partial, any_nonzero)
+    def descend(self, pos, partial, any_nonzero):
+        self.check_budget()
+        if pos == self.boundary:
+            self.finish(partial, any_nonzero)
             return
         if (
-            best_abs_f is not None
-            and abs(partial) - tails[pos] > best_abs_f + margin
+            self.best_abs_f is not None
+            and abs(partial) - self.tails[pos] > self.best_abs_f + self.margin
         ):
             return
-        k = order[pos]
-        w = fweights[k]
+        k = self.order[pos]
+        w = self.fweights[k]
         digits = (0, 1) if not any_nonzero else (-1, 0, 1)
         for s in sorted(digits, key=lambda s: abs(partial + s * w)):
-            coeffs[k] = s
-            descend(pos + 1, partial + s * w, any_nonzero or s != 0)
-        coeffs[k] = 0
-
-    descend(0, 0.0, False)
-    witness = SignedPolyValue(coeffs=best_coeffs, value=best_val)
-    return best_abs_f, witness
+            self.coeffs[k] = s
+            self.descend(pos + 1, partial + s * w, any_nonzero or s != 0)
+        self.coeffs[k] = 0
 
 
 def ell_upper(theta, n_max, node_cap=DEFAULT_NODE_CAP):

@@ -66,6 +66,8 @@ def greedy_expansion(lam, x, depth, tail_convention=False):
         raise DomainError("greedy expansion needs lam in (1/2, 1)")
     if compare(x, 0) < 0 or compare(x, 1) > 0:
         raise DomainError("x must lie in [0, 1]")
+    if not isinstance(depth, int) or depth < 1:
+        raise DomainError("depth must be an integer >= 1")
     digits = []
     partial = lam * 0
     pw = lam * 0 + 1
@@ -272,7 +274,11 @@ def gf_series_check(m, k_max):
     return list(h) == q_coeffs and list(p) == p_coeffs
 
 
-def count_unique_addresses(m, n, cap=10**6):
+# Longest word length count_unique_addresses accepts.
+UNIQUE_COUNT_CAP = 10**6
+
+
+def count_unique_addresses(m, n):
     """Length-n words over three symbols with no factor i j^m (i != j).
 
     Such words are exactly those whose non-initial runs stay shorter
@@ -283,8 +289,9 @@ def count_unique_addresses(m, n, cap=10**6):
         raise DomainError("m must be >= 2")
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n > cap:
-        raise ResourceLimit("n=%d exceeds the counting cap %d" % (n, cap))
+    if n > UNIQUE_COUNT_CAP:
+        raise ResourceLimit("n=%d exceeds the counting cap %d"
+                            % (n, UNIQUE_COUNT_CAP))
     b = [1]
     for l in range(1, n):
         lo = max(0, l - (m - 1))

@@ -22,7 +22,6 @@ from goldengasket.attractor import (
     classify_holes,
     estimate_area,
     render_svg,
-    word_cap,
     RenderOptions,
 )
 from goldengasket.errors import DomainError, ResourceLimit
@@ -75,20 +74,12 @@ def test_build_level_validation():
 
 
 def test_word_cap_limits_enumeration(monkeypatch):
-    monkeypatch.setenv("GASKET_MAX_WORDS", "100")
-    assert word_cap() == 100
-    with pytest.raises(ResourceLimit):
-        build_level(W2, 2, 5)
-    with pytest.raises(ResourceLimit):
-        classify_holes(W2, 2, 4)
-    # an explicit max_words wins over the env var, in both directions
     assert len(build_level(W2, 2, 5, max_words=243)) == 162
-    monkeypatch.delenv("GASKET_MAX_WORDS")
     with pytest.raises(ResourceLimit):
         classify_holes(W2, 2, 4, max_words=100)
-    monkeypatch.setenv("GASKET_MAX_WORDS", "banana")
-    with pytest.raises(DomainError):
-        word_cap()
+    # the cap is a parameter only: the environment is never read
+    monkeypatch.setenv("GASKET_MAX_WORDS", "100")
+    assert len(build_level(W2, 2, 5)) == 162
 
 
 # ----------------------------------------------------------------------

@@ -172,6 +172,18 @@ def test_seq_csv(capsys):
     assert [int(l.split(",")[1]) for l in lines[1:]] == [0, 0, 0, 3, 6, 18, 48, 132, 360]
 
 
+def test_nonpositive_depth_and_size_rejected(tmp_path, capsys):
+    for depth in ("-3", "0"):
+        code, out, err = run(capsys, "expand", "--lambda", "omega:2", "-n", depth)
+        assert code == EXIT_ERROR and out == ""
+        assert "depth" in err
+    target = tmp_path / "g.svg"
+    code, _, err = run(capsys, "render", "--lambda", "omega:2", "-n", "2",
+                       "--size", "-5", "-o", str(target))
+    assert code == EXIT_ERROR
+    assert "size" in err and not target.exists()
+
+
 def test_render_writes_svg(tmp_path, capsys):
     target = tmp_path / "g.svg"
     code, out, _ = run(capsys, "render", "--lambda", "omega:2", "-n", "3", "-o", str(target))
@@ -267,6 +279,24 @@ def test_budgets_only_on_subcommands_that_spend_them(capsys):
                        "--node-cap", "1")
     assert code == EXIT_ERROR
     assert "--node-cap" in err
+    # each subcommand writes one fixed format, so there is nothing to choose
+    code, _, err = run(capsys, "holes", "--lambda", "omega:2", "--format", "json")
+    assert code == EXIT_ERROR
+    assert "--format" in err
+
+
+def test_readme_commands_parse(tmp_path, capsys, monkeypatch):
+    # Every documented command line is accepted as written.  --dry-run
+    # writes its JSON to -o, so run where a stray file does no harm.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split("#")[0].split()[1:]
+                for line in block.splitlines() if line.startswith("gasket ")]
+    assert len(commands) == 12
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv, "--dry-run")
+        assert code == EXIT_OK, (argv, err)
 
 
 def test_domain_error_exits_one(capsys):
@@ -276,10 +306,15 @@ def test_domain_error_exits_one(capsys):
 
 
 def test_module_entry_point():
+    # The child imports goldengasket from where this process did, which
+    # pytest's pythonpath setting alone does not pass on.
+    root = Path(importlib.import_module("goldengasket").__file__).parents[1]
+    path = [str(root)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-m", "goldengasket.cli", "table1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "2,0.61803,1.93064"

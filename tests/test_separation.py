@@ -6,6 +6,7 @@ minimizes by exact value then (length, lexicographic) on the trimmed
 tuple.  The search must reproduce both the minimum and the witness.
 """
 
+import gc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -134,6 +135,20 @@ def test_node_cap_carries_best_so_far():
     with pytest.raises(ResourceLimit) as info:
         min_abs_signed_sum(base, 16, node_cap=3)
     assert info.value.best is None
+
+
+@pytest.mark.parametrize("base", [pisot_number(1), Fraction(9, 5)],
+                         ids=["pisot1", "rational"])
+def test_search_leaves_no_cyclic_garbage(base):
+    # A finished search is freed by reference counting alone; cycles would
+    # keep its powers and half-table alive until the next collection.
+    gc.collect()
+    gc.disable()
+    try:
+        min_abs_signed_sum(base, 12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ell_upper_rejects_small_theta():
