@@ -221,6 +221,7 @@ class Violation:
 
 def check_total_self_similarity(lam, d, n_max, max_words=None):
     """First hole violation in levels 0..n_max, or consistency up to n_max."""
+    _check_level(d, n_max)
     lam = _check_lam(lam)
     if compare(lam, Fraction(1, 2)) <= 0 or compare(lam, Fraction(2, 3)) >= 0:
         raise DomainError("self-similarity scan expects lam in (1/2, 2/3)")

@@ -57,11 +57,11 @@ from .separation import (
     separation_bound_check,
 )
 from .words import (
-    count_unique_addresses,
     greedy_expansion,
     h_sequence,
     p_sequence,
     u_sequence,
+    unique_address_counts,
 )
 
 __all__ = ["main", "parse_ratio_token", "parse_theta_token"]
@@ -325,8 +325,7 @@ def cmd_witness(args):
 def cmd_uniq(args):
     rows = [["n", "count", "ratio"]]
     prev = None
-    for n in range(1, args.depth + 1):
-        c = count_unique_addresses(args.m, n)
+    for n, c in enumerate(unique_address_counts(args.m, args.depth), 1):
         ratio = "" if prev is None else "%.10f" % (c / prev)
         rows.append([str(n), str(c), ratio])
         prev = c

@@ -180,8 +180,8 @@ def _rational_roots(int_coeffs):
     roots = set([Fraction(0)] if shift else [])
     a0, an = coeffs[0], coeffs[-1]
     if abs(a0) > 10**6 or abs(an) > 10**6:
-        # Divisor enumeration would be unreasonable; callers with huge
-        # coefficients lose rational-root canonicalization only.
+        # Divisor enumeration would be unreasonable; a polynomial with huge
+        # end coefficients keeps its rational roots.
         return sorted(roots)
     for p in _divisors(a0):
         for q in _divisors(an):
@@ -194,16 +194,26 @@ def _rational_roots(int_coeffs):
 # ----------------------------------------------------------------------
 
 
+class _RationalRoot(DomainError):
+    """The root an AlgebraicNumber was asked for is rational."""
+
+    def __init__(self, root, lo, hi):
+        super().__init__("the root in (%s, %s) is the rational %s; use a Fraction"
+                         % (lo, hi, root))
+        self.root = root
+
+
 class AlgebraicNumber:
-    """A real algebraic number: integer polynomial + isolating interval.
+    """A real algebraic irrational: integer polynomial + isolating interval.
 
     The stored interval always contains exactly one root of the stored
-    polynomial and shrinks monotonically as signs get decided.  Numbers that
-    turn out to be rational are detected at construction and carry their
-    exact value in ``rational``.
+    polynomial and shrinks monotonically as signs get decided.  A rational
+    is always a Fraction: a rational root in the interval is rejected with
+    ``DomainError``, and every other rational root is divided out of the
+    stored polynomial.
     """
 
-    __slots__ = ("poly", "rational", "_lo", "_hi", "_sign_lo", "_gen", "_fixed")
+    __slots__ = ("poly", "_lo", "_hi", "_sign_lo", "_gen", "_fixed")
 
     def __init__(self, coeffs, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -222,12 +232,11 @@ class AlgebraicNumber:
             # One distinct root without a sign change means the original
             # polynomial touches without crossing; reject as non-simple.
             raise MultipleRootsError("no sign change across (%s, %s)" % (lo, hi))
-        self.rational = None
         for r in _rational_roots(sf):
             if lo < r < hi:
-                self.rational = r
-                sf = [-r.numerator, r.denominator]
-                break
+                raise _RationalRoot(r, lo, hi)
+            q, _ = poly_divmod(sf, [-r.numerator, r.denominator])
+            sf = _primitive_int(q)
         self.poly = tuple(sf)
         self._lo, self._hi = lo, hi
         self._sign_lo = 1 if poly_eval(self.poly, lo) > 0 else -1
@@ -246,12 +255,11 @@ class AlgebraicNumber:
         return self._gen
 
     def refine(self):
-        if self.rational is not None and self._hi - self._lo <= DEFAULT_TOL:
-            return
         mid = (self._lo + self._hi) / 2
         v = poly_eval(self.poly, mid)
         if v == 0:
-            # Only possible for a linear (rational) polynomial.
+            # A rational root that _rational_roots skipped (its polynomial
+            # has end coefficients above 10^6) can land on a midpoint.
             eps = (self._hi - self._lo) / 4
             self._lo, self._hi = mid - eps, mid + eps
         elif (1 if v > 0 else -1) == self._sign_lo:
@@ -285,13 +293,9 @@ class AlgebraicNumber:
         return LinearCombination(self, coeffs)
 
     def as_scalar(self):
-        if self.rational is not None:
-            return self.rational
         return LinearCombination(self, (0, 1))
 
     def __float__(self):
-        if self.rational is not None:
-            return float(self.rational)
         self.refine_to(Fraction(1, 10**17))
         return float(self.midpoint())
 
@@ -432,9 +436,6 @@ class LinearCombination:
 
     def enclosure(self):
         """Rational bounds on the value; a single point when it is known."""
-        if self.alg.rational is not None:
-            v = poly_eval(self.coeffs, self.alg.rational)
-            return v, v
         if not any(self.coeffs[1:]):
             # Exact for a constant vector; the signed-sum search meets many
             # zero vectors, and Horner on them would dominate its time.
@@ -516,9 +517,9 @@ def _settle(v, decide, what, screen=None):
 def _fixed_enclosure(v):
     """Integer bounds lo <= 2^FIXED_BITS * v <= hi from one dot product
     with ``fixed_powers``, off by at most sum |c_k| (hi_k - lo_k); None for
-    a constant vector, a rational base or a non-int coefficient."""
+    a constant vector or a non-int coefficient."""
     alg, coeffs = v.alg, v.coeffs
-    if alg.rational is not None or not any(coeffs[1:]):
+    if not any(coeffs[1:]):
         return None
     lo = hi = 0
     for c, (a, b) in zip(coeffs, alg.fixed_powers()):
@@ -581,17 +582,13 @@ def compare_values(a, b):
         return -compare_values(b, a)
     if isinstance(b, Fraction):
         # A rational root that _rational_roots skipped (huge coefficients)
-        # is not a.rational, and no refinement would separate it from b.
+        # stays in a.poly, and no refinement would separate it from b.
         lo, hi = a.interval
         if lo < b < hi and poly_eval(a.poly, b) == 0:
             return 0
         return compare(a.as_scalar(), b)
     if a is b:
         return 0
-    if a.rational is not None:
-        return -compare_values(b, a.rational)
-    if b.rational is not None:
-        return compare_values(a, b.rational)
     # Equal values over different polynomials never separate by refinement;
     # a root of gcd(a.poly, b.poly) inside the interval overlap is forced to
     # be the unique root of each, certifying equality.
@@ -641,14 +638,13 @@ def as_scalar(lam):
 def scalar_sign(v):
     if isinstance(v, LinearCombination):
         return v.sign()
-    v = Fraction(v)
-    return 0 if v == 0 else (1 if v > 0 else -1)
+    return (v > 0) - (v < 0)
 
 
 def scalar_ceil(v):
     if isinstance(v, LinearCombination):
         return _settle(v, _ceil_of, "ceiling", _fixed_ceil_of)
-    return math.ceil(Fraction(v))
+    return math.ceil(v)
 
 
 def scalar_is_integer(v):
@@ -661,61 +657,43 @@ def scalar_is_integer(v):
 
 
 def isolate_root(coeffs, interval):
-    """Isolate the unique simple root of an integer polynomial in an interval.
+    """The unique simple root of an integer polynomial in an interval.
 
     The interval must bracket exactly one root with a sign change across its
-    endpoints; the result interval has width at most ``DEFAULT_TOL``.
+    endpoints.  A rational root comes back as a Fraction, any other as an
+    AlgebraicNumber whose interval has width at most ``DEFAULT_TOL``.
     """
     lo, hi = interval
-    return AlgebraicNumber(coeffs, lo, hi)
+    try:
+        return AlgebraicNumber(coeffs, lo, hi)
+    except _RationalRoot as exc:
+        return exc.root
 
 
 def smallest_positive_root(coeffs, window_hi=Fraction(1)):
-    """The smallest root in (0, window_hi); raises NoRootError if none."""
+    """The smallest root in (0, window_hi), as ``isolate_root`` returns it;
+    raises NoRootError if there is none."""
     window_hi = Fraction(window_hi)
     ints = _primitive_int([Fraction(c) for c in coeffs])
     sf = _primitive_int(squarefree_part(ints))
     if poly_eval(sf, 0) == 0 or poly_eval(sf, window_hi) == 0:
         raise DomainError("window endpoint is a root; shrink the window")
-    rationals = [r for r in _rational_roots(sf) if 0 < r < window_hi]
-    deflated = sf
-    for r in _rational_roots(sf):
-        q, rem = poly_divmod(deflated, [-r.numerator, r.denominator])
-        assert not poly_trim(rem)
-        deflated = _primitive_int(q)
-    best_rat = min(rationals) if rationals else None
-    # Bisect windows until each contains a single irrational root.
-    intervals = []
-    chain = sturm_chain(deflated) if len(deflated) > 1 else []
-    stack = [(Fraction(0), window_hi)]
-    while stack:
-        a, b = stack.pop()
-        if not chain:
-            break
-        n = _variations(chain, a) - _variations(chain, b)
-        if n == 0:
-            continue
-        if n == 1:
-            intervals.append((a, b))
-            continue
-        mid = (a + b) / 2
-        while poly_eval(deflated, mid) == 0:
-            mid = (a + 2 * mid) / 3
-        stack.append((a, mid))
-        stack.append((mid, b))
-    intervals.sort()
-    best_irr = None
-    if intervals:
-        a, b = intervals[0]
-        best_irr = AlgebraicNumber(deflated, a, b)
-    if best_rat is None and best_irr is None:
+    chain = sturm_chain(sf)
+    a, b = Fraction(0), window_hi
+    n = _variations(chain, a) - _variations(chain, b)
+    if n == 0:
         raise NoRootError("no root in (0, %s)" % (window_hi,))
-    if best_rat is None:
-        return best_irr
-    if best_irr is None or compare_values(best_rat, best_irr) < 0:
-        return AlgebraicNumber([-best_rat.numerator, best_rat.denominator],
-                               best_rat - Fraction(1, 64), best_rat + Fraction(1, 64))
-    return best_irr
+    # Bisect towards the leftmost root until the window holds it alone.
+    while n > 1:
+        mid = (a + b) / 2
+        while poly_eval(sf, mid) == 0:
+            mid = (a + 2 * mid) / 3
+        left = _variations(chain, a) - _variations(chain, mid)
+        if left:
+            b, n = mid, left
+        else:
+            a = mid
+    return isolate_root(sf, (a, b))
 
 
 def multinacci(m):
@@ -741,7 +719,7 @@ def tau(m, d=2):
 
 def sigma(m):
     """Growth base of the unique-address subsystem: the smallest positive
-    root of 2 t^m - 3 t + 1 (equal to 1/2 when m = 2)."""
+    root of 2 t^m - 3 t + 1 (the Fraction 1/2 when m = 2)."""
     if not isinstance(m, int) or m < 2:
         raise DomainError("m must be an integer >= 2")
     coeffs = [1, -3] + [0] * (m - 2) + [2]

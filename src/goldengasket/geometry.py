@@ -58,7 +58,7 @@ def scalar_max(a, b):
 
 
 def _powers(lam, n):
-    out = [lam * 0 + 1] if not isinstance(lam, Fraction) else [Fraction(1)]
+    out = [lam * 0 + 1]
     for _ in range(n):
         out.append(out[-1] * lam)
     return out

@@ -8,6 +8,7 @@ and unique addresses.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ __all__ = [
     "point_from_address",
     "series_coefficients",
     "u_sequence",
+    "unique_address_counts",
 ]
 
 
@@ -278,12 +280,14 @@ def gf_series_check(m, k_max):
 UNIQUE_COUNT_CAP = 10**6
 
 
-def count_unique_addresses(m, n):
-    """Length-n words over three symbols with no factor i j^m (i != j).
+def unique_address_counts(m, n):
+    """Yield count_unique_addresses(m, k) for k = 1 .. n in one pass.
 
-    Such words are exactly those whose non-initial runs stay shorter
-    than m: count = 3 * sum_{l<n} B(l) with B the run-composition count
-    B(l) = 2*(B(l-1) + ... + B(l-m+1)), B(0) = 1.
+    Length-k words over three symbols with no factor i j^m (i != j) are
+    exactly those whose non-initial runs stay shorter than m: count =
+    3 * sum_{l<k} B(l) with B the run-composition count
+    B(l) = 2*(B(l-1) + ... + B(l-m+1)), B(0) = 1.  The last m - 1 values
+    of B are kept with their running sum.
     """
     if m < 2:
         raise DomainError("m must be >= 2")
@@ -292,8 +296,20 @@ def count_unique_addresses(m, n):
     if n > UNIQUE_COUNT_CAP:
         raise ResourceLimit("n=%d exceeds the counting cap %d"
                             % (n, UNIQUE_COUNT_CAP))
-    b = [1]
-    for l in range(1, n):
-        lo = max(0, l - (m - 1))
-        b.append(2 * sum(b[lo:l]))
-    return 3 * sum(b[:n])
+    window = deque([1])
+    window_sum = total = 1
+    for _ in range(n):
+        yield 3 * total
+        b = 2 * window_sum
+        window.append(b)
+        window_sum += b
+        if len(window) == m:
+            window_sum -= window.popleft()
+        total += b
+
+
+def count_unique_addresses(m, n):
+    """Length-n words over three symbols with no factor i j^m (i != j)."""
+    for count in unique_address_counts(m, n):
+        pass
+    return count

@@ -182,6 +182,22 @@ def test_nonpositive_depth_and_size_rejected(tmp_path, capsys):
                        "--size", "-5", "-o", str(target))
     assert code == EXIT_ERROR
     assert "size" in err and not target.exists()
+    code, out, err = run(capsys, "selfsim", "--lambda", "omega:2", "-n", "-1")
+    assert code == EXIT_ERROR and out == ""
+    assert "level" in err
+    for depth in ("-3", "0"):
+        code, out, err = run(capsys, "uniq", "--m", "2", "-n", depth)
+        assert code == EXIT_ERROR and out == ""
+        assert "n must be >= 1" in err
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() != 4300,
+                    reason="the count crosses the default 4300-digit limit")
+def test_uniq_stops_at_the_int_digit_limit(capsys):
+    # At m = 2 the count at n = 14283 is the first past 4300 digits.
+    code, out, err = run(capsys, "uniq", "--m", "2", "-n", "14283")
+    assert code == EXIT_ERROR and out == ""
+    assert "integer string conversion" in err
 
 
 def test_render_writes_svg(tmp_path, capsys):

@@ -124,6 +124,7 @@ def test_tau2_closed_form():
 
 def test_sigma2_is_exactly_one_half():
     assert compare_values(sigma(2), Fraction(1, 2)) == 0
+    assert type(sigma(2)) is Fraction
 
 
 def test_sigma3_closed_form():
@@ -219,6 +220,23 @@ def test_smallest_positive_root_cases():
         smallest_positive_root([1, 0, 1])
     r = smallest_positive_root([1, -3, 2], window_hi=Fraction(9, 10))
     assert compare_values(r, Fraction(1, 2)) == 0
+    assert type(r) is Fraction and r == Fraction(1, 2)
+    r = isolate_root([-1, 2], (0, 1))
+    assert type(r) is Fraction and r == Fraction(1, 2)
+
+
+def test_rational_roots_divided_out():
+    # (x - 2)(x^2 - x - 1) around the golden ratio: the stored polynomial
+    # loses the rational factor, so c^2 - c - 1 reduces to the zero vector.
+    a = AlgebraicNumber([2, 1, -3, 1], Fraction(3, 2), Fraction(7, 4))
+    assert a.poly == (-1, -1, 1)
+    c = a.as_scalar()
+    assert (c * c - c - 1).sign() == 0
+
+
+def test_rational_root_rejected():
+    with pytest.raises(DomainError):
+        AlgebraicNumber([-1, 2], 0, 1)
 
 
 def test_scalar_is_integer():

@@ -27,6 +27,7 @@ from goldengasket.words import (
     point_from_address,
     series_coefficients,
     u_sequence,
+    unique_address_counts,
 )
 
 
@@ -227,6 +228,20 @@ def test_count_unique_addresses_brute(m):
     for n in range(1, 9):
         brute = sum(1 for w in all_words(n) if not has_any_switch_run(w, m))
         assert count_unique_addresses(m, n) == brute
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_unique_address_counts_in_one_pass(m):
+    # Against the B recurrence summed afresh for every n.
+    expected = []
+    for n in range(1, 81):
+        b = [1]
+        for l in range(1, n):
+            b.append(2 * sum(b[max(0, l - (m - 1)):l]))
+        expected.append(3 * sum(b))
+    assert list(unique_address_counts(m, 80)) == expected
+    assert [count_unique_addresses(m, n) for n in (1, 2, 80)] == [
+        expected[0], expected[1], expected[79]]
 
 
 def test_unique_address_growth_rates():
