@@ -421,7 +421,13 @@ def _plane(bary):
     return x, -y
 
 
-def _tri_path(p, q, s):
+def _corner_path(base, step):
+    """SVG path of the triangle with corners base + step on coordinate j,
+    j = 0, 1, 2, in barycentric coordinates."""
+    p, q, s = (
+        _plane([b + (step if i == j else 0.0) for i, b in enumerate(base)])
+        for j in range(3)
+    )
     return "M %.6f %.6f L %.6f %.6f L %.6f %.6f Z" % (
         p[0], p[1], q[0], q[1], s[0], s[1],
     )
@@ -450,23 +456,14 @@ def render_svg(lam, d=2, n=6, path="gasket.svg", options=None, max_words=None):
         '<rect x="-0.72" y="-0.72" width="1.44" height="1.44" fill="%s"/>'
         % _BACKGROUND,
     ]
-    corners = [_plane((1.0, 0.0, 0.0)), _plane((0.0, 1.0, 0.0)), _plane((0.0, 0.0, 1.0))]
     lines.append(
         '<path d="%s" fill="none" stroke="%s" stroke-width="%.6f"/>'
-        % (_tri_path(*corners), _OUTLINE, _OUTLINE_WIDTH)
+        % (_corner_path((0.0, 0.0, 0.0), 1.0), _OUTLINE, _OUTLINE_WIDTH)
     )
     lines.append('<g fill="%s" fill-rule="nonzero">' % _FILL)
     for reg in level.regions:
-        fb = [float(b) for b in reg.bounds]
-        pts = []
-        for j in range(3):
-            bary = (
-                fb[0] + (side if j == 0 else 0.0),
-                fb[1] + (side if j == 1 else 0.0),
-                fb[2] + (side if j == 2 else 0.0),
-            )
-            pts.append(_plane(bary))
-        lines.append('<path d="%s"/>' % _tri_path(*pts))
+        base = [float(b) for b in reg.bounds]
+        lines.append('<path d="%s"/>' % _corner_path(base, side))
     lines.append("</g>")
 
     if opts.overlap_regions:
@@ -475,17 +472,11 @@ def render_svg(lam, d=2, n=6, path="gasket.svg", options=None, max_words=None):
         for a in range(3):
             for b in range(a + 1, 3):
                 m = intersection_bounds(first[a], first[b])
-                fb = [float(x) for x in m]
-                rest = 1.0 - sum(fb)
+                base = [float(x) for x in m]
+                rest = 1.0 - sum(base)
                 if rest <= 0.0:
                     continue
-                pts = [
-                    _plane((fb[0] + (rest if j == 0 else 0.0),
-                            fb[1] + (rest if j == 1 else 0.0),
-                            fb[2] + (rest if j == 2 else 0.0)))
-                    for j in range(3)
-                ]
-                lines.append('<path d="%s"/>' % _tri_path(*pts))
+                lines.append('<path d="%s"/>' % _corner_path(base, rest))
         lines.append("</g>")
 
     if opts.radial_holes:
@@ -496,14 +487,8 @@ def render_svg(lam, d=2, n=6, path="gasket.svg", options=None, max_words=None):
             if h.is_empty():
                 continue
             ub = [float(u) for u in h.bounds]
-            slack = sum(ub) - 1.0
-            pts = [
-                _plane((ub[0] - (slack if j == 0 else 0.0),
-                        ub[1] - (slack if j == 1 else 0.0),
-                        ub[2] - (slack if j == 2 else 0.0)))
-                for j in range(3)
-            ]
-            lines.append('<path d="%s"/>' % _tri_path(*pts))
+            # The hole is the downward triangle below its upper bounds.
+            lines.append('<path d="%s"/>' % _corner_path(ub, 1.0 - sum(ub)))
         lines.append("</g>")
 
     lines.append("</svg>")

@@ -221,7 +221,6 @@ def cmd_render(args):
     )
     path = render_svg(
         args.lam,
-        d=args.dimension,
         n=args.depth,
         path=args.output or "gasket.svg",
         options=options,
@@ -258,7 +257,7 @@ def cmd_selfsim(args):
 
 
 def cmd_area(args):
-    lo, hi = estimate_area(args.lam, args.dimension, args.depth, args.resolution,
+    lo, hi = estimate_area(args.lam, n=args.depth, resolution=args.resolution,
                            max_words=args.max_words)
     _emit_json(
         {
@@ -365,7 +364,7 @@ def cmd_expand(args):
 
 
 def _add_common(sub, lam=False, theta=False, depth=None, res=False,
-                dimension=False):
+                levels=False):
     if lam:
         sub.add_argument("--lambda", dest="lam_token", required=True,
                          help="omega:<m> | rational:<p>/<q> | lambda-star | real:<dec>")
@@ -377,9 +376,8 @@ def _add_common(sub, lam=False, theta=False, depth=None, res=False,
         sub.add_argument("--depth", "-n", type=int, default=depth)
     if res:
         sub.add_argument("--resolution", type=int, default=256)
-    if dimension:
+    if levels:
         # only the subcommands that enumerate levels take a word budget
-        sub.add_argument("--dimension", "-d", type=int, default=2)
         sub.add_argument("--max-words", type=int, default=None,
                          help="override the enumeration cap of 3^14 words")
     sub.add_argument("-o", "--output", default=None)
@@ -401,26 +399,29 @@ def build_parser():
     s.set_defaults(handler=cmd_table2)
 
     s = subs.add_parser("render", help="write an SVG of the level-n region set")
-    _add_common(s, lam=True, depth=6, dimension=True)
+    _add_common(s, lam=True, depth=6, levels=True)
     s.add_argument("--size", type=int, default=640)
     s.add_argument("--radial-holes", action="store_true")
     s.add_argument("--overlaps", action="store_true")
     s.set_defaults(handler=cmd_render)
 
     s = subs.add_parser("holes", help="classify level-n hole candidates")
-    _add_common(s, lam=True, depth=4, dimension=True)
+    _add_common(s, lam=True, depth=4, levels=True)
+    s.add_argument("--dimension", "-d", type=int, default=2)
     s.set_defaults(handler=cmd_holes)
 
     s = subs.add_parser("selfsim", help="search for a self-similarity violation")
-    _add_common(s, lam=True, depth=6, dimension=True)
+    _add_common(s, lam=True, depth=6, levels=True)
+    s.add_argument("--dimension", "-d", type=int, default=2)
     s.set_defaults(handler=cmd_selfsim)
 
     s = subs.add_parser("area", help="bracket the covered fraction of the simplex")
-    _add_common(s, lam=True, depth=8, res=True, dimension=True)
+    _add_common(s, lam=True, depth=8, res=True, levels=True)
     s.set_defaults(handler=cmd_area)
 
     s = subs.add_parser("boxdim", help="box-counting dimension estimate")
-    _add_common(s, lam=True, depth=8, dimension=True)
+    _add_common(s, lam=True, depth=8, levels=True)
+    s.add_argument("--dimension", "-d", type=int, default=2)
     s.set_defaults(handler=cmd_boxdim)
 
     s = subs.add_parser("ell", help="degree-bounded separation minimum")

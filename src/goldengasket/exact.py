@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .errors import DomainError, MultipleRootsError, NoRootError, PrecisionExhausted
 
@@ -144,51 +143,56 @@ def _variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_between(coeffs, lo, hi):
-    """Distinct real roots in the open interval (lo, hi).
+def _root_windows(chain, lo, hi):
+    """Windows (a, b), left to right, each holding exactly one root of
+    chain[0] in (lo, hi); neither lo nor hi may be a root.
 
-    Endpoints must not be roots of the squarefree part.
+    A window holding several roots is halved, its midpoint moved towards
+    the left end while it is a root, so no window ends on a root.
     """
-    sf = squarefree_part(coeffs)
-    if poly_eval(sf, lo) == 0 or poly_eval(sf, hi) == 0:
-        raise ValueError("interval endpoint is a root")
-    chain = sturm_chain(sf)
-    return _variations(chain, lo) - _variations(chain, hi)
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            yield a, b
+        elif va - vb > 1:
+            mid = (a + b) / 2
+            while poly_eval(chain[0], mid) == 0:
+                mid = (a + 2 * mid) / 3
+            vm = _variations(chain, mid)
+            stack.append((mid, b, vm, vb))
+            stack.append((a, mid, va, vm))
 
 
-def _divisors(n):
-    n = abs(n)
-    out = set()
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.add(i)
-            out.add(n // i)
-        i += 1
-    return sorted(out)
+def _rational_roots(sf, chain):
+    """All rational roots of a squarefree primitive integer polynomial,
+    ascending; ``chain`` is its Sturm chain.
 
-
-def _rational_roots(int_coeffs):
-    """All rational roots of a primitive integer polynomial."""
-    coeffs = poly_trim(int_coeffs)
-    if not coeffs:
-        return []
-    shift = 0
-    while coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        shift += 1
-    roots = set([Fraction(0)] if shift else [])
-    a0, an = coeffs[0], coeffs[-1]
-    if abs(a0) > 10**6 or abs(an) > 10**6:
-        # Divisor enumeration would be unreasonable; a polynomial with huge
-        # end coefficients keeps its rational roots.
-        return sorted(roots)
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if poly_eval(coeffs, cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    A root p/q in lowest terms has q <= |lead|, and two such fractions lie
+    at least 1/lead^2 apart, so once a window around a root is narrower
+    than 1/(2 lead^2) the one candidate is the closest fraction to its
+    midpoint with denominator at most |lead|.
+    """
+    lead = abs(sf[-1])
+    # Cauchy's bound: every real root lies strictly inside (-bound, bound).
+    bound = 1 + Fraction(max(abs(c) for c in sf[:-1]), lead)
+    width = Fraction(1, 2 * lead * lead)
+    roots = []
+    for a, b in _root_windows(chain, -bound, bound):
+        sign_a = poly_eval(sf, a) > 0
+        while b - a >= width:
+            mid = (a + b) / 2
+            v = poly_eval(sf, mid)
+            if v == 0:
+                a = b = mid
+            elif (v > 0) == sign_a:
+                a = mid
+            else:
+                b = mid
+        cand = ((a + b) / 2).limit_denominator(lead)
+        if a <= cand <= b and poly_eval(sf, cand) == 0:
+            roots.append(cand)
+    return roots
 
 
 # ----------------------------------------------------------------------
@@ -223,16 +227,15 @@ class AlgebraicNumber:
         if len(ints) < 2:
             raise DomainError("constant polynomial has no roots")
         sf = _primitive_int(squarefree_part(ints))
-        n = count_roots_between(sf, lo, hi)
+        if poly_eval(sf, lo) == 0 or poly_eval(sf, hi) == 0:
+            raise ValueError("interval endpoint is a root")
+        chain = sturm_chain(sf)
+        n = _variations(chain, lo) - _variations(chain, hi)
         if n == 0:
             raise NoRootError("no root in (%s, %s)" % (lo, hi))
         if n > 1:
             raise MultipleRootsError("%d roots in (%s, %s)" % (n, lo, hi))
-        if poly_eval(sf, lo) * poly_eval(sf, hi) > 0:
-            # One distinct root without a sign change means the original
-            # polynomial touches without crossing; reject as non-simple.
-            raise MultipleRootsError("no sign change across (%s, %s)" % (lo, hi))
-        for r in _rational_roots(sf):
+        for r in _rational_roots(sf, chain):
             if lo < r < hi:
                 raise _RationalRoot(r, lo, hi)
             q, _ = poly_divmod(sf, [-r.numerator, r.denominator])
@@ -256,13 +259,7 @@ class AlgebraicNumber:
 
     def refine(self):
         mid = (self._lo + self._hi) / 2
-        v = poly_eval(self.poly, mid)
-        if v == 0:
-            # A rational root that _rational_roots skipped (its polynomial
-            # has end coefficients above 10^6) can land on a midpoint.
-            eps = (self._hi - self._lo) / 4
-            self._lo, self._hi = mid - eps, mid + eps
-        elif (1 if v > 0 else -1) == self._sign_lo:
+        if (1 if poly_eval(self.poly, mid) > 0 else -1) == self._sign_lo:
             self._lo = mid
         else:
             self._hi = mid
@@ -305,9 +302,6 @@ class AlgebraicNumber:
             if c:
                 terms.append(f"{c}*x^{k}" if k else f"{c}")
         return "AlgebraicNumber(%s ~ %.12g)" % (" + ".join(terms), float(self))
-
-
-ScalarLike = Union[int, Fraction, "LinearCombination"]
 
 
 def _power_bounds(lo, hi, count):
@@ -581,11 +575,6 @@ def compare_values(a, b):
     if isinstance(a, Fraction):
         return -compare_values(b, a)
     if isinstance(b, Fraction):
-        # A rational root that _rational_roots skipped (huge coefficients)
-        # stays in a.poly, and no refinement would separate it from b.
-        lo, hi = a.interval
-        if lo < b < hi and poly_eval(a.poly, b) == 0:
-            return 0
         return compare(a.as_scalar(), b)
     if a is b:
         return 0
@@ -593,6 +582,7 @@ def compare_values(a, b):
     # a root of gcd(a.poly, b.poly) inside the interval overlap is forced to
     # be the unique root of each, certifying equality.
     g = _primitive_int(_poly_gcd(list(a.poly), list(b.poly)))
+    chain = sturm_chain(g) if len(g) > 1 else None
     for _ in range(MAX_REFINE_ROUNDS):
         alo, ahi = a.interval
         blo, bhi = b.interval
@@ -600,15 +590,15 @@ def compare_values(a, b):
             return -1
         if bhi <= alo:
             return 1
-        if len(g) > 1:
-            try:
-                n = count_roots_between(g, max(alo, blo), min(ahi, bhi))
-            except ValueError:
-                n = None  # endpoint landed on a root of g; refine and retry
+        lo, hi = max(alo, blo), min(ahi, bhi)
+        # g is squarefree, as both polynomials are; an overlap ending on
+        # one of its roots waits for the next round.
+        if chain is not None and poly_eval(g, lo) and poly_eval(g, hi):
+            n = _variations(chain, lo) - _variations(chain, hi)
             if n == 1:
                 return 0
             if n == 0:
-                g = []  # no common root here, refinement must separate
+                chain = None  # no common root here, refinement must separate
         if ahi - alo >= bhi - blo:
             a.refine()
         else:
@@ -678,22 +668,9 @@ def smallest_positive_root(coeffs, window_hi=Fraction(1)):
     sf = _primitive_int(squarefree_part(ints))
     if poly_eval(sf, 0) == 0 or poly_eval(sf, window_hi) == 0:
         raise DomainError("window endpoint is a root; shrink the window")
-    chain = sturm_chain(sf)
-    a, b = Fraction(0), window_hi
-    n = _variations(chain, a) - _variations(chain, b)
-    if n == 0:
-        raise NoRootError("no root in (0, %s)" % (window_hi,))
-    # Bisect towards the leftmost root until the window holds it alone.
-    while n > 1:
-        mid = (a + b) / 2
-        while poly_eval(sf, mid) == 0:
-            mid = (a + 2 * mid) / 3
-        left = _variations(chain, a) - _variations(chain, mid)
-        if left:
-            b, n = mid, left
-        else:
-            a = mid
-    return isolate_root(sf, (a, b))
+    for window in _root_windows(sturm_chain(sf), Fraction(0), window_hi):
+        return isolate_root(sf, window)
+    raise NoRootError("no root in (0, %s)" % (window_hi,))
 
 
 def multinacci(m):

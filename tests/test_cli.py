@@ -222,10 +222,10 @@ def test_dry_run_reports_config(capsys):
         ("table1",): {"subcommand"},
         ("ell", "--theta", "golden"): {"subcommand", "caps", "theta", "degree"},
         ("area", "--lambda", "omega:2"): {
-            "subcommand", "caps", "lambda", "depth", "dimension", "resolution",
+            "subcommand", "caps", "lambda", "depth", "resolution",
         },
         ("render", "--lambda", "omega:2"): {
-            "subcommand", "caps", "lambda", "depth", "dimension", "size",
+            "subcommand", "caps", "lambda", "depth", "size",
             "radial_holes", "overlaps",
         },
         ("expand", "--lambda", "omega:2", "--x", "6/8"): {
@@ -295,6 +295,11 @@ def test_budgets_only_on_subcommands_that_spend_them(capsys):
                        "--node-cap", "1")
     assert code == EXIT_ERROR
     assert "--node-cap" in err
+    # area and render are planar only, so they take no --dimension
+    for sub in ("area", "render"):
+        code, _, err = run(capsys, sub, "--lambda", "omega:2", "-d", "2")
+        assert code == EXIT_ERROR
+        assert "-d" in err
     # each subcommand writes one fixed format, so there is nothing to choose
     code, _, err = run(capsys, "holes", "--lambda", "omega:2", "--format", "json")
     assert code == EXIT_ERROR

@@ -234,6 +234,30 @@ def test_rational_roots_divided_out():
     assert (c * c - c - 1).sign() == 0
 
 
+def test_rational_roots_found_at_any_coefficient_size():
+    # End coefficients above 10^6 have too many divisors to try, but the
+    # root is still found: alone, beside x + 7, and beside x^2 - x - 1.
+    for coeffs in ([-1000003, 1000033], [-7000021, 6000228, 1000033]):
+        r = isolate_root(coeffs, (0, 2))
+        assert type(r) is Fraction and r == Fraction(1000003, 1000033)
+    a = AlgebraicNumber([1000003, -30, -2000036, 1000033],
+                        Fraction(3, 2), Fraction(7, 4))
+    assert a.poly == (-1, -1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=10**12).flatmap(
+    lambda q: st.tuples(st.integers(min_value=1, max_value=q - 1), st.just(q))))
+def test_rational_root_of_golden_cubic(pq):
+    # (q x - p)(x^2 - x - 1): the root p/q comes back exact, and the golden
+    # ratio's stored polynomial has the rational factor divided out.
+    p, q = pq
+    coeffs = [p, p - q, -(p + q), q]
+    r = isolate_root(coeffs, (0, 1))
+    assert type(r) is Fraction and r == Fraction(p, q)
+    assert AlgebraicNumber(coeffs, Fraction(3, 2), Fraction(7, 4)).poly == (-1, -1, 1)
+
+
 def test_rational_root_rejected():
     with pytest.raises(DomainError):
         AlgebraicNumber([-1, 2], 0, 1)

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldengasket.errors import DomainError
+from goldengasket.errors import DomainError, ResourceLimit
 from goldengasket.exact import compare, multinacci
 from goldengasket.geometry import image_region, vertex
 from goldengasket.words import (
+    UNIQUE_COUNT_CAP,
     canonical_word,
     count_unique_addresses,
     edge_address,
@@ -242,6 +243,16 @@ def test_unique_address_counts_in_one_pass(m):
     assert list(unique_address_counts(m, 80)) == expected
     assert [count_unique_addresses(m, n) for n in (1, 2, 80)] == [
         expected[0], expected[1], expected[79]]
+
+
+def test_unique_address_count_limits():
+    # The cap is checked before any counting, so one past it fails at once.
+    assert UNIQUE_COUNT_CAP == 10**5
+    with pytest.raises(ResourceLimit):
+        count_unique_addresses(30, UNIQUE_COUNT_CAP + 1)
+    # A non-integer m is no run length; it must not be rounded to one.
+    with pytest.raises(DomainError):
+        count_unique_addresses(2.5, 6)
 
 
 def test_unique_address_growth_rates():
