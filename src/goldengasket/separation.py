@@ -3,22 +3,26 @@
 The central quantity is the smallest nonzero modulus of sum(s_k theta^k)
 over coefficient vectors s in {0, +-1}, found by branch and bound over the
 coefficients in order of decreasing weight.  Floats steer the pruning with
-a margin that covers their rounding; every surviving candidate is compared
-exactly, so the reported minimum and witness are exact for the given
-degree bound.  The same search runs the small-difference gap check at
-ratios below one.  Converse witnesses for the failure of the hole pattern
-at non-multinacci ratios come from the greedy expansion of 1.
+a margin that covers their rounding; every surviving candidate is valued
+by an integer dot product and compared exactly, so the reported minimum
+and witness are exact for the given degree bound.  The same search runs
+the small-difference gap check at ratios below one.  Converse witnesses
+for the failure of the hole pattern at non-multinacci ratios come from the
+greedy expansion of 1.
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, ResourceLimit
 from .exact import (
     AlgebraicNumber,
+    LinearCombination,
     as_scalar,
     compare,
     compare_values,
@@ -185,11 +189,14 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     Branches over coefficients in decreasing weight order with the first
     nonzero forced positive (sign symmetry), prunes a prefix P when
     |P| - sum(remaining weights) clears the incumbent, and completes each
-    surviving prefix against a presorted table of all signed sums of the
-    low-weight half, so only completions within the float margin of the
-    incumbent are ever evaluated exactly.  Every candidate that survives
-    the float screen is settled by exact comparison.  Ties go to the
-    witness of least degree, then the lexicographically smallest
+    surviving prefix against the float sums of every digit patch of the
+    low-weight half, sorted and kept with the base-3 index of their
+    patch.  Only completions within the float margin of the incumbent
+    are visited; each has its patch decoded from the index and its exact
+    value taken as an integer dot product (numerators over base^n_max's
+    denominator at a rational base, coordinates of one combination at an
+    algebraic one), then settled by exact sign and comparison.  Ties go
+    to the witness of least degree, then the lexicographically smallest
     coefficient tuple.  Returns (float bound, SignedPolyValue); raises
     ResourceLimit with the incumbent attached when the node budget runs
     out.
@@ -212,10 +219,18 @@ class _SignedSumSearch:
     The state lives on the instance rather than in nested closures: a
     recursive closure refers to itself through its cell, which would leave
     every call's powers and half-table behind as cyclic garbage.
+
+    A leaf's value is a dot product of its coefficients with precomputed
+    columns.  At a rational base p/q the column holds the numerators
+    p^k q^(n_max-k) over the common denominator q^n_max, so leaves are
+    signed and compared as ints.  At an algebraic base column i holds
+    coordinate i of every reduced power (ints when the base's polynomial
+    is monic), and the dot products are the coordinates of the one
+    ``LinearCombination`` whose sign is settled.
     """
 
     def __init__(self, base, n_max, node_cap):
-        self.powers = powers = [base * 0 + 1]
+        powers = [base * 0 + 1]
         for _ in range(n_max):
             powers.append(powers[-1] * base)
         self.fweights = fweights = [float(p) for p in powers]
@@ -225,23 +240,37 @@ class _SignedSumSearch:
             tails[pos] = tails[pos + 1] + fweights[order[pos]]
         self.margin = prune_margin(tails[0], n_max)
 
+        if isinstance(base, Fraction):
+            p, q = base.numerator, base.denominator
+            self.alg = None
+            self.numerators = [p**k * q ** (n_max - k) for k in range(n_max + 1)]
+            self.denominator = q**n_max
+        else:
+            self.alg = base.alg
+            self.denominator = None
+            self.columns = tuple(zip(*(pw.coeffs for pw in powers)))
+            self.int_columns = all(
+                type(c) is int for col in self.columns for c in col
+            )
+
         # Positions split into a branched prefix and a tabulated low half.
-        table_len = min(12, max(1, (n_max + 2) // 2))
+        # Half-table entry i is the patch _decode_patch(i, table_len); only
+        # its float sum is kept, in sorted order next to i.  The sort is
+        # stable, so equal sums stay in the order of the patches.
+        self.table_len = table_len = min(12, max(1, (n_max + 2) // 2))
         self.boundary = boundary = n_max + 1 - table_len
-        table = [(0.0, ())]
+        sums = [0.0]
         for pos in range(boundary, n_max + 1):
             w = fweights[order[pos]]
-            table = [
-                (s + d * w, patch + (d,)) for s, patch in table for d in (-1, 0, 1)
-            ]
-        table.sort(key=lambda e: e[0])
-        self.table = table
-        self.tsums = [e[0] for e in table]
+            sums = [s + d * w for s in sums for d in (-1, 0, 1)]
+        ranked = sorted(range(len(sums)), key=sums.__getitem__)
+        self.tsums = array("d", [sums[i] for i in ranked])
+        self.tindex = array("l", ranked)
 
         self.node_cap = node_cap
         self.nodes = 0
         self.coeffs = [0] * (n_max + 1)
-        self.best_val = self.best_abs_f = self.best_coeffs = None
+        self.best = self.best_val = self.best_abs_f = self.best_coeffs = None
 
     def incumbent(self):
         if self.best_coeffs is None:
@@ -249,13 +278,20 @@ class _SignedSumSearch:
         return SignedPolyValue(coeffs=self.best_coeffs, value=self.best_val)
 
     def exact_value(self, coeffs):
-        powers = self.powers
-        acc = None
-        for k, s in enumerate(coeffs):
-            if s:
-                term = powers[k] if s > 0 else -powers[k]
-                acc = term if acc is None else acc + term
-        return acc
+        """sum(coeffs[k] base^k): an int over ``denominator`` at a rational
+        base, a LinearCombination at an algebraic one."""
+        if self.alg is None:
+            return sum(map(mul, coeffs, self.numerators))
+        if self.int_columns:
+            vec = [sum(map(mul, coeffs, col)) for col in self.columns]
+        else:
+            # Only the powers that occur are summed, so a coordinate is a
+            # Fraction exactly when it is in the term-by-term sum, and the
+            # fixed-point screen, which takes int coordinates only, settles
+            # the same leaves.
+            vec = [sum(c * s for c, s in zip(col, coeffs) if s)
+                   for col in self.columns]
+        return LinearCombination(self.alg, vec)
 
     def consider(self, coeffs):
         value = self.exact_value(coeffs)
@@ -263,10 +299,12 @@ class _SignedSumSearch:
         if sgn == 0:
             return
         abs_val = value if sgn > 0 else -value
-        cmp = -1 if self.best_val is None else compare(abs_val, self.best_val)
+        cmp = -1 if self.best is None else compare(abs_val, self.best)
         if cmp < 0:
-            self.best_val = abs_val
-            self.best_abs_f = float(abs_val)
+            self.best = abs_val
+            self.best_val = (abs_val if self.denominator is None
+                             else Fraction(abs_val, self.denominator))
+            self.best_abs_f = float(self.best_val)
             self.best_coeffs = tuple(poly_trim(coeffs))
         elif cmp == 0:
             cand = tuple(poly_trim(coeffs))
@@ -281,7 +319,8 @@ class _SignedSumSearch:
             err.best = self.incumbent()
             raise err
 
-    def apply_patch(self, patch, any_nonzero):
+    def apply_patch(self, index, any_nonzero):
+        patch = _decode_patch(index, self.table_len)
         # Sign symmetry: with an all-zero prefix the patch must open with +1.
         if not any_nonzero:
             lead = next((d for d in patch if d), 0)
@@ -298,7 +337,7 @@ class _SignedSumSearch:
         # Walk table entries outward from -partial until the float distance
         # clears the incumbent plus margin; every visited entry is checked
         # exactly, so near-ties and true ties all reach consider().
-        tsums, table = self.tsums, self.table
+        tsums = self.tsums
         idx = bisect.bisect_left(tsums, -partial)
         left, right = idx - 1, idx
         while True:
@@ -314,7 +353,7 @@ class _SignedSumSearch:
                 dist = dr
             if self.best_abs_f is not None and dist > self.best_abs_f + self.margin:
                 return
-            self.apply_patch(table[pick][1], any_nonzero)
+            self.apply_patch(self.tindex[pick], any_nonzero)
 
     def descend(self, pos, partial, any_nonzero):
         self.check_budget()
@@ -333,6 +372,16 @@ class _SignedSumSearch:
             self.coeffs[k] = s
             self.descend(pos + 1, partial + s * w, any_nonzero or s != 0)
         self.coeffs[k] = 0
+
+
+def _decode_patch(index, length):
+    """Digits d_0..d_(length-1) in {-1, 0, 1} of half-table entry ``index``:
+    the base-3 digits of the index, most significant first, less one."""
+    patch = [0] * length
+    for off in range(length - 1, -1, -1):
+        index, r = divmod(index, 3)
+        patch[off] = r - 1
+    return tuple(patch)
 
 
 def ell_upper(theta, n_max, node_cap=DEFAULT_NODE_CAP):

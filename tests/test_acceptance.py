@@ -13,6 +13,7 @@ import math
 import time
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -308,13 +309,16 @@ def test_criterion_12_uniqueness_growth():
 
 
 def brute_min_rational(base, n_max):
-    powers = [base**k for k in range(n_max + 1)]
+    # Each sum(s_k base^k) is the integer sum(s_k p^k q^(n_max-k)) over
+    # the common denominator q^n_max, so the enumeration runs on ints.
+    p, q = base.numerator, base.denominator
+    nums = [p**k * q ** (n_max - k) for k in range(n_max + 1)]
     best = None
     best_coeffs = None
     for vec in product((-1, 0, 1), repeat=n_max + 1):
         if not any(vec):
             continue
-        v = sum(s * p for s, p in zip(vec, powers) if s)
+        v = sum(map(mul, vec, nums))
         if v == 0:
             continue
         a = -v if v < 0 else v
@@ -326,7 +330,7 @@ def brute_min_rational(base, n_max):
         t = tuple(t)
         if best is None or a < best or (a == best and (len(t), t) < (len(best_coeffs), best_coeffs)):
             best, best_coeffs = a, t
-    return best, best_coeffs
+    return Fraction(best, q**n_max), best_coeffs
 
 
 def test_criterion_13_separation_constant():

@@ -144,6 +144,15 @@ def test_ell_pisot_below_window_uncertified(capsys):
     assert doc["certified"] is False and doc["multinacci_reciprocal"] == 0
 
 
+def test_ell_pisot3_degree_fifteen_bytes(capsys):
+    # The printed float is the midpoint of the enclosure at which _settle
+    # stopped, so it depends on the refinement history of the base until
+    # LinearCombination.__float__ is correctly rounded (ROADMAP item 2).
+    code, out, _ = run(capsys, "ell", "--theta", "pisot:3", "--degree", "15")
+    assert code == EXIT_OK
+    assert '"min_abs": 0.006364690846075118,' in out
+
+
 def test_expand_tail(capsys):
     code, out, _ = run(
         capsys, "expand", "--lambda", "omega:2", "--x", "1", "-n", "8", "--tail"

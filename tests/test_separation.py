@@ -7,15 +7,25 @@ tuple.  The search must reproduce both the minimum and the witness.
 """
 
 import gc
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goldengasket.errors import DomainError, ResourceLimit
-from goldengasket.exact import as_scalar, compare, multinacci, scalar_sign
+from goldengasket.exact import (
+    as_scalar,
+    compare,
+    isolate_root,
+    multinacci,
+    scalar_sign,
+)
 from goldengasket.separation import (
+    DEFAULT_NODE_CAP,
     PRUNE_MARGIN,
     ConverseWitness,
     NotFound,
@@ -32,6 +42,7 @@ from goldengasket.separation import (
     prune_margin,
     separation_bound_check,
 )
+from goldengasket.separation import _decode_patch, _SignedSumSearch
 from goldengasket.cli import parse_theta_token
 from goldengasket.attractor import check_total_self_similarity, Violation
 
@@ -70,10 +81,15 @@ def brute_min(base, n_max):
     return best_abs, best_coeffs
 
 
+# The root (1 + sqrt 3)/2 of 2x^2 - 2x - 1: its reduced powers carry
+# Fraction coordinates, which the fixed-point screen declines.
+NONMONIC = isolate_root([-1, -2, 2], (Fraction(1), Fraction(3, 2)))
+
 BASES = [
     ("golden", golden_ratio()),
     ("tribonacci", multinacci_reciprocal(3)),
     ("pisot1", pisot_number(1)),
+    ("nonmonic", NONMONIC),
     ("rational", Fraction(9, 5)),
 ]
 
@@ -87,6 +103,86 @@ def test_search_matches_brute_force(name, base):
         got_abs = got.value if scalar_sign(got.value) > 0 else -got.value
         assert compare(got_abs, want_abs) == 0
         assert abs(got_f - float(want_abs)) < 1e-12
+
+
+LEAF_BASES = {
+    "golden": golden_ratio(),
+    "pisot3": pisot_number(3),
+    "nonmonic": NONMONIC,
+    "9/5": Fraction(9, 5),
+    "3/5": Fraction(3, 5),
+}
+
+
+# The defining polynomials of golden and pisot3, shifted or not, and the
+# zero vector: their leaves are exactly zero.
+LEAF_ZEROS = {
+    ("golden", (-1, -1, 1)),
+    ("golden", (0, -1, -1, 1, 0)),
+    ("pisot3", (-1, 0, 1, -1, -1, 1)),
+    ("3/5", (0, 0, 0)),
+}
+
+
+def term_by_term(base, digits):
+    """sum(s_k base^k) added up one power at a time."""
+    value = base * 0
+    power = base * 0 + 1
+    for s in digits:
+        if s:
+            value = value + power if s > 0 else value - power
+        power = power * base
+    return value
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(LEAF_BASES)),
+    digits=st.lists(st.sampled_from((-1, 0, 1)), min_size=2, max_size=14),
+)
+@example(name="golden", digits=[-1, -1, 1])
+@example(name="golden", digits=[0, -1, -1, 1, 0])
+@example(name="pisot3", digits=[-1, 0, 1, -1, -1, 1])
+@example(name="3/5", digits=[0, 0, 0])
+@example(name="nonmonic", digits=[1, -1, -1, -1, 0, 1])
+def test_integer_leaf_matches_term_by_term_sum(name, digits):
+    base = as_scalar(LEAF_BASES[name])
+    search = _SignedSumSearch(base, len(digits) - 1, DEFAULT_NODE_CAP)
+    leaf = search.exact_value(digits)
+    want = term_by_term(base, digits)
+    if isinstance(base, Fraction):
+        assert type(leaf) is int
+        assert Fraction(leaf, search.denominator) == want
+    else:
+        assert leaf.coeffs == want.coeffs
+        # Same coordinate types, so the fixed-point screen takes or
+        # declines the leaf exactly as it does the term-by-term sum.
+        assert [type(c) for c in leaf.coeffs] == [type(c) for c in want.coeffs]
+    assert scalar_sign(leaf) == scalar_sign(want)
+    if (name, tuple(digits)) in LEAF_ZEROS:
+        assert scalar_sign(leaf) == 0
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+def test_half_table_index_decodes_in_nested_order(length):
+    # The search visits equal sums in index order, so the index of a patch
+    # must be its place in the nested construction the table was built by.
+    nested = [()]
+    for _ in range(length):
+        nested = [patch + (d,) for patch in nested for d in (-1, 0, 1)]
+    assert [_decode_patch(i, length) for i in range(3**length)] == nested
+
+
+def test_rational_search_memory_peak():
+    # The half-table at degree 20 has 3^11 entries; kept as flat arrays of
+    # sums and indices it stays far below one tuple of digits per entry.
+    tracemalloc.start()
+    try:
+        min_abs_signed_sum(Fraction(9, 5), 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_search_matches_brute_force_deeper_pisot():
