@@ -5,6 +5,12 @@ words of length n.  Candidate holes are the images f_w(H_0) of the central
 hole; a candidate is genuine when it misses every region one level deeper.
 Area brackets and box counts ride on a barycentric grid whose cell tests
 reduce to integer comparisons once the region bounds have exact ceilings.
+
+Inside the loops a region bound is an integer vector of one
+``VectorFrame`` per level set, so children are vector adds and
+deduplication hashes flat int tuples.  Hole tests, ceilings and the grid's
+corner compares are decided on the bounds' certified integer images, and
+drop to the exact scalars only when an image straddles the answer.
 """
 
 from __future__ import annotations
@@ -12,14 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import DomainError, ResourceLimit
 from .exact import as_scalar, compare, scalar_ceil, scalar_sign
 from .geometry import (
     CornerRegion,
     HoleRegion,
+    VectorFrame,
     hole_meets_region,
     hole_region,
+    image_below,
+    image_ceil,
     intersection_bounds,
 )
 
@@ -55,19 +65,6 @@ def _check_level(d, n):
         raise DomainError("level must be a nonnegative integer")
 
 
-def _zero_bounds(lam, d):
-    zero = lam * 0
-    return tuple(zero for _ in range(d + 1))
-
-
-def _child(region, digit, step):
-    bounds = tuple(
-        b + step if j == digit else b for j, b in enumerate(region.bounds)
-    )
-    return CornerRegion(bounds=bounds, level=region.level + 1,
-                        word=region.word + (digit,))
-
-
 @dataclass(frozen=True)
 class LevelSet:
     """Deduplicated corner regions whose union is the level-n set."""
@@ -92,6 +89,10 @@ def _levels(lam, d, depth, max_words=None):
     are bound-identical, so dedup runs level by level and merged branches
     are never revisited.  The (d+1)^depth words are checked against
     ``max_words``, or ``DEFAULT_WORD_CAP`` when it is None.
+
+    The regions are views over one ``VectorFrame`` of all the levels: digit
+    j at position k of a word adds the vector of (1 - lam) lam^k to bound
+    j, and dedup hashes the flat int vectors.
     """
     cap = DEFAULT_WORD_CAP if max_words is None else max_words
     if (d + 1) ** depth > cap:
@@ -99,20 +100,31 @@ def _levels(lam, d, depth, max_words=None):
             "%d words at level %d exceed the cap %d"
             % ((d + 1) ** depth, depth, cap)
         )
-    level = [CornerRegion(bounds=_zero_bounds(lam, d), level=0, word=())]
-    pw = lam * 0 + 1
-    one_minus = 1 - lam
-    yield level, None
+    steps = []
+    step = 1 - lam
     for _ in range(depth):
-        step = one_minus * pw
-        index = {}
-        links = [
-            index.setdefault(_child(reg, digit, step), len(index))
-            for reg in level
-            for digit in range(d + 1)
+        steps.append(step)
+        step = step * lam
+    frame = VectorFrame(lam, steps)
+    deg = frame.deg
+    level = [CornerRegion.view(frame, (0,) * ((d + 1) * deg), 0, ())]
+    yield level, None
+    for k, step in enumerate(map(frame.vector, steps)):
+        shifts = [
+            (0,) * (j * deg) + step + (0,) * ((d - j) * deg) for j in range(d + 1)
         ]
-        level = list(index)
-        pw = pw * lam
+        index = {}
+        kept = []
+        links = []
+        for reg in level:
+            for digit, shift in enumerate(shifts):
+                vec = tuple(map(add, reg.vec, shift))
+                at = index.setdefault(vec, len(kept))
+                if at == len(kept):
+                    word = reg.word + (digit,)
+                    kept.append(CornerRegion.view(frame, vec, k + 1, word))
+                links.append(at)
+        level = kept
         yield level, links
 
 
@@ -163,18 +175,21 @@ def classify_holes(lam, d, n, max_words=None):
 
     Candidates are deduplicated by their exact bound vectors.  Each one is
     pushed down the region tree; subtrees whose region already misses the
-    hole cannot contain a meeting descendant and are pruned.  At ratios
-    >= 2/3 the central hole is empty, so there are no candidates at all.
+    hole cannot contain a meeting descendant and are pruned.  The bounds of
+    a candidate sum to 1 + lam^n (d - (d+1) lam), so at ratios >= d/(d+1)
+    the central hole is empty and there are no candidates at all.
     """
     _check_level(d, n)
     lam = _check_lam(lam)
     levels, links = zip(*_levels(lam, d, n + 1, max_words))
-    width = (1 - lam) * lam**n
-    holes = [
-        HoleRegion(tuple(b + width for b in reg.bounds), n, reg.word)
-        for reg in levels[n]
-    ]
-    holes = [h for h in holes if not h.is_empty()]
+    holes = []
+    if compare(lam, Fraction(d, d + 1)) < 0:
+        frame = levels[0][0].frame
+        width = frame.vector((1 - lam) * lam**n) * (d + 1)
+        holes = [
+            HoleRegion.view(frame, tuple(map(add, reg.vec, width)), n, reg.word)
+            for reg in levels[n]
+        ]
     genuine = []
     violations = []
     for hole in holes:
@@ -246,7 +261,19 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
 # idx >= D and additionally, when exactly the coordinates in S sit below
 # their C, sum(idx_t, t not in S) < r * (1 - sum(L_t, t in S)).  With one
 # deficient coordinate that inequality is automatic; with three it reads
-# 0 < r * lam^n; only the two-deficient corner cells need an exact check.
+# 0 < r * lam^n; only the two-deficient corner cells need a compare.  The
+# ceilings, the integrality of r L_j and those compares are read off the
+# integer images of the bounds, computed here region by region, and go to
+# the exact scalars only when an image straddles the answer.
+
+
+def _pair_below(reg, r, lo, hi, a, b, bound):
+    """r * (L_a + L_b) < bound, from the images ``lo``/``hi`` of r * L,
+    or exactly when they straddle it."""
+    below = image_below(lo[a] + lo[b], hi[a] + hi[b], bound * reg.frame.unit)
+    if below is None:
+        below = compare(r * reg.bounds[a] + r * reg.bounds[b], bound) < 0
+    return below
 
 
 def _grid_counts(regions, r):
@@ -266,10 +293,22 @@ def _grid_counts(regions, r):
     dn_lo = bytearray(acc)
     ones = bytes([1]) * r
 
+    frame = regions[0].frame
+    unit = frame.unit
     for reg in regions:
-        rl = [r * b for b in reg.bounds]
-        cs = [scalar_ceil(x) for x in rl]
-        frac = [compare(x, c) != 0 for x, c in zip(rl, cs)]
+        images = frame.images(reg.vec)
+        lo = [r * x for x, _ in images]
+        hi = [r * x for _, x in images]
+        cs = []
+        frac = []
+        for j in range(3):
+            decided = image_ceil(lo[j], hi[j], unit)
+            if decided is None:
+                x = r * reg.bounds[j]
+                c = scalar_ceil(x)
+                decided = c, compare(x, c) != 0
+            cs.append(decided[0])
+            frac.append(decided[1])
         ds = [c - 1 if f else c for c, f in zip(cs, frac)]
         c0, c1, c2 = cs
         d0, d1, d2 = ds
@@ -308,15 +347,15 @@ def _grid_counts(regions, r):
         # two deficient coordinates pin a single corner cell each
         k01 = r + 1 - c0 - c1
         if frac[0] and frac[1] and c0 >= 1 and c1 >= 1 and k01 >= c2:
-            if compare(rl[0] + rl[1], c0 + c1 - 1) < 0:
+            if _pair_below(reg, r, lo, hi, 0, 1, c0 + c1 - 1):
                 up_hi[up_base[c0 - 1] + (c1 - 1)] = 1
         j02 = r + 1 - c0 - c2
         if frac[0] and frac[2] and c0 >= 1 and c2 >= 1 and j02 >= c1:
-            if compare(rl[0] + rl[2], c0 + c2 - 1) < 0:
+            if _pair_below(reg, r, lo, hi, 0, 2, c0 + c2 - 1):
                 up_hi[up_base[c0 - 1] + j02] = 1
         i12 = r + 1 - c1 - c2
         if frac[1] and frac[2] and c1 >= 1 and c2 >= 1 and i12 >= c0:
-            if compare(rl[1] + rl[2], c1 + c2 - 1) < 0:
+            if _pair_below(reg, r, lo, hi, 1, 2, c1 + c2 - 1):
                 up_hi[up_base[i12] + (c1 - 1)] = 1
 
         # all three deficient: the cell exists only when the ceilings are

@@ -5,21 +5,26 @@ The maps f_i(x) = lam*x + (1-lam)*p_i act on barycentric coordinates as
 has the closed form lam^n * I + t * 1^T where the translation vector t
 depends only on which positions of w carry which digit.  Corner regions
 (images of the simplex) are cut out by lower bounds, candidate holes by
-strict upper bounds; everything here stays in exact scalars.
+strict upper bounds; everything here stays in exact scalars.  The regions
+of a level set are views over integer bound vectors, whose hole tests are
+settled on certified integer images of the bounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt, mul
 
 from .errors import DomainError
-from .exact import as_scalar, compare, scalar_sign
+from .exact import FIXED_BITS, LinearCombination, as_scalar, compare, scalar_sign
 
 __all__ = [
     "CornerRegion",
     "HoleRegion",
     "Similitude",
+    "VectorFrame",
     "apply_map",
     "barycenter",
     "compose_word",
@@ -27,6 +32,8 @@ __all__ = [
     "generator_matrix",
     "hole_meets_region",
     "hole_region",
+    "image_below",
+    "image_ceil",
     "image_region",
     "intersection_bounds",
     "region_feasible_point",
@@ -58,7 +65,7 @@ def scalar_max(a, b):
 
 
 def _powers(lam, n):
-    out = [lam * 0 + 1]
+    out = [lam**0]
     for _ in range(n):
         out.append(out[-1] * lam)
     return out
@@ -69,12 +76,12 @@ def translation_vector(word, lam, d=2):
     word = validate_word(word, d)
     lam = as_scalar(lam)
     pw = _powers(lam, len(word))
-    zero = lam * 0
-    sums = [zero for _ in range(d + 1)]
-    for k, digit in enumerate(word):
-        sums[digit] = sums[digit] + pw[k]
     one_minus = 1 - lam
-    return tuple(one_minus * s for s in sums), pw[len(word)]
+    t = tuple(
+        one_minus * sum(p for p, digit in zip(pw, word) if digit == j)
+        for j in range(d + 1)
+    )
+    return t, pw[len(word)]
 
 
 @dataclass(frozen=True)
@@ -113,8 +120,144 @@ def apply_map(sim, point):
     )
 
 
-@dataclass(frozen=True)
-class CornerRegion:
+class VectorFrame:
+    """Exact scalars on one base as integer vectors over one denominator.
+
+    At a rational base a scalar is one integer numerator over ``den``.  At
+    an algebraic base alpha of degree ``deg`` it is a vector c of ``deg``
+    ints with value sum(c_k alpha^k) / den.  A flat tuple holds several
+    scalars, ``deg`` entries each, so sums are vector adds and equality is
+    tuple equality.  Each scalar has one certified integer image
+    lo <= unit * value <= hi: exact at a rational base (``unit = den``),
+    and at an algebraic one the midpoint-radius dot product with the
+    fixed-point powers of alpha (``unit = 2^(FIXED_BITS+1) * den``).
+    """
+
+    __slots__ = ("alg", "deg", "den", "unit", "_mid", "_rad", "_memo")
+
+    def __init__(self, lam, values):
+        """The frame of ``lam`` (a Fraction or a LinearCombination) whose
+        denominator clears every scalar in ``values``."""
+        if isinstance(lam, LinearCombination):
+            self.alg = lam.alg
+            powers = self.alg.fixed_powers()
+            # 2^(FIXED_BITS+1) alpha^k lies within _rad[k] of _mid[k].
+            self._mid = tuple(a + b for a, b in powers)
+            self._rad = tuple(b - a for a, b in powers)
+            self._memo = {}
+            self.deg = len(powers)
+            scale = 2 << FIXED_BITS
+            coeffs = [c for v in values for c in v.coeffs]
+        else:
+            self.alg = None
+            self.deg = 1
+            scale = 1
+            coeffs = values
+        self.den = math.lcm(*(c.denominator for c in coeffs))
+        self.unit = scale * self.den
+
+    def vector(self, x):
+        """The vector of an exact scalar whose denominator ``den`` clears."""
+        coeffs = (x,) if self.alg is None else x.coeffs
+        return tuple(c.numerator * (self.den // c.denominator) for c in coeffs)
+
+    def scalar(self, vec):
+        """The exact scalar of one vector: a Fraction or a LinearCombination."""
+        den = self.den
+        if self.alg is None:
+            return Fraction(vec[0], den)
+        return LinearCombination(
+            self.alg, vec if den == 1 else [Fraction(c, den) for c in vec]
+        )
+
+    def scalars(self, vec):
+        """The exact scalars of a flat vector."""
+        deg = self.deg
+        return tuple(self.scalar(vec[i:i + deg]) for i in range(0, len(vec), deg))
+
+    def images(self, vec):
+        """The (lo, hi) image of every scalar of a flat vector."""
+        if self.alg is None:
+            return tuple(zip(vec, vec))
+        deg = self.deg
+        return tuple(self._image(vec[i:i + deg]) for i in range(0, len(vec), deg))
+
+    def _image(self, c):
+        # Region bounds repeat across a level set (54 distinct vectors in
+        # the 5,187 bounds of levels 0..7 at omega_2), so images are kept
+        # once per distinct vector and shared.
+        image = self._memo.get(c)
+        if image is None:
+            m = sum(map(mul, c, self._mid))
+            r = sum(map(mul, map(abs, c), self._rad))
+            image = self._memo[c] = (m - r, m + r)
+        return image
+
+
+def image_ceil(lo, hi, unit):
+    """(ceil(x), whether x is not an integer) from lo <= unit * x <= hi,
+    or None when the image straddles the answer."""
+    c = -(-lo // unit)
+    top = c * unit
+    if hi < top:
+        return c, True
+    if lo == hi == top:
+        return c, False
+    return None
+
+
+def image_below(lo, hi, bound):
+    """Whether x < bound from lo <= x <= hi, or None when undecided."""
+    if hi < bound:
+        return True
+    if lo >= bound:
+        return False
+    return None
+
+
+class _Bounds:
+    """The bound vector of a region: either exact scalars, or a view over
+    one flat integer vector of a ``VectorFrame`` shared by a whole level
+    set, whose exact ``bounds`` are derived on first use."""
+
+    __slots__ = ("_bounds", "level", "word", "frame", "vec", "_image")
+
+    def __init__(self, bounds, level, word=None):
+        self._bounds = tuple(bounds)
+        self.level = level
+        self.word = word
+        self.frame = self.vec = self._image = None
+
+    @classmethod
+    def view(cls, frame, vec, level, word):
+        self = cls.__new__(cls)
+        self._bounds = self._image = None
+        self.frame, self.vec, self.level, self.word = frame, vec, level, word
+        return self
+
+    @property
+    def bounds(self):
+        if self._bounds is None:
+            self._bounds = self.frame.scalars(self.vec)
+        return self._bounds
+
+    def image(self):
+        """The frame's (lo, hi) images of the bounds of a view."""
+        if self._image is None:
+            self._image = self.frame.images(self.vec)
+        return self._image
+
+    @property
+    def d(self):
+        return len(self.bounds) - 1
+
+    def _same_bounds(self, other):
+        if self.frame is not None and self.frame is other.frame:
+            return self.vec == other.vec
+        return self.bounds == other.bounds
+
+
+class CornerRegion(_Bounds):
     """Closed sub-simplex {x_j >= L_j}: the image f_w(simplex).
 
     Never empty: the bounds always sum to 1 - lam^n < 1.  Equality and
@@ -122,41 +265,40 @@ class CornerRegion:
     deduplication at multinacci ratios work.
     """
 
-    bounds: tuple
-    level: int
-    word: tuple = None
+    __slots__ = ()
 
     def __eq__(self, other):
         if not isinstance(other, CornerRegion):
             return NotImplemented
-        return self.bounds == other.bounds
+        return self._same_bounds(other)
 
     def __hash__(self):
         return hash(self.bounds)
 
-    @property
-    def d(self):
-        return len(self.bounds) - 1
+    def __repr__(self):
+        return "CornerRegion(bounds=%r, level=%r, word=%r)" % (
+            self.bounds, self.level, self.word)
 
 
-class HoleRegion:
+class HoleRegion(_Bounds):
     """Open inverted sub-simplex {x_j < U_j for all j} within the simplex.
 
     Infeasible bound vectors (sum(U) <= 1) are all the same empty set and
     compare equal regardless of their bounds.
     """
 
-    __slots__ = ("bounds", "level", "word", "_empty")
+    __slots__ = ("_empty",)
 
     def __init__(self, bounds, level, word=None):
-        self.bounds = tuple(bounds)
-        self.level = level
-        self.word = word
+        super().__init__(bounds, level, word)
         self._empty = None
 
-    @property
-    def d(self):
-        return len(self.bounds) - 1
+    @classmethod
+    def view(cls, frame, vec, level, word):
+        """A view of a hole its maker knows to be non-empty."""
+        self = super().view(frame, vec, level, word)
+        self._empty = False
+        return self
 
     def is_empty(self):
         if self._empty is None:
@@ -170,7 +312,7 @@ class HoleRegion:
             return True
         if self.is_empty() != other.is_empty():
             return False
-        return self.bounds == other.bounds
+        return self._same_bounds(other)
 
     def __hash__(self):
         if self.is_empty():
@@ -214,11 +356,37 @@ def hole_meets_region(h, r):
     sit strictly below its upper bound, the lower bounds must leave room
     (sum <= 1) and the upper bounds must overshoot (sum > 1).
     """
+    frame = r.frame
+    if frame is not None and frame is h.frame:
+        return _views_meet(frame, h, r)
     for lj, uj in zip(r.bounds, h.bounds):
         if compare(lj, uj) >= 0:
             return False
     if compare(sum(r.bounds), 1) > 0:
         return False
+    return not h.is_empty()
+
+
+def _views_meet(frame, h, r):
+    """``hole_meets_region`` for views of one level set.
+
+    A level region's bounds sum to 1 - lam^k < 1, and a hole view knows
+    whether it is empty, so only L_j < U_j is left.  At a rational base the
+    vectors are the exact numerators.  At an algebraic one it is decided on
+    the bound images; equal vectors are a tie, and only images that
+    straddle fall back to the exact compare.
+    """
+    if frame.alg is None:
+        return all(map(lt, r.vec, h.vec)) and not h.is_empty()
+    deg = frame.deg
+    for j, ((rlo, rhi), (ulo, uhi)) in enumerate(zip(r.image(), h.image())):
+        if rhi < ulo:
+            continue
+        if rlo >= uhi:
+            return False
+        part = slice(j * deg, (j + 1) * deg)
+        if r.vec[part] == h.vec[part] or compare(r.bounds[j], h.bounds[j]) >= 0:
+            return False
     return not h.is_empty()
 
 

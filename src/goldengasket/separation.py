@@ -53,7 +53,8 @@ __all__ = [
     "separation_bound_check",
 ]
 
-# Search nodes allowed before the branch and bound gives up.
+# Branch nodes plus visited half-table entries (each an exact leaf
+# evaluation) allowed before the branch and bound gives up.
 DEFAULT_NODE_CAP = 5_000_000
 
 # Least slack added to the float pruning test; candidates this close to
@@ -198,8 +199,8 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     algebraic one), then settled by exact sign and comparison.  Ties go
     to the witness of least degree, then the lexicographically smallest
     coefficient tuple.  Returns (float bound, SignedPolyValue); raises
-    ResourceLimit with the incumbent attached when the node budget runs
-    out.
+    ResourceLimit with the incumbent attached when ``node_cap`` runs out:
+    every branch node and every table entry visited counts against it.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError("n_max must be an integer >= 1")
@@ -311,8 +312,8 @@ class _SignedSumSearch:
             if (len(cand), cand) < (len(self.best_coeffs), self.best_coeffs):
                 self.best_coeffs = cand
 
-    def check_budget(self):
-        self.nodes += 1
+    def check_budget(self, spent=1):
+        self.nodes += spent
         if self.nodes > self.node_cap:
             err = ResourceLimit("signed-sum search exceeded %d nodes"
                                 % self.node_cap)
@@ -336,24 +337,35 @@ class _SignedSumSearch:
     def finish(self, partial, any_nonzero):
         # Walk table entries outward from -partial until the float distance
         # clears the incumbent plus margin; every visited entry is checked
-        # exactly, so near-ties and true ties all reach consider().
+        # exactly, so near-ties and true ties all reach consider().  Each
+        # visited entry is one unit of the node budget, counted locally and
+        # charged on the way out; the entry past the budget returns before
+        # its evaluation, and the charge then raises.
         tsums = self.tsums
         idx = bisect.bisect_left(tsums, -partial)
         left, right = idx - 1, idx
-        while True:
-            dl = abs(partial + tsums[left]) if left >= 0 else None
-            dr = abs(partial + tsums[right]) if right < len(tsums) else None
-            if dl is None and dr is None:
-                return
-            if dr is None or (dl is not None and dl <= dr):
-                pick, left = left, left - 1
-                dist = dl
-            else:
-                pick, right = right, right + 1
-                dist = dr
-            if self.best_abs_f is not None and dist > self.best_abs_f + self.margin:
-                return
-            self.apply_patch(self.tindex[pick], any_nonzero)
+        room = self.node_cap - self.nodes
+        visited = 0
+        try:
+            while True:
+                dl = abs(partial + tsums[left]) if left >= 0 else None
+                dr = abs(partial + tsums[right]) if right < len(tsums) else None
+                if dl is None and dr is None:
+                    return
+                if dr is None or (dl is not None and dl <= dr):
+                    pick, left = left, left - 1
+                    dist = dl
+                else:
+                    pick, right = right, right + 1
+                    dist = dr
+                if self.best_abs_f is not None and dist > self.best_abs_f + self.margin:
+                    return
+                visited += 1
+                if visited > room:
+                    return
+                self.apply_patch(self.tindex[pick], any_nonzero)
+        finally:
+            self.check_budget(visited)
 
     def descend(self, pos, partial, any_nonzero):
         self.check_budget()

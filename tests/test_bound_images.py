@@ -1,0 +1,310 @@
+"""Bound images against the exact path, and the level loops against a
+generic-scalar reference.
+
+Region bounds live in the loops as integer vectors of one ``VectorFrame``;
+every decision taken on their certified images (a ceiling, the integrality
+of r*L, the grid's two-deficient corner compare, L_j < U_j) must be the
+answer of the exact ``LinearCombination``/``Fraction`` path whenever the
+image gives one.  The near-integer vectors +-lam^n + k, n <= 80, sit within
+the images' rounding slack of the answer, so a screen that drops the slack
+claims wrong answers on them.
+
+The reference at the end is the level-set algorithm on exact scalars:
+regions as tuples of exact bounds, a DFS with exact compares for the holes,
+and the cell criterion of the barycentric grid with exact ceilings.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from goldengasket import geometry
+from goldengasket.attractor import build_level, classify_holes, estimate_area
+from goldengasket.errors import PrecisionExhausted
+from goldengasket.exact import (
+    AlgebraicNumber,
+    as_scalar,
+    compare,
+    lambda_star,
+    multinacci,
+    scalar_ceil,
+)
+from goldengasket.geometry import (
+    CornerRegion,
+    HoleRegion,
+    VectorFrame,
+    hole_meets_region,
+    image_below,
+    image_ceil,
+)
+
+BASES = {
+    "omega2": multinacci(2),
+    "omega3": multinacci(3),
+    "omega4": multinacci(4),
+    "lambda-star": lambda_star(),
+    "59/100": Fraction(59, 100),
+    "13/20": Fraction(13, 20),
+}
+MAX_POWER = 80
+
+
+def _frame(name):
+    lam = as_scalar(BASES[name])
+    powers = [lam**0]
+    for _ in range(MAX_POWER):
+        powers.append(powers[-1] * lam)
+    return VectorFrame(lam, powers), powers
+
+
+FRAMES = {name: _frame(name) for name in BASES}
+
+
+def _near(draw, powers):
+    """+-lam^n + k, within lam^n of an integer."""
+    sign = draw(st.sampled_from([1, -1]))
+    n = draw(st.integers(0, MAX_POWER))
+    return sign * powers[n] + draw(st.integers(-3, 3))
+
+
+@st.composite
+def scalars(draw, name):
+    """A vector of the frame of ``name`` and its exact scalar: +-lam^n + k
+    (near an integer for large n), an integer, or a random vector."""
+    frame, powers = FRAMES[name]
+    kind = draw(st.sampled_from(["near", "integer", "random"]))
+    if kind == "random":
+        vec = tuple(draw(st.lists(st.integers(-10**6, 10**6),
+                                  min_size=frame.deg, max_size=frame.deg)))
+        return vec, frame.scalar(vec)
+    if kind == "integer":
+        x = powers[0] * draw(st.integers(-3, 3))
+    else:
+        x = _near(draw, powers)
+    return frame.vector(x), x
+
+
+@st.composite
+def pairs(draw, kind):
+    """Two scalars of one frame, the second chosen near the first
+    ("gap": x + lam^n, x - lam^n or x itself) or near an integer less the
+    first ("sum": x + y = +-lam^n + k)."""
+    name = draw(st.sampled_from(sorted(BASES)))
+    frame, powers = FRAMES[name]
+    vec, x = draw(scalars(name))
+    if kind == "gap":
+        delta = draw(st.sampled_from([0, 1, -1])) * powers[
+            draw(st.integers(0, MAX_POWER))]
+        y = x + delta
+    else:
+        y = _near(draw, powers) - x
+    return name, (vec, x), (frame.vector(y), y)
+
+
+def _image(frame, vec):
+    return frame.images(vec)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(BASES)).flatmap(
+    lambda name: st.tuples(st.just(name), scalars(name))), st.integers(1, 300))
+def test_ceiling_and_integrality_images_agree_with_exact(case, r):
+    name, (vec, x) = case
+    frame = FRAMES[name][0]
+    lo, hi = _image(frame, vec)
+    decided = image_ceil(r * lo, r * hi, frame.unit)
+    if decided is None:
+        assert frame.alg is not None and any(vec[1:])
+        return
+    rx = r * x
+    c = scalar_ceil(rx)
+    assert decided == (c, compare(rx, c) != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs("sum"), st.integers(1, 300), st.integers(-1, 1))
+def test_corner_compare_images_agree_with_exact(case, r, shift):
+    name, (a, x), (b, y) = case
+    frame = FRAMES[name][0]
+    (alo, ahi), (blo, bhi) = _image(frame, a), _image(frame, b)
+    total = r * x + r * y
+    bound = scalar_ceil(total) + shift
+    below = image_below(r * (alo + blo), r * (ahi + bhi), bound * frame.unit)
+    if below is not None:
+        assert below == (compare(total, bound) < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs("gap"))
+def test_lower_below_upper_agrees_with_exact(case):
+    name, (a, x), (b, y) = case
+    frame = FRAMES[name][0]
+    # d = 0: one bound each, so the view test is exactly L < U.
+    hole = HoleRegion.view(frame, b, 0, ())
+    region = CornerRegion.view(frame, a, 0, ())
+    assert hole_meets_region(hole, region) == (compare(x, y) < 0)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_images_decide_constants_and_ties_without_the_exact_path(name, monkeypatch):
+    frame, powers = FRAMES[name]
+
+    def no_exact(*args):
+        raise AssertionError("an exact compare was reached")
+
+    monkeypatch.setattr(geometry, "compare", no_exact)
+    for k in (-2, 0, 3):
+        lo, hi = _image(frame, frame.vector(powers[0] * k))
+        assert image_ceil(7 * lo, 7 * hi, frame.unit) == (7 * k, False)
+    for n in (1, 5, 30):
+        vec = frame.vector(powers[n])
+        view = CornerRegion.view(frame, vec, 0, ())
+        assert not hole_meets_region(HoleRegion.view(frame, vec, 0, ()), view)
+
+
+def test_integer_valued_vector_reaches_the_exact_path():
+    # At the root phi of (x^2 - 2)(x^2 - x - 1) near the golden ratio the
+    # polynomial is reducible, so phi^2 - phi is the integer 1 although its
+    # vector is not constant: no image may decide it.
+    phi = AlgebraicNumber([2, 2, -3, -1, 1], Fraction(3, 2), Fraction(17, 10))
+    lam = phi.as_scalar()
+    frame = VectorFrame(lam, [lam])
+    one = (0, -1, 1, 0)
+    lo, hi = _image(frame, one)
+    assert image_ceil(lo, hi, frame.unit) is None
+    assert image_below(lo, hi, frame.unit) is None
+    with pytest.raises(PrecisionExhausted):
+        scalar_ceil(frame.scalar(one))
+    hole = HoleRegion.view(frame, (1, 0, 0, 0), 0, ())
+    with pytest.raises(PrecisionExhausted):
+        hole_meets_region(hole, CornerRegion.view(frame, one, 0, ()))
+
+
+# ----------------------------------------------------------------------
+# generic-scalar reference
+
+
+def ref_levels(lam, d, depth):
+    """Levels 0..depth as lists of (bounds, word), deduplicated by exact
+    bounds in word order of first appearance, with the steps used."""
+    zero = lam - lam
+    levels = [[((zero,) * (d + 1), ())]]
+    steps = []
+    step = 1 - lam
+    for _ in range(depth):
+        index = {}
+        for bounds, word in levels[-1]:
+            for digit in range(d + 1):
+                child = tuple(b + step if j == digit else b
+                              for j, b in enumerate(bounds))
+                index.setdefault(child, word + (digit,))
+        levels.append(list(index.items()))
+        steps.append(step)
+        step = step * lam
+    return levels, steps
+
+
+def ref_meets(upper, lower):
+    return (all(compare(l, u) < 0 for l, u in zip(lower, upper))
+            and compare(sum(lower), 1) <= 0 and compare(sum(upper), 1) > 0)
+
+
+def ref_classify(lam, d, n):
+    """(candidate words, genuine words, violations as word pairs)."""
+    levels, steps = ref_levels(lam, d, n + 1)
+    known = [dict(level) for level in levels]
+    candidates = []
+    genuine = []
+    violations = []
+    for bounds, word in levels[n]:
+        upper = tuple(b + steps[n] for b in bounds)
+        if compare(sum(upper), 1) <= 0:
+            continue
+        candidates.append(word)
+        hits = []
+        stack = [(0, levels[0][0][0])]
+        while stack:
+            k, lower = stack.pop()
+            if not ref_meets(upper, lower):
+                continue
+            if k == n + 1:
+                hits.append(known[k][lower])
+                continue
+            stack.extend(
+                (k + 1, tuple(b + steps[k] if j == digit else b
+                              for j, b in enumerate(lower)))
+                for digit in range(d + 1)
+            )
+        if hits:
+            violations.extend((word, hit) for hit in sorted(hits))
+        else:
+            genuine.append(word)
+    return candidates, genuine, violations
+
+
+def _cells(r, total):
+    i, j = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
+    keep = i + j <= total
+    i, j = i[keep], j[keep]
+    return i, j, total - i - j
+
+
+def ref_area(lam, n, r):
+    """Cell counts (lo, hi) of the level-n set on the r-grid: a cell counts
+    toward lo when one region contains it and toward hi when it meets one
+    open region with positive area."""
+    up = _cells(r, r - 1)
+    down = _cells(r, r - 2)
+    up_lo = np.zeros(len(up[0]), bool)
+    up_hi = np.zeros(len(up[0]), bool)
+    dn_lo = np.zeros(len(down[0]), bool)
+    dn_hi = np.zeros(len(down[0]), bool)
+    levels, _ = ref_levels(lam, 2, n)
+    for bounds, _ in levels[n]:
+        rl = [r * b for b in bounds]
+        ceil = [scalar_ceil(x) for x in rl]
+        floor = [c - (compare(x, c) != 0) for x, c in zip(rl, ceil)]
+        up_lo |= np.all([up[t] >= ceil[t] for t in range(3)], axis=0)
+        dn_lo |= np.all([down[t] >= ceil[t] for t in range(3)], axis=0)
+        dn_hi |= np.all([down[t] >= floor[t] for t in range(3)], axis=0)
+        # An upward cell with idx >= floor meets the open region unless
+        # exactly two coordinates a, b sit below their ceilings and
+        # r (L_a + L_b) >= C_a + C_b - 1.
+        short = np.array([up[t] < ceil[t] for t in range(3)])
+        meets = np.all([up[t] >= floor[t] for t in range(3)], axis=0)
+        for a, b, t in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            if compare(rl[a] + rl[b], ceil[a] + ceil[b] - 1) >= 0:
+                meets &= ~(short[a] & short[b] & ~short[t])
+        up_hi |= meets
+    cells = r * r
+    return (Fraction(int(up_lo.sum() + dn_lo.sum()), cells),
+            Fraction(int(up_hi.sum() + dn_hi.sum()), cells))
+
+
+REFERENCE_CASES = [
+    ("omega2", 5), ("omega3", 5), ("omega4", 5), ("lambda-star", 4),
+    ("59/100", 5), ("13/20", 5),
+]
+
+
+@pytest.mark.parametrize("name,n_max", REFERENCE_CASES,
+                         ids=[c[0] for c in REFERENCE_CASES])
+def test_level_loops_match_the_generic_scalar_reference(name, n_max):
+    base = BASES[name]
+    lam = as_scalar(base)
+    levels, _ = ref_levels(lam, 2, n_max)
+    for n in range(n_max + 1):
+        level = build_level(base, 2, n)
+        assert [r.word for r in level.regions] == [w for _, w in levels[n]]
+        assert [r.bounds for r in level.regions] == [b for b, _ in levels[n]]
+
+        report = classify_holes(base, 2, n)
+        candidates, genuine, violations = ref_classify(lam, 2, n)
+        assert [h.word for h in report.candidates] == candidates
+        assert [h.word for h in report.genuine] == genuine
+        assert [(h.word, r.word) for h, r in report.violations] == violations
+
+        assert estimate_area(base, 2, n, 64) == ref_area(lam, n, 64)

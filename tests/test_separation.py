@@ -224,13 +224,27 @@ def test_pisot_index_range():
 
 
 def test_node_cap_carries_best_so_far():
+    # The first incumbent appears after 9 branch nodes and 168 visited
+    # table entries.
     base = pisot_number(1).as_scalar()
     with pytest.raises(ResourceLimit) as info:
-        min_abs_signed_sum(base, 16, node_cap=40)
+        min_abs_signed_sum(base, 16, node_cap=200)
     assert isinstance(info.value.best, SignedPolyValue)
     with pytest.raises(ResourceLimit) as info:
         min_abs_signed_sum(base, 16, node_cap=3)
     assert info.value.best is None
+
+
+def test_node_cap_counts_leaf_evaluations():
+    # pisot:1 at degree 12 branches through 334 nodes but visits 2,193
+    # half-table entries, each an exact leaf evaluation: the cap bounds both.
+    base = pisot_number(1).as_scalar()
+    min_abs_signed_sum(base, 12, node_cap=334 + 2193)
+    with pytest.raises(ResourceLimit) as info:
+        min_abs_signed_sum(base, 12, node_cap=334 + 2192)
+    assert isinstance(info.value.best, SignedPolyValue)
+    with pytest.raises(ResourceLimit):
+        min_abs_signed_sum(base, 12, node_cap=1000)
 
 
 @pytest.mark.parametrize("base", [pisot_number(1), Fraction(9, 5)],

@@ -12,7 +12,7 @@ from goldengasket import cli
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def traced_metrics(monkeypatch, capsys, argv):
+def traced_metrics(monkeypatch, capsys, argv, exit_code=cli.EXIT_OK):
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
@@ -23,7 +23,7 @@ def traced_metrics(monkeypatch, capsys, argv):
     finally:
         tracer.restore()
     capsys.readouterr()
-    assert code == cli.EXIT_OK
+    assert code == exit_code
     return tracer.layer_metrics()
 
 
@@ -35,7 +35,17 @@ def test_traced_area_job_counts_layers(monkeypatch, capsys):
     assert metrics["attractor.regions"] == 9
     assert metrics["attractor.grid_cells"] == 4096
     assert metrics["attractor.words"] == 9
-    assert metrics["exact.ceil_calls"] > 0
+    # The bound images settle every ceiling; only exact fallbacks count.
+    assert metrics["exact.ceil_calls"] == 0
+
+
+def test_traced_rational_area_job_counts_every_word(monkeypatch, capsys):
+    metrics = traced_metrics(
+        monkeypatch, capsys,
+        ["area", "--lambda", "rational:59/100", "-n", "4", "--resolution", "64"],
+    )
+    assert metrics["attractor.regions"] == metrics["attractor.words"] == 3**4
+    assert metrics["exact.ceil_calls"] == 0
 
 
 def test_traced_holes_job_counts_hole_tests(monkeypatch, capsys):
@@ -44,6 +54,16 @@ def test_traced_holes_job_counts_hole_tests(monkeypatch, capsys):
     )
     assert metrics["geometry.hole_tests"] == 90
     assert metrics["attractor.candidates"] == 9
+
+
+def test_traced_rational_holes_job_counts_hole_tests(monkeypatch, capsys):
+    metrics = traced_metrics(
+        monkeypatch, capsys, ["holes", "--lambda", "rational:59/100", "-n", "3"],
+        exit_code=cli.EXIT_VERDICT,
+    )
+    assert metrics["geometry.hole_tests"] == 405
+    assert metrics["attractor.candidates"] == 27
+    assert metrics["attractor.violations"] == 6
 
 
 def test_traced_ell_job_counts_leaves(monkeypatch, capsys):
