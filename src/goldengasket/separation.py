@@ -3,21 +3,20 @@
 The central quantity is the smallest nonzero modulus of sum(s_k theta^k)
 over coefficient vectors s in {0, +-1}, found by branch and bound over the
 coefficients in order of decreasing weight.  Floats steer the pruning with
-a margin that covers their rounding; every surviving candidate is valued
-by an integer dot product and compared exactly, so the reported minimum
-and witness are exact for the given degree bound.  The same search runs
-the small-difference gap check at ratios below one.  Converse witnesses
-for the failure of the hole pattern at non-multinacci ratios come from the
-greedy expansion of 1.
+a margin that covers their rounding; every surviving candidate is an exact
+integer vector, and each distinct one is settled by exact sign and compare,
+so the reported minimum and witness are exact for the given degree bound.
+The same search runs the small-difference gap check at ratios below one.
+Converse witnesses for the failure of the hole pattern at non-multinacci
+ratios come from the greedy expansion of 1.
 """
 
 from __future__ import annotations
 
 import bisect
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add
 
 from .errors import DomainError, ResourceLimit
 from .exact import (
@@ -53,8 +52,8 @@ __all__ = [
     "separation_bound_check",
 ]
 
-# Branch nodes plus visited half-table entries (each an exact leaf
-# evaluation) allowed before the branch and bound gives up.
+# Branch nodes plus visited table entries (each one distinct leaf vector)
+# allowed before the branch and bound gives up.
 DEFAULT_NODE_CAP = 5_000_000
 
 # Least slack added to the float pruning test; candidates this close to
@@ -171,8 +170,9 @@ def prune_margin(total_weight, n_max):
       value (a ``_settle`` float of a combination, or a correctly rounded
       Fraction), and 1e-17 < 0.1*u, so the weights of one test are off
       by at most 1.1*u*W, and so is the float of the incumbent;
-    - the prefix, tail and table sums add at most n_max + 1 weights
-      between them, so their rounding error is below (n_max + 2)*u*W;
+    - the prefix and tail sums and an entry's table sum (its own patch's
+      weights) add at most n_max + 1 weights between them, so their
+      rounding error is below (n_max + 2)*u*W;
     - the final subtraction or addition and the sum incumbent + margin
       round once each, under 2*u*W.
     Hence a pruning test is off by less than (n_max + 7)*u*W, and taking
@@ -190,17 +190,16 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     Branches over coefficients in decreasing weight order with the first
     nonzero forced positive (sign symmetry), prunes a prefix P when
     |P| - sum(remaining weights) clears the incumbent, and completes each
-    surviving prefix against the float sums of every digit patch of the
-    low-weight half, sorted and kept with the base-3 index of their
-    patch.  Only completions within the float margin of the incumbent
-    are visited; each has its patch decoded from the index and its exact
-    value taken as an integer dot product (numerators over base^n_max's
-    denominator at a rational base, coordinates of one combination at an
-    algebraic one), then settled by exact sign and comparison.  Ties go
-    to the witness of least degree, then the lexicographically smallest
-    coefficient tuple.  Returns (float bound, SignedPolyValue); raises
-    ResourceLimit with the incumbent attached when ``node_cap`` runs out:
-    every branch node and every table entry visited counts against it.
+    surviving prefix from a table of the low-weight half: one entry per
+    distinct exact vector of a digit patch, holding the patch the tie rule
+    prefers, sorted by float sum.  Entries within the float margin of the
+    incumbent are visited; a leaf (prefix plus entry vector) that is zero
+    is skipped, any other is settled by exact sign and comparison.  Ties go
+    to the least degree, then the lexicographically smallest coefficients,
+    signed so that the top one is positive.  Returns (float bound,
+    SignedPolyValue); raises ResourceLimit with the incumbent attached when
+    ``node_cap`` runs out: every branch node and every visited entry (one
+    distinct leaf vector) counts against it.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError("n_max must be an integer >= 1")
@@ -210,8 +209,28 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     if isinstance(base, Fraction) and base == 1:
         raise DomainError("base 1 admits no nonzero minimum structure")
     search = _SignedSumSearch(base, n_max, node_cap)
-    search.descend(0, 0.0, False)
+    search.descend(0, 0.0, search.zero, False)
     return search.best_abs_f, search.incumbent()
+
+
+def _vadd(u, v):
+    return tuple(map(add, u, v))
+
+
+def _pick(table, rows):
+    return tuple([column[i] for i in rows] for column in table)
+
+
+def _sorted(table, key):
+    return _pick(table, sorted(range(len(table[0])), key=key))
+
+
+def _first_per_vector(table):
+    """The rows of a (sums, vectors, codes) table whose vector is new."""
+    first = {}
+    for i, vec in enumerate(table[1]):
+        first.setdefault(vec, i)
+    return table if len(first) == len(table[1]) else _pick(table, first.values())
 
 
 class _SignedSumSearch:
@@ -219,15 +238,21 @@ class _SignedSumSearch:
 
     The state lives on the instance rather than in nested closures: a
     recursive closure refers to itself through its cell, which would leave
-    every call's powers and half-table behind as cyclic garbage.
+    every call's powers and tables behind as cyclic garbage.
 
-    A leaf's value is a dot product of its coefficients with precomputed
-    columns.  At a rational base p/q the column holds the numerators
-    p^k q^(n_max-k) over the common denominator q^n_max, so leaves are
-    signed and compared as ints.  At an algebraic base column i holds
-    coordinate i of every reduced power (ints when the base's polynomial
-    is monic), and the dot products are the coordinates of the one
-    ``LinearCombination`` whose sign is settled.
+    Vectors are exact: at a rational base p/q the int numerator over
+    q^n_max, at an algebraic base the coordinates, with only the powers that
+    occur added, so the fixed-point screen (int coordinates only) settles
+    the leaves it settles in the term-by-term sum.  A table has columns of
+    float sums, vectors and codes sum(d_i 3^i), whose balanced-ternary
+    digits are the patch's from the lowest table degree up.  Above one the
+    degrees 0..t-1 are enumerated lexicographically from d_0, -1 < 0 < 1.
+    A nonzero prefix fixes the witness's degree, so the tie rule takes the
+    first patch of a vector, and a later digit never reorders two partial
+    patches with equal vectors: each stage keeps its first patch per vector.
+    The all-zero prefix has a table of the patches whose top nonzero digit
+    is +1, by top degree first.  Below one the table holds the top degrees,
+    so both tables keep each vector's patch of least ``tie_key`` instead.
     """
 
     def __init__(self, base, n_max, node_cap):
@@ -240,62 +265,63 @@ class _SignedSumSearch:
         for pos in range(n_max, -1, -1):
             tails[pos] = tails[pos + 1] + fweights[order[pos]]
         self.margin = prune_margin(tails[0], n_max)
+        self.node_cap, self.nodes = node_cap, 0
+        self.coeffs = [0] * (n_max + 1)
+        self.best = self.best_val = self.best_abs_f = self.best_key = None
 
         if isinstance(base, Fraction):
             p, q = base.numerator, base.denominator
-            self.alg = None
-            self.numerators = [p**k * q ** (n_max - k) for k in range(n_max + 1)]
-            self.denominator = q**n_max
+            self.alg, self.denominator, self.zero, self.add = None, q**n_max, 0, add
+            self.vectors = [p**k * q ** (n_max - k) for k in range(n_max + 1)]
+            self.negated = [-c for c in self.vectors]
         else:
-            self.alg = base.alg
-            self.denominator = None
-            self.columns = tuple(zip(*(pw.coeffs for pw in powers)))
-            self.int_columns = all(
-                type(c) is int for col in self.columns for c in col
-            )
+            self.alg, self.denominator, self.add = base.alg, None, _vadd
+            self.zero = (0,) * len(powers[0].coeffs)
+            self.vectors = [pw.coeffs for pw in powers]
+            self.negated = [(-pw).coeffs for pw in powers]
 
-        # Positions split into a branched prefix and a tabulated low half.
-        # Half-table entry i is the patch _decode_patch(i, table_len); only
-        # its float sum is kept, in sorted order next to i.  The sort is
-        # stable, so equal sums stay in the order of the patches.
-        self.table_len = table_len = min(12, max(1, (n_max + 2) // 2))
-        self.boundary = boundary = n_max + 1 - table_len
-        sums = [0.0]
-        for pos in range(boundary, n_max + 1):
-            w = fweights[order[pos]]
-            sums = [s + d * w for s in sums for d in (-1, 0, 1)]
-        ranked = sorted(range(len(sums)), key=sums.__getitem__)
-        self.tsums = array("d", [sums[i] for i in ranked])
-        self.tindex = array("l", ranked)
-
-        self.node_cap = node_cap
-        self.nodes = 0
-        self.coeffs = [0] * (n_max + 1)
-        self.best = self.best_val = self.best_abs_f = self.best_coeffs = None
+        self.boundary = n_max + 1 - min(9, (n_max + 2) // 2)
+        self.degrees = degrees = sorted(order[self.boundary:])
+        full, lead = ([0.0], [self.zero], [0]), ([], [], [])
+        for j, k in enumerate(degrees):
+            w, col, ncol, unit = fweights[k], self.vectors[k], self.negated[k], 3**j
+            sums, vecs, codes = full
+            lead[0].extend([f + w for f in sums])
+            lead[1].extend([self.add(v, col) for v in vecs])
+            lead[2].extend([c + unit for c in codes])
+            full = ([x for f in sums for x in (f - w, f, f + w)],
+                    [x for v in vecs for x in (self.add(v, ncol), v, self.add(v, col))],
+                    [x for c in codes for x in (c - unit, c, c + unit)])
+            if degrees[0] == 0:
+                full = _first_per_vector(full)
+        if degrees[0] != 0:
+            # Rank under the prefix 1: every nonzero prefix, whose lowest
+            # nonzero digit is +1, ranks the patches alike.
+            self.coeffs[0] = 1
+            full = _first_per_vector(_sorted(full, lambda i: self.tie_key(full[2][i])))
+            self.coeffs[0] = 0
+            lead = _sorted(lead, lambda i: self.tie_key(lead[2][i]))
+        lead = _first_per_vector(lead)
+        self.full = _sorted(full, full[0].__getitem__)
+        self.lead = _sorted(lead, lead[0].__getitem__)
 
     def incumbent(self):
-        if self.best_coeffs is None:
+        if self.best_key is None:
             return None
-        return SignedPolyValue(coeffs=self.best_coeffs, value=self.best_val)
+        return SignedPolyValue(coeffs=self.best_key[1], value=self.best_val)
 
-    def exact_value(self, coeffs):
-        """sum(coeffs[k] base^k): an int over ``denominator`` at a rational
-        base, a LinearCombination at an algebraic one."""
-        if self.alg is None:
-            return sum(map(mul, coeffs, self.numerators))
-        if self.int_columns:
-            vec = [sum(map(mul, coeffs, col)) for col in self.columns]
-        else:
-            # Only the powers that occur are summed, so a coordinate is a
-            # Fraction exactly when it is in the term-by-term sum, and the
-            # fixed-point screen, which takes int coordinates only, settles
-            # the same leaves.
-            vec = [sum(c * s for c, s in zip(col, coeffs) if s)
-                   for col in self.columns]
-        return LinearCombination(self.alg, vec)
+    def tie_key(self, code):
+        """Tie key (length, coefficients) of the current prefix completed by
+        the patch of ``code``, signed so that its top coefficient is +1."""
+        coeffs = list(self.coeffs)
+        for k in self.degrees:
+            d = (code + 1) % 3 - 1
+            coeffs[k], code = d, (code - d) // 3
+        cand = poly_trim(coeffs)
+        return len(cand), tuple(s if cand[-1] > 0 else -s for s in cand)
 
-    def consider(self, coeffs):
-        value = self.exact_value(coeffs)
+    def consider(self, leaf, code):
+        value = leaf if self.alg is None else LinearCombination(self.alg, leaf)
         sgn = scalar_sign(value)
         if sgn == 0:
             return
@@ -306,11 +332,9 @@ class _SignedSumSearch:
             self.best_val = (abs_val if self.denominator is None
                              else Fraction(abs_val, self.denominator))
             self.best_abs_f = float(self.best_val)
-            self.best_coeffs = tuple(poly_trim(coeffs))
+            self.best_key = self.tie_key(code)
         elif cmp == 0:
-            cand = tuple(poly_trim(coeffs))
-            if (len(cand), cand) < (len(self.best_coeffs), self.best_coeffs):
-                self.best_coeffs = cand
+            self.best_key = min(self.best_key, self.tie_key(code))
 
     def check_budget(self, spent=1):
         self.nodes += spent
@@ -320,28 +344,14 @@ class _SignedSumSearch:
             err.best = self.incumbent()
             raise err
 
-    def apply_patch(self, index, any_nonzero):
-        patch = _decode_patch(index, self.table_len)
-        # Sign symmetry: with an all-zero prefix the patch must open with +1.
-        if not any_nonzero:
-            lead = next((d for d in patch if d), 0)
-            if lead <= 0:
-                return
-        coeffs, order, boundary = self.coeffs, self.order, self.boundary
-        for off, d in enumerate(patch):
-            coeffs[order[boundary + off]] = d
-        self.consider(coeffs)
-        for off in range(len(patch)):
-            coeffs[order[boundary + off]] = 0
-
-    def finish(self, partial, any_nonzero):
+    def finish(self, partial, prefix, table):
         # Walk table entries outward from -partial until the float distance
         # clears the incumbent plus margin; every visited entry is checked
         # exactly, so near-ties and true ties all reach consider().  Each
         # visited entry is one unit of the node budget, counted locally and
         # charged on the way out; the entry past the budget returns before
         # its evaluation, and the charge then raises.
-        tsums = self.tsums
+        tsums, vectors, codes = table
         idx = bisect.bisect_left(tsums, -partial)
         left, right = idx - 1, idx
         room = self.node_cap - self.nodes
@@ -353,47 +363,37 @@ class _SignedSumSearch:
                 if dl is None and dr is None:
                     return
                 if dr is None or (dl is not None and dl <= dr):
-                    pick, left = left, left - 1
-                    dist = dl
+                    pick, left, dist = left, left - 1, dl
                 else:
-                    pick, right = right, right + 1
-                    dist = dr
+                    pick, right, dist = right, right + 1, dr
                 if self.best_abs_f is not None and dist > self.best_abs_f + self.margin:
                     return
                 visited += 1
                 if visited > room:
                     return
-                self.apply_patch(self.tindex[pick], any_nonzero)
+                leaf = self.add(prefix, vectors[pick])
+                if leaf != self.zero:
+                    self.consider(leaf, codes[pick])
         finally:
             self.check_budget(visited)
 
-    def descend(self, pos, partial, any_nonzero):
+    def descend(self, pos, partial, prefix, any_nonzero):
         self.check_budget()
         if pos == self.boundary:
-            self.finish(partial, any_nonzero)
+            self.finish(partial, prefix, self.full if any_nonzero else self.lead)
             return
-        if (
-            self.best_abs_f is not None
-            and abs(partial) - self.tails[pos] > self.best_abs_f + self.margin
-        ):
+        if (self.best_abs_f is not None
+                and abs(partial) - self.tails[pos] > self.best_abs_f + self.margin):
             return
         k = self.order[pos]
         w = self.fweights[k]
         digits = (0, 1) if not any_nonzero else (-1, 0, 1)
         for s in sorted(digits, key=lambda s: abs(partial + s * w)):
             self.coeffs[k] = s
-            self.descend(pos + 1, partial + s * w, any_nonzero or s != 0)
+            vec = prefix if s == 0 else self.add(
+                prefix, (self.vectors if s > 0 else self.negated)[k])
+            self.descend(pos + 1, partial + s * w, vec, any_nonzero or s != 0)
         self.coeffs[k] = 0
-
-
-def _decode_patch(index, length):
-    """Digits d_0..d_(length-1) in {-1, 0, 1} of half-table entry ``index``:
-    the base-3 digits of the index, most significant first, less one."""
-    patch = [0] * length
-    for off in range(length - 1, -1, -1):
-        index, r = divmod(index, 3)
-        patch[off] = r - 1
-    return tuple(patch)
 
 
 def ell_upper(theta, n_max, node_cap=DEFAULT_NODE_CAP):

@@ -1,5 +1,6 @@
 """Command-line surface: tokens, formats, exit codes, determinism."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from goldengasket import cli
 from goldengasket.cli import EXIT_ERROR, EXIT_OK, EXIT_VERDICT, main
 
 
@@ -151,6 +153,41 @@ def test_ell_pisot3_degree_fifteen_bytes(capsys):
     code, out, _ = run(capsys, "ell", "--theta", "pisot:3", "--degree", "15")
     assert code == EXIT_OK
     assert '"min_abs": 0.006364690846075118,' in out
+
+
+# sha256 of stdout, and the base's refinement generation after the job, for
+# the algebraic ell jobs of the ell-pisot benchmark workload, recorded with
+# the earlier search that visited every digit patch of its half-table.  The
+# printed min_abs is the midpoint of whatever enclosure the refinement
+# history left, so a search that asks the base other questions can move
+# these bytes even though its minimum and witness are exact.
+ELL_HISTORY = {
+    ("golden", "16"): (
+        "585170bf2780f3139f44d7b3c21aae3513a7c2d6bb952297c919f398b9b5065e", 56),
+    ("pisot:1", "15"): (
+        "8f2fab9dc841bcbc770299bb22cc445967b1539c534c1720ceb334c1fd1b548d", 58),
+    ("pisot:2", "15"): (
+        "8c3135dcfa3074d3847edf36cd45c0b0bfcd1431f0a5e6b492edfd053881d329", 59),
+    ("pisot:3", "15"): (
+        "13be2061b7cc83c8b7b88f6e4bd8daa6aa44af1bbcec42e0306503fcd64560b4", 59),
+    ("pisot:4", "15"): (
+        "eceb781779a21b94a942ea56ac6fa3d3397f5b7f7136997595dc8780dd18d04f", 57),
+    ("omega-inv:3", "16"): (
+        "8f63e013d16b9b56270a3628823c1f5c3dae8d8a57465609f2930e1931a93e7e", 57),
+}
+
+
+@pytest.mark.parametrize("theta,degree", sorted(ELL_HISTORY))
+def test_ell_keeps_bytes_and_refinement_history(capsys, monkeypatch, theta, degree):
+    parsed = []
+    parse = cli.parse_theta_token
+    monkeypatch.setattr(cli, "parse_theta_token",
+                        lambda token: parsed.append(parse(token)) or parsed[-1])
+    code, out, _ = run(capsys, "ell", "--theta", theta, "--degree", degree)
+    digest, generation = ELL_HISTORY[(theta, degree)]
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert parsed[0].generation == generation
 
 
 def test_expand_tail(capsys):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from goldengasket.errors import DomainError, ResourceLimit
 from goldengasket.exact import (
+    LinearCombination,
     as_scalar,
     compare,
     isolate_root,
@@ -42,7 +43,7 @@ from goldengasket.separation import (
     prune_margin,
     separation_bound_check,
 )
-from goldengasket.separation import _decode_patch, _SignedSumSearch
+from goldengasket.separation import _SignedSumSearch
 from goldengasket.cli import parse_theta_token
 from goldengasket.attractor import check_total_self_similarity, Violation
 
@@ -53,8 +54,7 @@ def brute_min(base, n_max):
     powers = [base * 0 + 1]
     for _ in range(n_max):
         powers.append(powers[-1] * base)
-    best_abs = None
-    best_coeffs = None
+    best_abs = best_key = None
     for vec in product((-1, 0, 1), repeat=n_max + 1):
         if not any(vec):
             continue
@@ -66,37 +66,44 @@ def brute_min(base, n_max):
         if sgn == 0:
             continue
         abs_val = value if sgn > 0 else -value
-        trimmed = list(vec)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        if trimmed[-1] < 0:
-            trimmed = [-s for s in trimmed]
-        trimmed = tuple(trimmed)
+        key = tie_key(vec)
         cmp = -1 if best_abs is None else compare(abs_val, best_abs)
-        if cmp < 0:
-            best_abs = abs_val
-            best_coeffs = trimmed
-        elif cmp == 0 and (len(trimmed), trimmed) < (len(best_coeffs), best_coeffs):
-            best_coeffs = trimmed
-    return best_abs, best_coeffs
+        if cmp < 0 or (cmp == 0 and key < best_key):
+            best_abs, best_key = abs_val, key
+    return best_abs, best_key[1]
+
+
+def tie_key(coeffs):
+    """(length, coefficients) of a nonzero vector trimmed of trailing zeros
+    and signed so that its top coefficient is positive: the tie rule takes
+    the least."""
+    trimmed = list(coeffs)
+    while trimmed[-1] == 0:
+        trimmed.pop()
+    if trimmed[-1] < 0:
+        trimmed = [-s for s in trimmed]
+    return len(trimmed), tuple(trimmed)
 
 
 # The root (1 + sqrt 3)/2 of 2x^2 - 2x - 1: its reduced powers carry
 # Fraction coordinates, which the fixed-point screen declines.
 NONMONIC = isolate_root([-1, -2, 2], (Fraction(1), Fraction(3, 2)))
 
+# The last two lie below one, where the table holds the top degrees.
 BASES = [
     ("golden", golden_ratio()),
     ("tribonacci", multinacci_reciprocal(3)),
     ("pisot1", pisot_number(1)),
     ("nonmonic", NONMONIC),
     ("rational", Fraction(9, 5)),
+    ("omega2", multinacci(2)),
+    ("rational-below", Fraction(3, 5)),
 ]
 
 
 @pytest.mark.parametrize("name,base", BASES, ids=[b[0] for b in BASES])
 def test_search_matches_brute_force(name, base):
-    for n_max in (3, 5, 6):
+    for n_max in (1, 3, 5, 6, 8):
         want_abs, want_coeffs = brute_min(base, n_max)
         got_f, got = min_abs_signed_sum(as_scalar(base), n_max)
         assert got.coeffs == want_coeffs
@@ -135,6 +142,36 @@ def term_by_term(base, digits):
     return value
 
 
+def balanced_ternary(code, length):
+    """Digits d_0..d_(length-1) in {-1, 0, 1} with code = sum(d_i 3^i)."""
+    digits = []
+    for _ in range(length):
+        d = (code + 1) % 3 - 1
+        digits.append(d)
+        code = (code - d) // 3
+    assert code == 0
+    return digits
+
+
+def vector_of(search, base, digits):
+    """The exact vector of sum(digits[k] base^k), added term by term: an
+    int numerator over search.denominator at a rational base."""
+    value = term_by_term(base, digits)
+    if isinstance(base, Fraction):
+        numerator = value * search.denominator
+        assert numerator.denominator == 1
+        return int(numerator)
+    return value.coeffs
+
+
+def table_patch(search, code):
+    """The full coefficient vector of a table entry's patch."""
+    coeffs = [0] * len(search.coeffs)
+    for k, d in zip(search.degrees, balanced_ternary(code, len(search.degrees))):
+        coeffs[k] = d
+    return coeffs
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     name=st.sampled_from(sorted(LEAF_BASES)),
@@ -146,43 +183,81 @@ def term_by_term(base, digits):
 @example(name="3/5", digits=[0, 0, 0])
 @example(name="nonmonic", digits=[1, -1, -1, -1, 0, 1])
 def test_integer_leaf_matches_term_by_term_sum(name, digits):
+    # The leaf of a prefix and a patch is the prefix's vector plus that of
+    # the table entry holding the patch's vector.  It must equal the
+    # term-by-term sum of the prefix with the entry's own patch, coordinate
+    # types included, so the fixed-point screen takes or declines it alike.
+    # The prefix is summed over the powers that occur only, as the search
+    # sums it.
     base = as_scalar(LEAF_BASES[name])
     search = _SignedSumSearch(base, len(digits) - 1, DEFAULT_NODE_CAP)
-    leaf = search.exact_value(digits)
-    want = term_by_term(base, digits)
+    prefix = [0 if k in search.degrees else d for k, d in enumerate(digits)]
+    patch = [d if k in search.degrees else 0 for k, d in enumerate(digits)]
+    _, vectors, codes = search.full
+    row = vectors.index(vector_of(search, base, patch))
+    kept = table_patch(search, codes[row])
+    leaf = search.add(vector_of(search, base, prefix), vectors[row])
+    want = term_by_term(base, [a + b for a, b in zip(prefix, kept)])
     if isinstance(base, Fraction):
         assert type(leaf) is int
         assert Fraction(leaf, search.denominator) == want
+        value = leaf
     else:
-        assert leaf.coeffs == want.coeffs
-        # Same coordinate types, so the fixed-point screen takes or
-        # declines the leaf exactly as it does the term-by-term sum.
-        assert [type(c) for c in leaf.coeffs] == [type(c) for c in want.coeffs]
-    assert scalar_sign(leaf) == scalar_sign(want)
+        assert leaf == want.coeffs
+        assert [type(c) for c in leaf] == [type(c) for c in want.coeffs]
+        value = LinearCombination(base.alg, leaf)
+    assert scalar_sign(value) == scalar_sign(term_by_term(base, digits))
     if (name, tuple(digits)) in LEAF_ZEROS:
-        assert scalar_sign(leaf) == 0
+        assert leaf == search.zero
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
-def test_half_table_index_decodes_in_nested_order(length):
-    # The search visits equal sums in index order, so the index of a patch
-    # must be its place in the nested construction the table was built by.
-    nested = [()]
-    for _ in range(length):
-        nested = [patch + (d,) for patch in nested for d in (-1, 0, 1)]
-    assert [_decode_patch(i, length) for i in range(3**length)] == nested
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+def test_half_tables_keep_the_tie_rule_patch_of_each_vector(length):
+    # Against all 3^length patches: each table has one entry per distinct
+    # vector, and that entry's patch is the one of least tie key among the
+    # patches with its vector.  The full table completes a nonzero prefix,
+    # led by +1 as the search's sign symmetry makes it; the lead table holds
+    # the patches whose top nonzero digit is +1 and completes the zero one.
+    n_max = 2 * length - 1
+    for name, base in BASES:
+        base = as_scalar(base)
+        search = _SignedSumSearch(base, n_max, DEFAULT_NODE_CAP)
+        assert len(search.degrees) == length, name
+        lead_prefix = [0] * (n_max + 1)
+        prefix = list(lead_prefix)
+        prefix[search.order[search.boundary - 1]] = -1
+        prefix[search.order[0]] = 1
+        for table, start in ((search.full, prefix), (search.lead, lead_prefix)):
+            best = {}
+            for digits in product((-1, 0, 1), repeat=length):
+                nonzero = [d for d in digits if d]
+                if start is lead_prefix and nonzero[-1:] != [1]:
+                    continue
+                patch = [0] * (n_max + 1)
+                for k, d in zip(search.degrees, digits):
+                    patch[k] = d
+                vec = vector_of(search, base, patch)
+                key = tie_key([a + b for a, b in zip(start, patch)])
+                best[vec] = min(best.get(vec, key), key)
+            _, vectors, codes = table
+            assert len(vectors) == len(best), name
+            for vec, code in zip(vectors, codes):
+                patch = table_patch(search, code)
+                assert vector_of(search, base, patch) == vec, name
+                assert tie_key([a + b for a, b in zip(start, patch)]) == best[vec], name
 
 
 def test_rational_search_memory_peak():
-    # The half-table at degree 20 has 3^11 entries; kept as flat arrays of
-    # sums and indices it stays far below one tuple of digits per entry.
+    # The 3^9 entries of the table at degree 20 and the 3^8 + ... + 1 of the
+    # lead table are kept as columns of floats and ints, with no container
+    # object per entry.
     tracemalloc.start()
     try:
         min_abs_signed_sum(Fraction(9, 5), 20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_search_matches_brute_force_deeper_pisot():
@@ -224,8 +299,9 @@ def test_pisot_index_range():
 
 
 def test_node_cap_carries_best_so_far():
-    # The first incumbent appears after 9 branch nodes and 168 visited
-    # table entries.
+    # The first incumbent appears after 9 branch nodes and 2 visited table
+    # entries: the lead table's entry nearest zero is the zero vector of
+    # x^3 - x - 1, skipped, and the next one is the incumbent.
     base = pisot_number(1).as_scalar()
     with pytest.raises(ResourceLimit) as info:
         min_abs_signed_sum(base, 16, node_cap=200)
@@ -236,22 +312,22 @@ def test_node_cap_carries_best_so_far():
 
 
 def test_node_cap_counts_leaf_evaluations():
-    # pisot:1 at degree 12 branches through 334 nodes but visits 2,193
-    # half-table entries, each an exact leaf evaluation: the cap bounds both.
+    # pisot:1 at degree 12 branches through 334 nodes and visits 175 table
+    # entries, each a distinct leaf vector: the cap bounds both.
     base = pisot_number(1).as_scalar()
-    min_abs_signed_sum(base, 12, node_cap=334 + 2193)
+    min_abs_signed_sum(base, 12, node_cap=334 + 175)
     with pytest.raises(ResourceLimit) as info:
-        min_abs_signed_sum(base, 12, node_cap=334 + 2192)
+        min_abs_signed_sum(base, 12, node_cap=334 + 174)
     assert isinstance(info.value.best, SignedPolyValue)
     with pytest.raises(ResourceLimit):
-        min_abs_signed_sum(base, 12, node_cap=1000)
+        min_abs_signed_sum(base, 12, node_cap=400)
 
 
-@pytest.mark.parametrize("base", [pisot_number(1), Fraction(9, 5)],
-                         ids=["pisot1", "rational"])
+@pytest.mark.parametrize("base", [pisot_number(1), Fraction(9, 5), multinacci(2)],
+                         ids=["pisot1", "rational", "omega2"])
 def test_search_leaves_no_cyclic_garbage(base):
     # A finished search is freed by reference counting alone; cycles would
-    # keep its powers and half-table alive until the next collection.
+    # keep its powers and tables alive until the next collection.
     gc.collect()
     gc.disable()
     try:
@@ -338,6 +414,18 @@ def test_gap_strict_below_equality_threshold():
 @pytest.mark.parametrize("m,n", [(2, 10), (3, 8), (4, 6), (5, 5)])
 def test_erdos_joo_style_gap(m, n):
     assert erdos_joo_gap_check(m, n)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_gap_verdicts_over_the_checked_range(m):
+    # The exact minimum at omega_m is lam^(n+1) from n = m - 1 on and above
+    # it before, so the gap property holds at every n the check accepts.
+    lam = multinacci(m).as_scalar()
+    for n in range(1, 13):
+        _, res = min_abs_signed_sum(lam, n)
+        abs_val = res.value if scalar_sign(res.value) > 0 else -res.value
+        assert compare(abs_val, lam ** (n + 1)) == (0 if n >= m - 1 else 1)
+        assert erdos_joo_gap_check(m, n)
 
 
 def test_erdos_joo_range():
