@@ -7,10 +7,11 @@ Area brackets and box counts ride on a barycentric grid whose cell tests
 reduce to integer comparisons once the region bounds have exact ceilings.
 
 Inside the loops a region bound is an integer vector of one
-``VectorFrame`` per level set, so children are vector adds and
+``exact.VectorFrame`` per level set, so children are vector adds and
 deduplication hashes flat int tuples.  Hole tests, ceilings and the grid's
-corner compares are decided on the bounds' certified integer images, and
-drop to the exact scalars only when an image straddles the answer.
+corner compares are decided on the bounds' certified integer images by the
+exact core's own deciders, and drop to the exact scalars only when an
+image straddles the answer.
 """
 
 from __future__ import annotations
@@ -21,15 +22,20 @@ from fractions import Fraction
 from operator import add
 
 from .errors import DomainError, ResourceLimit
-from .exact import as_scalar, compare, scalar_ceil, scalar_sign
+from .exact import (
+    VectorFrame,
+    as_scalar,
+    compare,
+    image_below,
+    image_ceil,
+    scalar_ceil,
+    scalar_sign,
+)
 from .geometry import (
     CornerRegion,
     HoleRegion,
-    VectorFrame,
     hole_meets_region,
     hole_region,
-    image_below,
-    image_ceil,
     intersection_bounds,
 )
 

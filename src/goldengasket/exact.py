@@ -2,32 +2,40 @@
 
 Everything here is rational-interval based: an algebraic number is an integer
 polynomial plus an isolating interval with rational endpoints, and derived
-quantities are integer (or rational) combinations of its powers.  Signs are
-decided either symbolically (a combination that reduces to the zero vector is
-exactly zero), from certified integer bounds on a fixed-point image of the
-powers, or by shrinking the isolating interval until an interval Horner
-evaluation excludes zero.  No float ever feeds back into a comparison.
+quantities are integer (or rational) combinations of its powers.
+
+A ``VectorFrame`` writes the scalars of one base as integer vectors over one
+denominator and gives each a certified integer image lo <= unit * value <= hi,
+read off midpoint-radius fixed-point images of the base's powers.  Every
+sign, ceiling and float of a combination is settled in ``_settle``: first on
+the image a frame of denominator 1 gives it, then on interval Horner
+enclosures (unit 1) of a shrinking isolating interval.  The same deciders
+read both kinds of bounds, and the level loops ask them of their frames'
+images.  No float ever feeds back into a comparison.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, MultipleRootsError, NoRootError, PrecisionExhausted
 
 __all__ = [
     "AlgebraicNumber",
     "LinearCombination",
+    "VectorFrame",
     "as_scalar",
     "compare",
     "compare_values",
     "gasket_dimension",
+    "image_below",
+    "image_ceil",
     "isolate_root",
     "lambda_star",
     "multinacci",
     "scalar_ceil",
-    "scalar_is_integer",
     "scalar_sign",
     "sierpinski_dimension",
     "sigma",
@@ -42,8 +50,8 @@ MAX_REFINE_ROUNDS = 256
 # Default isolating-interval width, chosen so float conversion is faithful.
 DEFAULT_TOL = Fraction(1, 10**15)
 
-# Fraction bits of the fixed-point image of a base number's powers that
-# screens signs and ceilings before any interval evaluation.
+# Fraction bits of the fixed-point images of a base number's powers, from
+# which every ``VectorFrame`` image is read.
 FIXED_BITS = 96
 
 
@@ -217,7 +225,7 @@ class AlgebraicNumber:
     stored polynomial.
     """
 
-    __slots__ = ("poly", "_lo", "_hi", "_sign_lo", "_gen", "_fixed")
+    __slots__ = ("poly", "_lo", "_hi", "_sign_lo", "_gen", "_images")
 
     def __init__(self, coeffs, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
@@ -244,7 +252,7 @@ class AlgebraicNumber:
         self._lo, self._hi = lo, hi
         self._sign_lo = 1 if poly_eval(self.poly, lo) > 0 else -1
         self._gen = 0
-        self._fixed = None
+        self._images = None
         self.refine_to(DEFAULT_TOL)
 
     # -- interval state
@@ -264,6 +272,7 @@ class AlgebraicNumber:
         else:
             self._hi = mid
         self._gen += 1
+        self._images = None
 
     def refine_to(self, width):
         width = Fraction(width)
@@ -273,16 +282,22 @@ class AlgebraicNumber:
     def midpoint(self):
         return (self._lo + self._hi) / 2
 
-    def fixed_powers(self):
-        """Integer pairs (lo_k, hi_k) with lo_k <= 2^FIXED_BITS * x^k <= hi_k
-        for every x in the current isolating interval, k below the degree.
-
-        Cached until the next ``refine``.
-        """
-        if self._fixed is None or self._fixed[0] != self._gen:
-            bounds = _power_bounds(self._lo, self._hi, len(self.poly) - 1)
-            self._fixed = (self._gen, bounds)
-        return self._fixed[1]
+    def power_images(self):
+        """(mid, rad): 2^(FIXED_BITS+1) x^k is within rad[k] of mid[k] on the
+        isolating interval, k below the degree.  Every frame on this number
+        and the screen of ``_settle`` share them until the next ``refine``
+        (a cached frame would refer back to the number, a cycle outliving it)."""
+        if self._images is None:
+            lo, hi = self._lo, self._hi
+            mid, rad = [], []
+            for k in range(len(self.poly) - 1):
+                ends = (lo**k, hi**k, 0) if k and lo < 0 < hi else (lo**k, hi**k)
+                a = math.floor(min(ends) * 2**FIXED_BITS)
+                b = math.ceil(max(ends) * 2**FIXED_BITS)
+                mid.append(a + b)
+                rad.append(b - a)
+            self._images = tuple(mid), tuple(rad)
+        return self._images
 
     # -- conversions
 
@@ -302,22 +317,6 @@ class AlgebraicNumber:
             if c:
                 terms.append(f"{c}*x^{k}" if k else f"{c}")
         return "AlgebraicNumber(%s ~ %.12g)" % (" + ".join(terms), float(self))
-
-
-def _power_bounds(lo, hi, count):
-    """Floor and ceiling of 2^FIXED_BITS times the range of x^k over
-    [lo, hi], for k = 0 .. count - 1."""
-    out = []
-    for k in range(count):
-        ends = [lo**k, hi**k]
-        if k and lo < 0 < hi:
-            ends.append(Fraction(0))
-        a, b = min(ends), max(ends)
-        out.append((
-            (a.numerator << FIXED_BITS) // a.denominator,
-            -((-b.numerator << FIXED_BITS) // b.denominator),
-        ))
-    return out
 
 
 def _interval_eval(coeffs, lo, hi):
@@ -426,14 +425,10 @@ class LinearCombination:
     # -- sign and order
 
     def sign(self):
-        return _settle(self, _sign_of, "sign", _sign_of)
+        return _settle(self, _sign_of, "sign")
 
     def enclosure(self):
-        """Rational bounds on the value; a single point when it is known."""
-        if not any(self.coeffs[1:]):
-            # Exact for a constant vector; the signed-sum search meets many
-            # zero vectors, and Horner on them would dominate its time.
-            return self.coeffs[0], self.coeffs[0]
+        """Rational bounds on the value by interval Horner."""
         lo, hi = self.alg.interval
         return _interval_eval(self.coeffs, lo, hi)
 
@@ -475,31 +470,105 @@ class LinearCombination:
         return hash((id(self.alg), self.coeffs))
 
     def __float__(self):
-        return _settle(self, _float_of, "float")
+        return _settle(self, _float_of, "float", screen=False)
 
     def __repr__(self):
         return "LinearCombination(%s ~ %.12g)" % (list(self.coeffs), float(self))
 
 
-def _settle(v, decide, what, screen=None):
-    """The answer of ``decide(lo, hi)`` on the first enclosure of ``v``
-    that settles it (``decide`` returns None while the bounds are too wide).
+class VectorFrame:
+    """Exact scalars on one base as integer vectors over one denominator.
 
-    Each unsettled round bisects the base number's isolating interval once.
-    This is the only place where a question about a combination is refined.
-    Before the first round, ``screen`` asks the same question of integer
-    bounds on 2^FIXED_BITS * v from the fixed-point image of the base's
-    powers; those bounds are certified, so its answer is final, and when it
-    has none the rounds run as if it had not been asked.
+    At a rational base a scalar is one integer numerator over ``den``.  At
+    an algebraic base alpha of degree ``deg`` it is a vector c of ``deg``
+    ints with value sum(c_k alpha^k) / den.  A flat tuple holds several
+    scalars, ``deg`` entries each, so sums are vector adds and equality is
+    tuple equality.  Each scalar has one certified integer image
+    lo <= unit * value <= hi: exact at a rational base (``unit = den``),
+    and at an algebraic one the midpoint-radius dot product with the
+    fixed-point powers of alpha (``unit = 2^(FIXED_BITS+1) * den``).
     """
-    if screen is not None:
-        bounds = _fixed_enclosure(v)
-        if bounds is not None:
-            answer = screen(*bounds)
-            if answer is not None:
-                return answer
+
+    __slots__ = ("alg", "deg", "den", "unit", "_mid", "_rad", "_memo")
+
+    def __init__(self, lam, values=()):
+        """The frame of ``lam`` (a Fraction or a LinearCombination) whose
+        denominator clears every scalar in ``values``."""
+        if isinstance(lam, LinearCombination):
+            self.alg = lam.alg
+            self._mid, self._rad = self.alg.power_images()
+            self.deg = len(self._mid)
+            self._memo = {}
+            scale = 2 << FIXED_BITS
+            coeffs = [c for v in values for c in v.coeffs]
+        else:
+            self.alg = None
+            self.deg = 1
+            scale = 1
+            coeffs = values
+        self.den = math.lcm(*(c.denominator for c in coeffs))
+        self.unit = scale * self.den
+
+    def vector(self, x):
+        """The vector of an exact scalar whose denominator ``den`` clears."""
+        coeffs = (x,) if self.alg is None else x.coeffs
+        return tuple(c.numerator * (self.den // c.denominator) for c in coeffs)
+
+    def scalar(self, vec):
+        """The exact scalar of one vector: a Fraction or a LinearCombination."""
+        den = self.den
+        if self.alg is None:
+            return Fraction(vec[0], den)
+        return LinearCombination(
+            self.alg, vec if den == 1 else [Fraction(c, den) for c in vec]
+        )
+
+    def scalars(self, vec):
+        """The exact scalars of a flat vector."""
+        deg = self.deg
+        return tuple(self.scalar(vec[i:i + deg]) for i in range(0, len(vec), deg))
+
+    def images(self, vec):
+        """The (lo, hi) image of every scalar of a flat vector."""
+        if self.alg is None:
+            return tuple(zip(vec, vec))
+        # Region bounds repeat across a level set (54 distinct vectors in
+        # the 5,187 bounds of levels 0..7 at omega_2), so images are kept
+        # once per distinct vector and shared.
+        deg = self.deg
+        return tuple(self._image(vec[i:i + deg]) for i in range(0, len(vec), deg))
+
+    def _image(self, c):
+        image = self._memo.get(c)
+        if image is None:
+            image = self._memo[c] = _dot_image(c, self._mid, self._rad)
+        return image
+
+
+def _dot_image(c, mid, rad):
+    """(lo, hi) with lo <= 2^(FIXED_BITS+1) * sum(c_k x^k) <= hi, midpoint-radius."""
+    m = sum(map(mul, c, mid))
+    r = sum(map(mul, map(abs, c), rad))
+    return m - r, m + r
+
+
+def _settle(v, decide, what, screen=True):
+    """``decide(lo, hi, unit)`` on the first bounds lo <= unit * v <= hi
+    that settle it (it returns None while they are too wide).
+
+    With ``screen``, an int vector is first asked on the certified image a
+    frame of denominator 1 gives it.  Only when that has no answer do the
+    rounds run: each asks the interval Horner enclosure (unit 1) and, when
+    unsettled, bisects the isolating interval.  Nothing else refines for a
+    question about a combination.
+    """
+    if screen and all(type(c) is int for c in v.coeffs):
+        lo, hi = _dot_image(v.coeffs, *v.alg.power_images())
+        answer = decide(lo, hi, 2 << FIXED_BITS)
+        if answer is not None:
+            return answer
     for _ in range(MAX_REFINE_ROUNDS):
-        answer = decide(*v.enclosure())
+        answer = decide(*v.enclosure(), 1)
         if answer is not None:
             return answer
         v.alg.refine()
@@ -508,27 +577,7 @@ def _settle(v, decide, what, screen=None):
     )
 
 
-def _fixed_enclosure(v):
-    """Integer bounds lo <= 2^FIXED_BITS * v <= hi from one dot product
-    with ``fixed_powers``, off by at most sum |c_k| (hi_k - lo_k); None for
-    a constant vector or a non-int coefficient."""
-    alg, coeffs = v.alg, v.coeffs
-    if not any(coeffs[1:]):
-        return None
-    lo = hi = 0
-    for c, (a, b) in zip(coeffs, alg.fixed_powers()):
-        if type(c) is not int:
-            return None
-        if c < 0:
-            lo += c * b
-            hi += c * a
-        else:
-            lo += c * a
-            hi += c * b
-    return lo, hi
-
-
-def _sign_of(lo, hi):
+def _sign_of(lo, hi, unit):
     if lo > 0:
         return 1
     if hi < 0:
@@ -539,20 +588,31 @@ def _sign_of(lo, hi):
     return None
 
 
-def _float_of(lo, hi):
-    if hi - lo < Fraction(1, 10**17) * max(1, abs(lo)):
-        return float((lo + hi) / 2)
+def _float_of(lo, hi, unit):
+    if (hi - lo) * 10**17 < max(unit, abs(lo)):
+        return float((lo + hi) / (2 * unit))
     return None
 
 
-def _ceil_of(lo, hi):
-    c = math.ceil(lo)
-    return c if c == math.ceil(hi) else None
+def image_ceil(lo, hi, unit):
+    """(ceil(x), whether x is not an integer) from lo <= unit * x <= hi,
+    or None when the bounds straddle the answer."""
+    c = -(-lo // unit)
+    top = c * unit
+    if hi < top:
+        return c, True
+    if lo == hi == top:
+        return c, False
+    return None
 
 
-def _fixed_ceil_of(lo, hi):
-    c = -(-lo >> FIXED_BITS)
-    return c if c == -(-hi >> FIXED_BITS) else None
+def image_below(lo, hi, bound):
+    """Whether x < bound from lo <= x <= hi, or None when undecided."""
+    if hi < bound:
+        return True
+    if lo >= bound:
+        return False
+    return None
 
 
 def compare(a, b):
@@ -633,13 +693,8 @@ def scalar_sign(v):
 
 def scalar_ceil(v):
     if isinstance(v, LinearCombination):
-        return _settle(v, _ceil_of, "ceiling", _fixed_ceil_of)
+        return _settle(v, image_ceil, "ceiling")[0]
     return math.ceil(v)
-
-
-def scalar_is_integer(v):
-    """True when the exact value is an integer."""
-    return scalar_sign(v - scalar_ceil(v)) == 0
 
 
 # ----------------------------------------------------------------------

@@ -6,25 +6,24 @@ has the closed form lam^n * I + t * 1^T where the translation vector t
 depends only on which positions of w carry which digit.  Corner regions
 (images of the simplex) are cut out by lower bounds, candidate holes by
 strict upper bounds; everything here stays in exact scalars.  The regions
-of a level set are views over integer bound vectors, whose hole tests are
-settled on certified integer images of the bounds.
+of a level set are views over the integer bound vectors of one
+``exact.VectorFrame``, whose hole tests are settled on the frame's
+certified integer images of the bounds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt, mul
+from operator import lt
 
 from .errors import DomainError
-from .exact import FIXED_BITS, LinearCombination, as_scalar, compare, scalar_sign
+from .exact import as_scalar, compare, scalar_sign
 
 __all__ = [
     "CornerRegion",
     "HoleRegion",
     "Similitude",
-    "VectorFrame",
     "apply_map",
     "barycenter",
     "compose_word",
@@ -32,8 +31,6 @@ __all__ = [
     "generator_matrix",
     "hole_meets_region",
     "hole_region",
-    "image_below",
-    "image_ceil",
     "image_region",
     "intersection_bounds",
     "region_feasible_point",
@@ -118,101 +115,6 @@ def apply_map(sim, point):
     return tuple(
         sum(row[c] * point[c] for c in range(len(point))) for row in sim.matrix
     )
-
-
-class VectorFrame:
-    """Exact scalars on one base as integer vectors over one denominator.
-
-    At a rational base a scalar is one integer numerator over ``den``.  At
-    an algebraic base alpha of degree ``deg`` it is a vector c of ``deg``
-    ints with value sum(c_k alpha^k) / den.  A flat tuple holds several
-    scalars, ``deg`` entries each, so sums are vector adds and equality is
-    tuple equality.  Each scalar has one certified integer image
-    lo <= unit * value <= hi: exact at a rational base (``unit = den``),
-    and at an algebraic one the midpoint-radius dot product with the
-    fixed-point powers of alpha (``unit = 2^(FIXED_BITS+1) * den``).
-    """
-
-    __slots__ = ("alg", "deg", "den", "unit", "_mid", "_rad", "_memo")
-
-    def __init__(self, lam, values):
-        """The frame of ``lam`` (a Fraction or a LinearCombination) whose
-        denominator clears every scalar in ``values``."""
-        if isinstance(lam, LinearCombination):
-            self.alg = lam.alg
-            powers = self.alg.fixed_powers()
-            # 2^(FIXED_BITS+1) alpha^k lies within _rad[k] of _mid[k].
-            self._mid = tuple(a + b for a, b in powers)
-            self._rad = tuple(b - a for a, b in powers)
-            self._memo = {}
-            self.deg = len(powers)
-            scale = 2 << FIXED_BITS
-            coeffs = [c for v in values for c in v.coeffs]
-        else:
-            self.alg = None
-            self.deg = 1
-            scale = 1
-            coeffs = values
-        self.den = math.lcm(*(c.denominator for c in coeffs))
-        self.unit = scale * self.den
-
-    def vector(self, x):
-        """The vector of an exact scalar whose denominator ``den`` clears."""
-        coeffs = (x,) if self.alg is None else x.coeffs
-        return tuple(c.numerator * (self.den // c.denominator) for c in coeffs)
-
-    def scalar(self, vec):
-        """The exact scalar of one vector: a Fraction or a LinearCombination."""
-        den = self.den
-        if self.alg is None:
-            return Fraction(vec[0], den)
-        return LinearCombination(
-            self.alg, vec if den == 1 else [Fraction(c, den) for c in vec]
-        )
-
-    def scalars(self, vec):
-        """The exact scalars of a flat vector."""
-        deg = self.deg
-        return tuple(self.scalar(vec[i:i + deg]) for i in range(0, len(vec), deg))
-
-    def images(self, vec):
-        """The (lo, hi) image of every scalar of a flat vector."""
-        if self.alg is None:
-            return tuple(zip(vec, vec))
-        deg = self.deg
-        return tuple(self._image(vec[i:i + deg]) for i in range(0, len(vec), deg))
-
-    def _image(self, c):
-        # Region bounds repeat across a level set (54 distinct vectors in
-        # the 5,187 bounds of levels 0..7 at omega_2), so images are kept
-        # once per distinct vector and shared.
-        image = self._memo.get(c)
-        if image is None:
-            m = sum(map(mul, c, self._mid))
-            r = sum(map(mul, map(abs, c), self._rad))
-            image = self._memo[c] = (m - r, m + r)
-        return image
-
-
-def image_ceil(lo, hi, unit):
-    """(ceil(x), whether x is not an integer) from lo <= unit * x <= hi,
-    or None when the image straddles the answer."""
-    c = -(-lo // unit)
-    top = c * unit
-    if hi < top:
-        return c, True
-    if lo == hi == top:
-        return c, False
-    return None
-
-
-def image_below(lo, hi, bound):
-    """Whether x < bound from lo <= x <= hi, or None when undecided."""
-    if hi < bound:
-        return True
-    if lo >= bound:
-        return False
-    return None
 
 
 class _Bounds:
@@ -371,12 +273,13 @@ def _views_meet(frame, h, r):
     """``hole_meets_region`` for views of one level set.
 
     A level region's bounds sum to 1 - lam^k < 1, and a hole view knows
-    whether it is empty, so only L_j < U_j is left.  At a rational base the
-    vectors are the exact numerators.  At an algebraic one it is decided on
-    the bound images; equal vectors are a tie, and only images that
-    straddle fall back to the exact compare.
+    whether it is empty, so only L_j < U_j is left.  At an algebraic base it
+    is decided on the bound images; equal vectors are a tie, and only images
+    that straddle fall back to the exact compare.
     """
     if frame.alg is None:
+        # Exact numerators: the image loop below agrees on them, but made
+        # `holes --lambda rational:40/61 -n 6` about 30% slower.
         return all(map(lt, r.vec, h.vec)) and not h.is_empty()
     deg = frame.deg
     for j, ((rlo, rhi), (ulo, uhi)) in enumerate(zip(r.image(), h.image())):

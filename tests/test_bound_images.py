@@ -26,20 +26,16 @@ from goldengasket.attractor import build_level, classify_holes, estimate_area
 from goldengasket.errors import PrecisionExhausted
 from goldengasket.exact import (
     AlgebraicNumber,
+    VectorFrame,
     as_scalar,
     compare,
+    image_below,
+    image_ceil,
     lambda_star,
     multinacci,
     scalar_ceil,
 )
-from goldengasket.geometry import (
-    CornerRegion,
-    HoleRegion,
-    VectorFrame,
-    hole_meets_region,
-    image_below,
-    image_ceil,
-)
+from goldengasket.geometry import CornerRegion, HoleRegion, hole_meets_region
 
 BASES = {
     "omega2": multinacci(2),

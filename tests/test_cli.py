@@ -190,6 +190,48 @@ def test_ell_keeps_bytes_and_refinement_history(capsys, monkeypatch, theta, degr
     assert parsed[0].generation == generation
 
 
+# Exit code, sha256 of stdout (of the SVG for render) and lambda's final
+# refinement generation for jobs of the level loops, recorded with the
+# fixed-point screen that preceded the frame images.  Each job prints
+# floats after its exact work, float(lambda) or floats of region bounds,
+# which are midpoints of whatever enclosure the refinement history left, so
+# a screen that refines lambda differently moves these bytes.
+LEVEL_HISTORY = {
+    ("area", "--lambda", "omega:3", "-n", "7", "--resolution", "256"): (
+        EXIT_OK,
+        "f52e430414d6c9188c539ded40a6572e4157f7072dc074dc913b01cad7f23c9c", 55),
+    ("holes", "--lambda", "lambda-star", "-n", "4"): (
+        EXIT_VERDICT,
+        "b46eaa6b07f48d2d5ba7cc18e07ab5483862e3ee5ccd38652ac4717fab9a7bea", 55),
+    ("holes", "--lambda", "omega:2", "-n", "6"): (
+        EXIT_OK,
+        "5819ab956e1cd8fee3d99dca2d7deac8048b7ad7706d6d3e3e69677bf4efc2a5", 55),
+    ("render", "--lambda", "omega:2", "-n", "6", "--radial-holes", "--overlaps"): (
+        EXIT_OK,
+        "dba30c36364807e43d4f343fd1142fa68731938e400edb281a549f78809de6c8", 59),
+    ("selfsim", "--lambda", "lambda-star", "-n", "5"): (
+        EXIT_VERDICT,
+        "7e1d346d2358087a33db6af19bde5fa54177f91078e56ba7c4f5455f58e6883c", 55),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LEVEL_HISTORY), ids=" ".join)
+def test_level_loops_keep_bytes_and_refinement_history(capsys, monkeypatch,
+                                                       tmp_path, argv):
+    parsed = []
+    parse = cli.parse_ratio_token
+    monkeypatch.setattr(cli, "parse_ratio_token",
+                        lambda token: parsed.append(parse(token)) or parsed[-1])
+    svg = tmp_path / "g.svg"
+    extra = ("-o", str(svg)) if argv[0] == "render" else ()
+    code, out, _ = run(capsys, *argv, *extra)
+    want_code, digest, generation = LEVEL_HISTORY[argv]
+    printed = svg.read_bytes() if argv[0] == "render" else out.encode()
+    assert code == want_code
+    assert hashlib.sha256(printed).hexdigest() == digest
+    assert parsed[0].generation == generation
+
+
 def test_expand_tail(capsys):
     code, out, _ = run(
         capsys, "expand", "--lambda", "omega:2", "--x", "1", "-n", "8", "--tail"

@@ -6,6 +6,7 @@ land within float distance of it, and the frozen constants below were
 produced by that oracle.
 """
 
+import gc
 import math
 from fractions import Fraction
 
@@ -23,14 +24,15 @@ from goldengasket import exact
 from goldengasket.exact import (
     AlgebraicNumber,
     LinearCombination,
+    VectorFrame,
     compare,
     compare_values,
     gasket_dimension,
+    image_ceil,
     isolate_root,
     lambda_star,
     multinacci,
     scalar_ceil,
-    scalar_is_integer,
     sierpinski_dimension,
     sigma,
     smallest_positive_root,
@@ -263,14 +265,6 @@ def test_rational_root_rejected():
         AlgebraicNumber([-1, 2], 0, 1)
 
 
-def test_scalar_is_integer():
-    assert scalar_is_integer(Fraction(4, 2))
-    assert not scalar_is_integer(Fraction(1, 3))
-    w = multinacci(2).as_scalar()
-    assert scalar_is_integer(w + w * w)  # reduces to exactly 1
-    assert not scalar_is_integer(w)
-
-
 small_coeffs = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=3)
 
 
@@ -299,7 +293,7 @@ def test_exact_sign_agrees_with_clear_floats(a, b):
 
 
 # ----------------------------------------------------------------------
-# the fixed-point screen of exact._settle against the interval rounds
+# the frame image that screens exact._settle against the interval rounds
 
 
 def _screen_pair(make, index):
@@ -317,16 +311,17 @@ SCREEN_BASES = [_screen_pair(multinacci, m) for m in (2, 3, 4)] + [
 def _screened(base, coeffs):
     """(sign, ceiling) that the screen alone gives at the base's current
     interval, each None where it defers."""
-    bounds = exact._fixed_enclosure(LinearCombination(base, coeffs))
-    assert bounds is not None
-    return exact._sign_of(*bounds), exact._fixed_ceil_of(*bounds)
+    frame = VectorFrame(base.as_scalar())
+    (lo, hi), = frame.images(LinearCombination(base, coeffs).coeffs)
+    ceil = image_ceil(lo, hi, frame.unit)
+    return exact._sign_of(lo, hi, frame.unit), None if ceil is None else ceil[0]
 
 
 def _exact(deep, coeffs):
     """(sign, ceiling) from the interval rounds alone, on the deep copy."""
     v = LinearCombination(deep, coeffs)
-    return (exact._settle(v, exact._sign_of, "sign"),
-            exact._settle(v, exact._ceil_of, "ceiling"))
+    return (exact._settle(v, exact._sign_of, "sign", screen=False),
+            exact._settle(v, image_ceil, "ceiling", screen=False)[0])
 
 
 def _check_screen(index, coeffs):
@@ -354,10 +349,11 @@ def test_fixed_screen_never_contradicts_exact_path(index, coeffs):
     if not any(coeffs[1:]):
         coeffs[-1] = 1
     _check_screen(index, coeffs)
-    # The cached image brackets every power of a point of the interval.
+    # The cached power images bracket every power of a point of the
+    # interval.
     x = deep.midpoint()
-    for k, (lo, hi) in enumerate(base.fixed_powers()):
-        assert lo <= x**k * 2**exact.FIXED_BITS <= hi
+    for k, (mid, rad) in enumerate(zip(*base.power_images())):
+        assert abs(x**k * 2 ** (exact.FIXED_BITS + 1) - mid) <= rad
 
 
 def test_fixed_screen_defers_near_zero():
@@ -381,3 +377,34 @@ def test_fixed_screen_defers_near_zero():
                 _, ceil = _check_screen(0, (k + s * coeffs[0], s * coeffs[1]))
                 if n >= 40:
                     assert ceil is None
+
+
+@pytest.mark.parametrize("make,index", [(multinacci, 2), (pisot_number, 1)])
+def test_constant_vectors_settle_without_refining(make, index):
+    """An int constant's frame image and a Fraction constant's interval
+    Horner enclosure are both its point, so the sign, ceiling and float of
+    a constant vector never refine the base."""
+    base = make(index)
+    generation = base.generation
+    for c in (0, 3, -2, Fraction(0), Fraction(4, 2), Fraction(7, 3), Fraction(-1, 2)):
+        v = LinearCombination(base, (c,))
+        assert v.sign() == (c > 0) - (c < 0)
+        assert scalar_ceil(v) == math.ceil(c)
+        assert float(v) == float(c)
+    assert base.generation == generation
+
+
+def test_discarded_base_is_freed_without_a_collection():
+    # The screen's power images are cached on the number.  A cached object
+    # that referred back to it would form a cycle, keeping every discarded
+    # base alive until the next collection.
+    gc.collect()
+    gc.disable()
+    try:
+        w = multinacci(2)
+        assert compare(w.as_scalar(), 1) == -1
+        assert VectorFrame(w.as_scalar(), [w.as_scalar()]).deg == 2
+        del w
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
