@@ -257,121 +257,113 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
 # ----------------------------------------------------------------------
 # barycentric grid counting
 #
-# Side split r gives r^2 cells: upward cells indexed by (i, j) with
-# i + j <= r-1 (third index k = r-1-i-j) and downward cells with
-# i + j <= r-2 (k = r-2-i-j).  For a region with lower bounds L put
-# C_j = ceil(r L_j) and D_j = C_j - 1 when r L_j is fractional, else C_j.
-# Then a cell of either orientation is contained in the region iff
-# idx >= C componentwise, a downward cell meets the open region with
-# positive area iff idx >= D componentwise, and an upward cell does iff
-# idx >= D and additionally, when exactly the coordinates in S sit below
-# their C, sum(idx_t, t not in S) < r * (1 - sum(L_t, t in S)).  With one
-# deficient coordinate that inequality is automatic; with three it reads
-# 0 < r * lam^n; only the two-deficient corner cells need a compare.  The
-# ceilings, the integrality of r L_j and those compares are read off the
-# integer images of the bounds, computed here region by region, and go to
-# the exact scalars only when an image straddles the answer.
+# Side split r gives r^2 cells: upward cells (i, j) with i + j <= r-1
+# (third index k = r-1-i-j) and downward cells with i + j <= r-2
+# (k = r-2-i-j).  Each bracket side is one bytearray of r rows of stride
+# 2r, with upward cell (i, j) at 2r i + 2j and downward cell (i, j) right
+# after it.  For a region with lower bounds L put C_j = ceil(r L_j), the gap
+# g_j = r L_j - C_j in (-1, 0], and D_j = C_j - 1 when g_j < 0, else C_j.
+# A cell of either orientation is contained in the region iff idx >= C
+# componentwise; a downward cell meets the open region with positive area
+# iff idx >= D, and an upward one iff idx >= D and, when exactly the
+# coordinates in S sit below their C, sum(idx_t, t not in S) < r * (1 -
+# sum(L_t, t in S)).  With one such coordinate that is automatic, with
+# three it reads 0 < r lam^n, and with two, a and b, it is the corner test
+# g_a + g_b < -1 on the corner cell idx_a = D_a, idx_b = D_b.
+#
+# So in row C_0 + m the contained cells are one run from 2 C_1 and the
+# meeting cells one run from 2 D_1, whose end cells are the corner cells.
+# Relative to the cell (C_0, C_1) the runs depend only on the key: T = r -
+# C_0 - C_1 - C_2, the three gap flags g_j < 0 and the three corner
+# verdicts, so they are built once per key and stamped by slice writes.
+# L_j depends only on where digit j occurs, so C_j, its flag and the image
+# of g_j are kept once per distinct coordinate vector.  Ceilings, flags and
+# corner tests are read off the certified integer images and go to the
+# exact scalars only when an image straddles the answer.
 
 
-def _pair_below(reg, r, lo, hi, a, b, bound):
-    """r * (L_a + L_b) < bound, from the images ``lo``/``hi`` of r * L,
-    or exactly when they straddle it."""
-    below = image_below(lo[a] + lo[b], hi[a] + hi[b], bound * reg.frame.unit)
+class _Coordinates(dict):
+    """(C, g < 0, image of unit * g, vec) of each distinct coordinate
+    vector ``vec`` of r L, made on first use."""
+
+    def __init__(self, frame, r):
+        super().__init__()
+        self.frame, self.r = frame, r
+
+    def __missing__(self, vec):
+        frame, r = self.frame, self.r
+        lo, hi = frame.images(vec)[0]
+        lo, hi, unit = r * lo, r * hi, frame.unit
+        decided = image_ceil(lo, hi, unit)
+        if decided is None:
+            x = r * frame.scalar(vec)
+            c = scalar_ceil(x)
+            decided = c, compare(x, c) != 0
+        c, frac = decided
+        self[vec] = known = c, frac, (lo - c * unit, hi - c * unit), vec
+        return known
+
+
+def _corner_below(frame, r, a, b):
+    """The corner test g_a + g_b < -1 of two coordinates."""
+    (ca, _, (alo, ahi), avec), (cb, _, (blo, bhi), bvec) = a, b
+    below = image_below(alo + blo, ahi + bhi, -frame.unit)
     if below is None:
-        below = compare(r * reg.bounds[a] + r * reg.bounds[b], bound) < 0
+        x = r * frame.scalar(avec) + r * frame.scalar(bvec)
+        below = compare(x, ca + cb - 1) < 0
     return below
 
 
+def _stamp(key, stride, lo_cells, hi_cells):
+    """Runs (cells, start, stop, ones) of the contained cells in
+    ``lo_cells`` and of the meeting cells in ``hi_cells`` of a region with
+    stamp key ``key``, relative to its cell (C_0, C_1)."""
+    t, f0, f1, f2, *verdicts = key
+    corners = dict(zip(((0, 1), (0, 2), (1, 2)), verdicts))
+
+    def meets(m, p):
+        # whether the upward cell C + (m, p, T-1-m-p) meets the region
+        short = tuple(s for s, o in enumerate((m, p, t - 1 - m - p)) if o < 0)
+        return len(short) != 2 or corners[short]
+
+    runs = [(lo_cells, m * stride, m * stride + 2 * (t - m) - 1) for m in range(t)]
+    for m in range(-f0, t + 2):
+        first, last = -f1, t - 1 - m + f2
+        start = 2 * first + (not meets(m, first))
+        stop = 2 * last + 1 - (not meets(m, last))
+        if start < stop:
+            runs.append((hi_cells, m * stride + start, m * stride + stop))
+    return [(cells, a, b, b"\1" * (b - a)) for cells, a, b in runs]
+
+
 def _grid_counts(regions, r):
-    up_base = []
-    acc = 0
-    for i in range(r):
-        up_base.append(acc)
-        acc += r - i
-    up_hi = bytearray(acc)
-    up_lo = bytearray(acc)
-    dn_base = []
-    acc = 0
-    for i in range(r - 1):
-        dn_base.append(acc)
-        acc += r - 1 - i
-    dn_hi = bytearray(acc)
-    dn_lo = bytearray(acc)
-    ones = bytes([1]) * r
-
+    stride = 2 * r
+    lo_cells = bytearray(r * stride)
+    hi_cells = bytearray(r * stride)
     frame = regions[0].frame
-    unit = frame.unit
+    deg = frame.deg
+    coordinates = _Coordinates(frame, r)
+    stamps = {}
     for reg in regions:
-        images = frame.images(reg.vec)
-        lo = [r * x for x, _ in images]
-        hi = [r * x for _, x in images]
-        cs = []
-        frac = []
-        for j in range(3):
-            decided = image_ceil(lo[j], hi[j], unit)
-            if decided is None:
-                x = r * reg.bounds[j]
-                c = scalar_ceil(x)
-                decided = c, compare(x, c) != 0
-            cs.append(decided[0])
-            frac.append(decided[1])
-        ds = [c - 1 if f else c for c, f in zip(cs, frac)]
-        c0, c1, c2 = cs
-        d0, d1, d2 = ds
-
-        # contained cells, both orientations: idx >= C
-        for i in range(c0, r - c1 - c2):
-            a = up_base[i] + c1
-            b = up_base[i] + (r - c2 - i)
-            up_hi[a:b] = ones[: b - a]
-            up_lo[a:b] = ones[: b - a]
-        for i in range(c0, r - 1 - c1 - c2):
-            a = dn_base[i] + c1
-            b = dn_base[i] + (r - 1 - c2 - i)
-            dn_lo[a:b] = ones[: b - a]
-
-        # downward cells with positive-area overlap: idx >= D
-        for i in range(d0, r - 1 - d1 - d2):
-            a = dn_base[i] + d1
-            b = dn_base[i] + (r - 1 - d2 - i)
-            dn_hi[a:b] = ones[: b - a]
-
-        # upward shell, one coordinate a single layer below its ceiling
-        if frac[0] and c0 >= 1:
-            i = c0 - 1
-            a = up_base[i] + c1
-            b = up_base[i] + (r - c2 - i)
-            if b > a:
-                up_hi[a:b] = ones[: b - a]
-        if frac[1] and c1 >= 1:
-            for i in range(c0, r - c1 - c2 + 1):
-                up_hi[up_base[i] + (c1 - 1)] = 1
-        if frac[2] and c2 >= 1:
-            for i in range(c0, r - c2 - c1 + 1):
-                up_hi[up_base[i] + (r - c2 - i)] = 1
-
-        # two deficient coordinates pin a single corner cell each
-        k01 = r + 1 - c0 - c1
-        if frac[0] and frac[1] and c0 >= 1 and c1 >= 1 and k01 >= c2:
-            if _pair_below(reg, r, lo, hi, 0, 1, c0 + c1 - 1):
-                up_hi[up_base[c0 - 1] + (c1 - 1)] = 1
-        j02 = r + 1 - c0 - c2
-        if frac[0] and frac[2] and c0 >= 1 and c2 >= 1 and j02 >= c1:
-            if _pair_below(reg, r, lo, hi, 0, 2, c0 + c2 - 1):
-                up_hi[up_base[c0 - 1] + j02] = 1
-        i12 = r + 1 - c1 - c2
-        if frac[1] and frac[2] and c1 >= 1 and c2 >= 1 and i12 >= c0:
-            if _pair_below(reg, r, lo, hi, 1, 2, c1 + c2 - 1):
-                up_hi[up_base[i12] + (c1 - 1)] = 1
-
-        # all three deficient: the cell exists only when the ceilings are
-        # tight, and then r * lam^n > 0 passes it unconditionally
-        if all(frac) and c0 >= 1 and c1 >= 1 and c2 >= 1 and c0 + c1 + c2 == r + 2:
-            up_hi[up_base[c0 - 1] + (c1 - 1)] = 1
-
-    lo_count = sum(up_lo) + sum(dn_lo)
-    hi_count = sum(up_hi) + sum(dn_hi)
-    return lo_count, hi_count
+        vec = reg.vec
+        a = coordinates[vec[:deg]]
+        b = coordinates[vec[deg:2 * deg]]
+        c = coordinates[vec[2 * deg:]]
+        t = r - a[0] - b[0] - c[0]
+        # A corner cell with two deficient coordinates exists iff T >= -1.
+        key = (
+            t, a[1], b[1], c[1],
+            t >= -1 and a[1] and b[1] and _corner_below(frame, r, a, b),
+            t >= -1 and a[1] and c[1] and _corner_below(frame, r, a, c),
+            t >= -1 and b[1] and c[1] and _corner_below(frame, r, b, c),
+        )
+        stamp = stamps.get(key)
+        if stamp is None:
+            stamp = stamps[key] = _stamp(key, stride, lo_cells, hi_cells)
+        origin = a[0] * stride + 2 * b[0]
+        for cells, start, stop, ones in stamp:
+            cells[origin + start:origin + stop] = ones
+    return lo_cells.count(1), hi_cells.count(1)
 
 
 def estimate_area(lam, d=2, n=0, resolution=256, max_words=None):

@@ -326,7 +326,12 @@ class _SignedSumSearch:
         if sgn == 0:
             return
         abs_val = value if sgn > 0 else -value
-        cmp = -1 if self.best is None else compare(abs_val, self.best)
+        if self.best is None:
+            cmp = -1
+        elif abs_val == self.best:  # equal vectors, so equal values
+            cmp = 0
+        else:
+            cmp = compare(abs_val, self.best)
         if cmp < 0:
             self.best = abs_val
             self.best_val = (abs_val if self.denominator is None

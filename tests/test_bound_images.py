@@ -11,17 +11,20 @@ claims wrong answers on them.
 
 The reference at the end is the level-set algorithm on exact scalars:
 regions as tuples of exact bounds, a DFS with exact compares for the holes,
-and the cell criterion of the barycentric grid with exact ceilings.
+and the cell criterion of the barycentric grid with exact ceilings.  The
+stamped grid kernel of ``estimate_area`` is checked against its cell
+counts, and once more with every image decision forced to the exact
+fallback.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goldengasket import geometry
+from goldengasket import attractor, geometry
 from goldengasket.attractor import build_level, classify_holes, estimate_area
 from goldengasket.errors import PrecisionExhausted
 from goldengasket.exact import (
@@ -304,3 +307,76 @@ def test_level_loops_match_the_generic_scalar_reference(name, n_max):
         assert [(h.word, r.word) for h, r in report.violations] == violations
 
         assert estimate_area(base, 2, n, 64) == ref_area(lam, n, 64)
+
+
+# Ratios p/q with q <= 70, and dyadic ones, at which r L_j is an integer
+# whenever 2^(kn) divides r.  At a rational ratio two coordinates never tie
+# in the corner test: for each prime l of q the l-adic valuation of q^n L_j
+# is set by the last digit position of j alone, so of two fractional r L_a,
+# r L_b the one of lower valuation keeps r (L_a + L_b) fractional.
+GRID_RATIOS = st.one_of(
+    st.integers(2, 70).flatmap(
+        lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))),
+    st.integers(1, 6).flatmap(
+        lambda k: st.builds(Fraction, st.integers(1, 2**k - 1), st.just(2**k))),
+    st.sampled_from([Fraction(1, 2), Fraction(2, 3)]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(GRID_RATIOS, st.integers(0, 6),
+       st.one_of(st.integers(64, 300), st.sampled_from([64, 128, 243, 256])))
+@example(Fraction(1, 2), 6, 64)     # every region exactly one cell
+@example(Fraction(2, 3), 5, 243)    # every r L_j an integer
+@example(Fraction(1, 3), 6, 300)    # sub-cell regions, T < 0
+@example(Fraction(3, 4), 4, 96)     # two-deficient corner cells
+def test_grid_kernel_matches_the_reference_at_rationals(lam, n, r):
+    assert estimate_area(lam, 2, n, r) == ref_area(lam, n, r)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_grid_kernel_matches_the_reference_at_multinacci_ratios(m):
+    base = multinacci(m)
+    lam = as_scalar(base)
+    for n in range(8):
+        assert estimate_area(base, 2, n, 256) == ref_area(lam, n, 256)
+
+
+@pytest.mark.parametrize("make,n,r", [(lambda: multinacci(2), 6, 97),
+                                      (lambda_star, 4, 128)],
+                         ids=["omega2", "lambda-star"])
+def test_grid_kernel_exact_fallbacks_give_the_same_bracket(make, n, r, monkeypatch):
+    expected = estimate_area(make(), 2, n, r)
+    calls = {"ceil": 0, "compare": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(attractor, "image_ceil", lambda *args: None)
+    monkeypatch.setattr(attractor, "image_below", lambda *args: None)
+    monkeypatch.setattr(attractor, "scalar_ceil",
+                        counted("ceil", attractor.scalar_ceil))
+    monkeypatch.setattr(attractor, "compare", counted("compare", attractor.compare))
+    assert estimate_area(make(), 2, n, r) == expected
+    # One ceiling per distinct coordinate, each with one compare for its
+    # integrality; the range check of lam makes one more, and the rest are
+    # the corner tests.
+    assert calls["ceil"] > 0
+    assert calls["compare"] > calls["ceil"] + 1
+
+
+def test_exact_corner_tie_is_not_below():
+    # r L_a = lam and r L_b = 5 - lam are both fractional and their gaps sum
+    # to exactly -1: the corner cell touches the region in one point.  The
+    # summed images straddle the tie, so the exact compare decides it.
+    lam = as_scalar(multinacci(2))
+    r = 100
+    values = [lam * Fraction(1, r), Fraction(5, r) - lam * Fraction(1, r)]
+    frame = VectorFrame(lam, values)
+    coordinates = attractor._Coordinates(frame, r)
+    a, b = (coordinates[frame.vector(x)] for x in values)
+    assert (a[:2], b[:2]) == ((1, True), (5, True))
+    assert attractor._corner_below(frame, r, a, b) is False

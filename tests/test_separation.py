@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from goldengasket import exact
 from goldengasket.errors import DomainError, ResourceLimit
 from goldengasket.exact import (
     LinearCombination,
@@ -335,6 +336,25 @@ def test_search_leaves_no_cyclic_garbage(base):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("theta", [golden_ratio(), pisot_number(1),
+                                   multinacci_reciprocal(3), NONMONIC],
+                         ids=["golden", "pisot1", "tribonacci", "nonmonic"])
+def test_search_settles_no_zero_vector(theta, monkeypatch):
+    # Zero leaves are skipped, and a tie with the incumbent's own vector is
+    # settled by vector equality, so no sign question is ever about zero.
+    settled = []
+    settle = exact._settle
+
+    def spy(v, *args, **kwargs):
+        settled.append(v.coeffs)
+        return settle(v, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "_settle", spy)
+    ell_upper(theta, 14)
+    assert settled
+    assert all(any(coeffs) for coeffs in settled)
 
 
 def test_ell_upper_rejects_small_theta():
