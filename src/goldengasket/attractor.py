@@ -85,16 +85,16 @@ class LevelSet:
 
 
 def _levels(lam, d, depth, max_words=None):
-    """Yield each deduplicated level 0..depth with its parents' child links.
+    """Yield each deduplicated level 0..depth as a tree under its makers.
 
-    Level k comes as ``(regions, links)``: the regions in word order of
-    first appearance, and one flat list of child indices into ``regions``
-    (``None`` at level 0), where ``links[i*(d+1):(i+1)*(d+1)]`` are the
-    children of region i of level k-1.  One flat list per level keeps the
-    links small next to the regions.  Children of bound-identical regions
-    are bound-identical, so dedup runs level by level and merged branches
-    are never revisited.  The (d+1)^depth words are checked against
-    ``max_words``, or ``DEFAULT_WORD_CAP`` when it is None.
+    Level k comes as ``(regions, starts)``: the regions in word order of
+    first appearance, and (``None`` at level 0) offsets such that region i
+    of level k-1 made ``regions[starts[i]:starts[i+1]]``.  A region's maker
+    is the parent whose child it was when first made.  A child raises one
+    lower bound of its maker, so it lies inside it, and children of
+    bound-identical regions are bound-identical, so dedup runs level by
+    level.  The (d+1)^depth words are checked against ``max_words``, or
+    ``DEFAULT_WORD_CAP`` when it is None.
 
     The regions are views over one ``VectorFrame`` of all the levels: digit
     j at position k of a word adds the vector of (1 - lam) lam^k to bound
@@ -119,19 +119,19 @@ def _levels(lam, d, depth, max_words=None):
         shifts = [
             (0,) * (j * deg) + step + (0,) * ((d - j) * deg) for j in range(d + 1)
         ]
-        index = {}
+        seen = set()
         kept = []
-        links = []
+        starts = [0]
         for reg in level:
             for digit, shift in enumerate(shifts):
                 vec = tuple(map(add, reg.vec, shift))
-                at = index.setdefault(vec, len(kept))
-                if at == len(kept):
+                if vec not in seen:
+                    seen.add(vec)
                     word = reg.word + (digit,)
                     kept.append(CornerRegion.view(frame, vec, k + 1, word))
-                links.append(at)
+            starts.append(len(kept))
         level = kept
-        yield level, links
+        yield level, starts
 
 
 def build_level(lam, d, n, max_words=None):
@@ -151,8 +151,8 @@ def build_level(lam, d, n, max_words=None):
 class HoleReport:
     """Outcome of classify_holes at one level.
 
-    Every candidate lands either in ``genuine`` or among the holes that
-    appear in ``violations``; the two never overlap.
+    Every candidate lands in ``genuine`` or among the holes of
+    ``violations``, never both; each (hole, region) pair appears once.
     """
 
     n: int
@@ -180,14 +180,15 @@ def classify_holes(lam, d, n, max_words=None):
     """Classify the candidate holes f_w(H_0), |w| = n, against level n+1.
 
     Candidates are deduplicated by their exact bound vectors.  Each one is
-    pushed down the region tree; subtrees whose region already misses the
-    hole cannot contain a meeting descendant and are pruned.  The bounds of
-    a candidate sum to 1 + lam^n (d - (d+1) lam), so at ratios >= d/(d+1)
-    the central hole is empty and there are no candidates at all.
+    pushed down the region tree of ``_levels``, pruning subtrees that miss
+    the hole: a region lies inside its maker, so one that meets the hole is
+    reached, and tested, exactly once.  The bounds of a candidate sum to
+    1 + lam^n (d - (d+1) lam), so at ratios >= d/(d+1) the central hole is
+    empty and there are no candidates at all.
     """
     _check_level(d, n)
     lam = _check_lam(lam)
-    levels, links = zip(*_levels(lam, d, n + 1, max_words))
+    levels, starts = zip(*_levels(lam, d, n + 1, max_words))
     holes = []
     if compare(lam, Fraction(d, d + 1)) < 0:
         frame = levels[0][0].frame
@@ -209,9 +210,8 @@ def classify_holes(lam, d, n, max_words=None):
             if level == n + 1:
                 hits.append(reg)
                 continue
-            first = at * (d + 1)
-            children = links[level + 1][first:first + d + 1]
-            stack.extend((level + 1, c) for c in children)
+            made = starts[level + 1]
+            stack.extend((level + 1, c) for c in range(made[at], made[at + 1]))
         if hits:
             hits.sort(key=lambda reg: reg.word)
             violations.extend((hole, reg) for reg in hits)

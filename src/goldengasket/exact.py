@@ -438,10 +438,6 @@ class LinearCombination:
             return NotImplemented
         return self.coeffs == o.coeffs
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     def __lt__(self, other):
         o = self._coerce(other)
         if o is None:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from goldengasket import attractor
 from goldengasket.attractor import (
     ConsistentUpTo,
     Violation,
@@ -25,11 +26,14 @@ from goldengasket.attractor import (
     RenderOptions,
 )
 from goldengasket.errors import DomainError, ResourceLimit
-from goldengasket.exact import as_scalar, compare, multinacci, tau
+from goldengasket.exact import as_scalar, compare, isolate_root, multinacci, tau
 from goldengasket.words import u_sequence
 
 W2 = multinacci(2)
 W3 = multinacci(3)
+# Root of x^3 - x^2 + 2x - 1 between omega_3 and omega_2, where words merge
+# (lam + lam^2 + lam^4 = 1) and holes are violated.
+LAM0 = isolate_root([-1, 1, 1, 0, 1], (Fraction(1, 2), Fraction(2, 3)))
 
 
 # ----------------------------------------------------------------------
@@ -55,6 +59,23 @@ def test_level_regions_dominate_parents():
     for child in build_level(W2, 2, 4).regions:
         parent = parents[child.word[:3]]
         assert all(compare(c, p) >= 0 for c, p in zip(child.bounds, parent.bounds))
+
+
+@pytest.mark.parametrize("lam,depth", [(W2, 7), (LAM0, 6)],
+                         ids=["omega2", "lambda0"])
+def test_levels_hang_each_region_under_its_maker(lam, depth):
+    levels = list(attractor._levels(as_scalar(lam), 2, depth))
+    assert levels[0][1] is None
+    merged = False
+    for (parents, _), (regions, starts) in zip(levels, levels[1:]):
+        # The makers' ranges cover the level once, in order.
+        assert len(starts) == len(parents) + 1
+        assert starts[0] == 0 and starts[-1] == len(regions)
+        for maker, a, b in zip(parents, starts, starts[1:]):
+            assert a <= b
+            assert all(reg.word[:-1] == maker.word for reg in regions[a:b])
+            merged |= b - a < 3
+    assert merged
 
 
 def test_growth_ratio_tracks_reciprocal_root():
@@ -99,6 +120,24 @@ def test_holes_violated_past_golden_ratio():
     assert len(rep.violations) == 6
     assert rep.violating_holes()[0].word == (0, 1, 1)
     assert set(rep.genuine) | {h for h, _ in rep.violations} == set(rep.candidates)
+
+
+@pytest.mark.parametrize("lam,tests,violations",
+                         [(W2, 9891, 0), (LAM0, 18324, 270)],
+                         ids=["omega2", "lambda0"])
+def test_classify_holes_tests_each_pair_once(lam, tests, violations, monkeypatch):
+    tested = []
+    meets = attractor.hole_meets_region
+
+    def counted(hole, region):
+        tested.append((hole.word, region.level, region.word))
+        return meets(hole, region)
+
+    monkeypatch.setattr(attractor, "hole_meets_region", counted)
+    rep = classify_holes(lam, 2, 6)
+    assert len(tested) == len(set(tested)) == tests
+    pairs = [(h.word, r.word) for h, r in rep.violations]
+    assert len(pairs) == len(set(pairs)) == violations
 
 
 def test_holes_empty_past_two_thirds():

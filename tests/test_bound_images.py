@@ -34,6 +34,7 @@ from goldengasket.exact import (
     compare,
     image_below,
     image_ceil,
+    isolate_root,
     lambda_star,
     multinacci,
     scalar_ceil,
@@ -45,6 +46,10 @@ BASES = {
     "omega3": multinacci(3),
     "omega4": multinacci(4),
     "lambda-star": lambda_star(),
+    # The root of x^3 - x^2 + 2x - 1 between omega_3 and omega_2: since
+    # lam + lam^2 + lam^4 = 1, the words (0,1,1,1,1) and (1,0,0,1,0) give
+    # one level-5 region, and holes are violated from n = 3 on.
+    "lambda0": isolate_root([-1, 1, 1, 0, 1], (Fraction(1, 2), Fraction(2, 3))),
     "59/100": Fraction(59, 100),
     "13/20": Fraction(13, 20),
 }
@@ -238,7 +243,8 @@ def ref_classify(lam, d, n):
                 for digit in range(d + 1)
             )
         if hits:
-            violations.extend((word, hit) for hit in sorted(hits))
+            # a region reached by two words is one hit
+            violations.extend((word, hit) for hit in sorted(set(hits)))
         else:
             genuine.append(word)
     return candidates, genuine, violations
@@ -285,7 +291,7 @@ def ref_area(lam, n, r):
 
 REFERENCE_CASES = [
     ("omega2", 5), ("omega3", 5), ("omega4", 5), ("lambda-star", 4),
-    ("59/100", 5), ("13/20", 5),
+    ("59/100", 5), ("13/20", 5), ("lambda0", 6),
 ]
 
 

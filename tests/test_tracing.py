@@ -52,7 +52,7 @@ def test_traced_holes_job_counts_hole_tests(monkeypatch, capsys):
     metrics = traced_metrics(
         monkeypatch, capsys, ["holes", "--lambda", "omega:2", "-n", "2"]
     )
-    assert metrics["geometry.hole_tests"] == 90
+    assert metrics["geometry.hole_tests"] == 87
     assert metrics["attractor.candidates"] == 9
 
 
