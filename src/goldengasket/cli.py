@@ -28,13 +28,7 @@ from .attractor import (
     estimate_area,
     render_svg,
 )
-from .errors import (
-    DomainError,
-    MultipleRootsError,
-    NoRootError,
-    PrecisionExhausted,
-    ResourceLimit,
-)
+from .errors import DomainError, PrecisionExhausted, ResourceLimit
 from .exact import (
     AlgebraicNumber,
     as_scalar,
@@ -129,11 +123,9 @@ def parse_theta_token(token):
 
 
 def _describe(value):
-    if isinstance(value, Fraction):
-        return "%d/%d" % (value.numerator, value.denominator)
     if isinstance(value, AlgebraicNumber):
         return repr(value)
-    return str(value)
+    return "%d/%d" % (value.numerator, value.denominator)
 
 
 # Namespace entries that are parser plumbing rather than options of the run.
@@ -479,8 +471,7 @@ def main(argv=None):
             _emit_json(_dry_run_dict(args), args.output)
             return EXIT_OK
         return args.handler(args)
-    except (DomainError, NoRootError, MultipleRootsError, PrecisionExhausted,
-            ResourceLimit, OSError, TypeError, ValueError,
+    except (PrecisionExhausted, ResourceLimit, OSError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

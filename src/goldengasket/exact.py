@@ -308,15 +308,14 @@ class AlgebraicNumber:
         return LinearCombination(self, (0, 1))
 
     def __float__(self):
-        self.refine_to(Fraction(1, 10**17))
-        return float(self.midpoint())
+        return float(self.as_scalar())
 
     def __repr__(self):
         terms = []
         for k, c in enumerate(self.poly):
             if c:
                 terms.append(f"{c}*x^{k}" if k else f"{c}")
-        return "AlgebraicNumber(%s ~ %.12g)" % (" + ".join(terms), float(self))
+        return "AlgebraicNumber(%s ~ %.12g)" % (" + ".join(terms), self.midpoint())
 
 
 def _interval_eval(coeffs, lo, hi):
@@ -333,7 +332,11 @@ class LinearCombination:
     """A value sum(c_k * alpha^k) reduced modulo alpha's defining polynomial.
 
     Immutable and hashable; arithmetic between combinations requires the same
-    base number (object identity).  Rationals and ints mix freely.
+    base number (object identity).  Rationals and ints mix freely.  Equality
+    is exact equality of the reduced coefficients.  There are no ordering
+    operators: order is ``compare`` (or ``scalar_sign``), and every sign,
+    ceiling and float is settled in ``_settle``.  The repr shows the midpoint
+    of the current enclosure and never refines the base.
     """
 
     __slots__ = ("alg", "coeffs")
@@ -422,7 +425,7 @@ class LinearCombination:
             n >>= 1
         return out
 
-    # -- sign and order
+    # -- sign, equality and float
 
     def sign(self):
         return _settle(self, _sign_of, "sign")
@@ -438,30 +441,6 @@ class LinearCombination:
             return NotImplemented
         return self.coeffs == o.coeffs
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
     def __hash__(self):
         return hash((id(self.alg), self.coeffs))
 
@@ -469,7 +448,8 @@ class LinearCombination:
         return _settle(self, _float_of, "float", screen=False)
 
     def __repr__(self):
-        return "LinearCombination(%s ~ %.12g)" % (list(self.coeffs), float(self))
+        lo, hi = self.enclosure()
+        return "LinearCombination(%s ~ %.12g)" % (list(self.coeffs), (lo + hi) / 2)
 
 
 class VectorFrame:

@@ -153,11 +153,6 @@ class _Bounds:
     def d(self):
         return len(self.bounds) - 1
 
-    def _same_bounds(self, other):
-        if self.frame is not None and self.frame is other.frame:
-            return self.vec == other.vec
-        return self.bounds == other.bounds
-
 
 class CornerRegion(_Bounds):
     """Closed sub-simplex {x_j >= L_j}: the image f_w(simplex).
@@ -172,7 +167,7 @@ class CornerRegion(_Bounds):
     def __eq__(self, other):
         if not isinstance(other, CornerRegion):
             return NotImplemented
-        return self._same_bounds(other)
+        return self.bounds == other.bounds
 
     def __hash__(self):
         return hash(self.bounds)
@@ -214,7 +209,7 @@ class HoleRegion(_Bounds):
             return True
         if self.is_empty() != other.is_empty():
             return False
-        return self._same_bounds(other)
+        return self.bounds == other.bounds
 
     def __hash__(self):
         if self.is_empty():

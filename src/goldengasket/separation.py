@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import add
 
 from .errors import DomainError, ResourceLimit
@@ -106,14 +107,10 @@ def pisot_number(index):
 # distinction stops being meaningful.
 MULTINACCI_MAX = 30
 
-_MULTINACCI_CACHE = {}
 
-
+@cache
 def _multinacci_interval(m):
-    if m not in _MULTINACCI_CACHE:
-        w = multinacci(m)
-        _MULTINACCI_CACHE[m] = w.interval
-    return _MULTINACCI_CACHE[m]
+    return multinacci(m).interval
 
 
 def near_multinacci(lam):
@@ -322,10 +319,8 @@ class _SignedSumSearch:
 
     def consider(self, leaf, code):
         value = leaf if self.alg is None else LinearCombination(self.alg, leaf)
-        sgn = scalar_sign(value)
-        if sgn == 0:
-            return
-        abs_val = value if sgn > 0 else -value
+        # finish passes nonzero vectors only, and those never settle to sign 0
+        abs_val = value if scalar_sign(value) > 0 else -value
         if self.best is None:
             cmp = -1
         elif abs_val == self.best:  # equal vectors, so equal values
@@ -341,8 +336,8 @@ class _SignedSumSearch:
         elif cmp == 0:
             self.best_key = min(self.best_key, self.tie_key(code))
 
-    def check_budget(self, spent=1):
-        self.nodes += spent
+    def check_budget(self):
+        self.nodes += 1
         if self.nodes > self.node_cap:
             err = ResourceLimit("signed-sum search exceeded %d nodes"
                                 % self.node_cap)
@@ -353,34 +348,25 @@ class _SignedSumSearch:
         # Walk table entries outward from -partial until the float distance
         # clears the incumbent plus margin; every visited entry is checked
         # exactly, so near-ties and true ties all reach consider().  Each
-        # visited entry is one unit of the node budget, counted locally and
-        # charged on the way out; the entry past the budget returns before
-        # its evaluation, and the charge then raises.
+        # visited entry is charged to the node budget before its evaluation.
         tsums, vectors, codes = table
         idx = bisect.bisect_left(tsums, -partial)
         left, right = idx - 1, idx
-        room = self.node_cap - self.nodes
-        visited = 0
-        try:
-            while True:
-                dl = abs(partial + tsums[left]) if left >= 0 else None
-                dr = abs(partial + tsums[right]) if right < len(tsums) else None
-                if dl is None and dr is None:
-                    return
-                if dr is None or (dl is not None and dl <= dr):
-                    pick, left, dist = left, left - 1, dl
-                else:
-                    pick, right, dist = right, right + 1, dr
-                if self.best_abs_f is not None and dist > self.best_abs_f + self.margin:
-                    return
-                visited += 1
-                if visited > room:
-                    return
-                leaf = self.add(prefix, vectors[pick])
-                if leaf != self.zero:
-                    self.consider(leaf, codes[pick])
-        finally:
-            self.check_budget(visited)
+        while True:
+            dl = abs(partial + tsums[left]) if left >= 0 else None
+            dr = abs(partial + tsums[right]) if right < len(tsums) else None
+            if dl is None and dr is None:
+                return
+            if dr is None or (dl is not None and dl <= dr):
+                pick, left, dist = left, left - 1, dl
+            else:
+                pick, right, dist = right, right + 1, dr
+            if self.best_abs_f is not None and dist > self.best_abs_f + self.margin:
+                return
+            self.check_budget()
+            leaf = self.add(prefix, vectors[pick])
+            if leaf != self.zero:
+                self.consider(leaf, codes[pick])
 
     def descend(self, pos, partial, prefix, any_nonzero):
         self.check_budget()

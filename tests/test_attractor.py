@@ -161,6 +161,27 @@ def test_self_similarity_verdicts():
     assert check_total_self_similarity(W2, 2, 5) == ConsistentUpTo(n_max=5)
 
 
+@pytest.mark.parametrize("lam", [Fraction(59, 100), Fraction(13, 20), Fraction(40, 61)],
+                         ids=str)
+def test_violations_propagate_upward(lam):
+    # f_i is injective, so if hole w meets region v at level n, hole (i,)+w
+    # meets region (i,)+v at level n+1.  The levels with violations are
+    # therefore all those from the first one on, and that first level is
+    # the one check_total_self_similarity reports.  A rational never merges
+    # words, so every word names its own region.
+    reports = [classify_holes(lam, 2, n) for n in range(7)]
+    pairs = [{(h.word, r.word) for h, r in rep.violations} for rep in reports]
+    for n in range(6):
+        for w, v in pairs[n]:
+            for i in range(3):
+                assert ((i,) + w, (i,) + v) in pairs[n + 1]
+    violating = [n for n in range(7) if pairs[n]]
+    first = violating[0]
+    assert violating == list(range(first, 7))
+    verdict = check_total_self_similarity(lam, 2, 6)
+    assert verdict == Violation(word=reports[first].violations[0][0].word, level=first)
+
+
 def test_self_similarity_window():
     with pytest.raises(DomainError):
         check_total_self_similarity(Fraction(1, 2), 2, 3)

@@ -258,6 +258,9 @@ def test_seq_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,value"
     assert [int(l.split(",")[1]) for l in lines[1:]] == [0, 0, 0, 3, 6, 18, 48, 132, 360]
+    code, out, _ = run(capsys, "seq", "--which", "u", "-n", "5")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["n,value", "0,1", "1,3", "2,9", "3,24", "4,63", "5,162"]
 
 
 def test_nonpositive_depth_and_size_rejected(tmp_path, capsys):
@@ -335,6 +338,9 @@ def test_bad_ratio_token(capsys):
     code, _, err = run(capsys, "witness", "--lambda", "bogus")
     assert code == EXIT_ERROR
     assert "token" in err
+    code, out, err = run(capsys, "ell", "--theta", "bogus:3")
+    assert code == EXIT_ERROR and out == ""
+    assert "unrecognized base token 'bogus:3'" in err
 
 
 def test_bad_subcommand(capsys):
@@ -346,6 +352,20 @@ def test_bad_subcommand(capsys):
 def test_rational_token_rejects_zero_denominator(capsys):
     code, _, err = run(capsys, "witness", "--lambda", "rational:1/0")
     assert code == EXIT_ERROR
+
+
+def test_real_tokens_are_exact_decimals(capsys):
+    # real:<decimal> is the Fraction the decimal spells, for both options
+    code, out, _ = run(capsys, "holes", "--lambda", "real:0.6", "--dry-run")
+    assert code == EXIT_OK
+    assert json.loads(out)["lambda"] == {"token": "real:0.6", "exact": "3/5", "float": 0.6}
+    assert run(capsys, "holes", "--lambda", "real:0.6", "-n", "3") == run(
+        capsys, "holes", "--lambda", "rational:3/5", "-n", "3")
+    code, out, _ = run(capsys, "ell", "--theta", "real:1.75", "--degree", "6")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["theta"] == 1.75 and doc["witness_coeffs"] == [-1, 0, -1, -1, 1]
+    assert (code, out) == run(capsys, "ell", "--theta", "rational:7/4", "--degree", "6")[:2]
 
 
 def test_max_words_cap_and_env_restore(capsys, monkeypatch):
@@ -371,6 +391,12 @@ def test_node_cap_zero_rejected(capsys):
                        "--node-cap", "0")
     assert code == EXIT_ERROR
     assert "--node-cap must be >= 1" in err
+
+
+def test_max_words_zero_rejected(capsys):
+    code, out, err = run(capsys, "holes", "--lambda", "omega:2", "--max-words", "0")
+    assert code == EXIT_ERROR and out == ""
+    assert "--max-words must be >= 1" in err
 
 
 def test_budgets_only_on_subcommands_that_spend_them(capsys):

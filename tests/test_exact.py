@@ -6,8 +6,10 @@ land within float distance of it, and the frozen constants below were
 produced by that oracle.
 """
 
+import copy
 import gc
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -36,10 +38,11 @@ from goldengasket.exact import (
     sierpinski_dimension,
     sigma,
     smallest_positive_root,
+    squarefree_part,
     tau,
     uniqueness_dimension,
 )
-from goldengasket.separation import pisot_number
+from goldengasket.separation import ell_upper, multinacci_reciprocal, pisot_number
 
 
 def bisect_root(f, lo, hi, steps=200):
@@ -194,9 +197,14 @@ def test_precision_exhausted_on_masked_integer_ceiling():
 def test_compare_values_equality_across_polynomials():
     # (x^2 + x - 1)(x^2 - 3) shares the golden-ratio root with the
     # multinacci quadratic but is a different defining polynomial.
+    # The gcd's one root in the interval overlap is each side's root, so
+    # equality is certified without refining either side.
     a = isolate_root([3, -3, -4, 1, 1], (Fraction(1, 2), Fraction(3, 4)))
-    assert compare_values(a, multinacci(2)) == 0
-    assert compare_values(multinacci(2), a) == 0
+    w = multinacci(2)
+    generations = a.generation, w.generation
+    assert compare_values(a, w) == 0
+    assert compare_values(w, a) == 0
+    assert (a.generation, w.generation) == generations
 
 
 def test_compare_values_orderings():
@@ -210,6 +218,48 @@ def test_compare_values_orderings():
     lo, hi = w2.interval
     assert compare_values(w2, lo) == 1
     assert compare_values(w2, hi) == -1
+
+
+def _shifted_golden(factor):
+    """(x^2 + x - 1)(factor) and the same with x^2 + x - 1 moved right by
+    10^-20, each with its root in (1/2, 3/4): two roots closer than the
+    fresh isolating width, over polynomials that share ``factor``."""
+    e = Fraction(1, 10**20)
+    golden = [-1, 1, 1]
+    shifted = [e * e - e - 1, 1 - 2 * e, 1]
+
+    def times(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    window = (Fraction(1, 2), Fraction(3, 4))
+    return (isolate_root(times(golden, factor), window),
+            isolate_root(times(shifted, factor), window))
+
+
+@pytest.mark.parametrize("factor", [[1], [-2, 0, 1]], ids=["coprime", "common-factor"])
+def test_compare_values_refines_both_sides_to_separate(factor):
+    # The fresh intervals overlap, so the loop bisects the wider side until
+    # they part.  With the common factor x^2 - 2 the gcd has no root in the
+    # overlap, which drops the equality certificate for plain refinement.
+    a, b = _shifted_golden(factor)
+    start = a.generation, b.generation
+    assert compare_values(a, b) == -1
+    assert a.generation > start[0] and b.generation > start[1]
+    a, b = _shifted_golden(factor)
+    assert compare_values(b, a) == 1
+
+
+def test_squarefree_part_drops_repeated_factors():
+    # (x - 1)^2 (x + 2) -> (x - 1)(x + 2)
+    assert squarefree_part([2, -3, 0, 1]) == [-2, 1, 1]
+    # a root given by the square of its polynomial is stored squarefree
+    w = AlgebraicNumber([1, -2, -1, 2, 1], Fraction(1, 2), Fraction(3, 4))
+    assert w.poly == (-1, 1, 1)
+    assert compare_values(w, multinacci(2)) == 0
 
 
 def test_multiple_roots_rejected():
@@ -408,3 +458,63 @@ def test_discarded_base_is_freed_without_a_collection():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# one path per question: floats through _settle, order through compare
+
+
+def _named_constants():
+    yield from (multinacci(m) for m in range(2, 31))
+    yield from (multinacci_reciprocal(m) for m in range(2, 31))
+    yield lambda_star()
+    yield from (pisot_number(i) for i in range(1, 5))
+    yield from (tau(m) for m in range(2, 31))
+    yield from (sigma(m) for m in range(3, 21))
+
+
+def _midpoint_float(x):
+    """The float rule AlgebraicNumber once had of its own: the midpoint of
+    the isolating interval once it is at most 10^-17 wide, taken on a copy
+    so that ``x`` is not refined."""
+    old = copy.deepcopy(x)
+    old.refine_to(Fraction(1, 10**17))
+    return float(old.midpoint())
+
+
+def test_float_of_named_constants_keeps_the_midpoint_double():
+    for x in _named_constants():
+        assert isinstance(x, AlgebraicNumber)
+        want = _midpoint_float(x)
+        assert float(x) == want, x
+
+
+@pytest.mark.parametrize("make,index", [(multinacci_reciprocal, 2),
+                                        (multinacci_reciprocal, 3),
+                                        (pisot_number, 1), (pisot_number, 4)])
+def test_float_after_a_search_keeps_the_midpoint_double(make, index):
+    theta = make(index)
+    for degree in (4, 8, 12):
+        ell_upper(theta, degree)
+        want = _midpoint_float(theta)
+        assert float(theta) == want
+
+
+def test_repr_never_refines():
+    w = multinacci(2)
+    generation = w.generation
+    assert repr(w) == "AlgebraicNumber(-1 + 1*x^1 + 1*x^2 ~ 0.61803398875)"
+    v = w.as_scalar() * 3 + Fraction(1, 2)
+    assert repr(v) == "LinearCombination([Fraction(1, 2), 3] ~ 2.35410196625)"
+    assert w.generation == generation
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_combinations_order_only_through_compare(op):
+    v = multinacci(2).as_scalar()
+    for other in (1, Fraction(1, 2), v):
+        with pytest.raises(TypeError):
+            op(v, other)
+        with pytest.raises(TypeError):
+            op(other, v)
+    assert compare(v, Fraction(1, 2)) == 1 and compare(v, 1) == -1

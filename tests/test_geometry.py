@@ -19,6 +19,7 @@ from goldengasket.errors import DomainError
 from goldengasket.exact import compare, multinacci
 from goldengasket.geometry import (
     CornerRegion,
+    HoleRegion,
     apply_map,
     barycenter,
     compose_word,
@@ -140,6 +141,21 @@ def test_empty_holes_compare_equal():
     a = hole_region((0,), Fraction(7, 10))
     b = hole_region((1, 2), Fraction(7, 10))
     assert a == b and hash(a) == hash(b)
+
+
+def test_nonempty_holes_compare_by_bounds():
+    lam = Fraction(3, 5)
+    a = hole_region((0, 1), lam)
+    assert not a.is_empty()
+    b = HoleRegion(bounds=a.bounds, level=2, word=(9, 9))  # word is a label
+    assert a == b and hash(a) == hash(b)
+    assert a != hole_region((1, 0), lam)
+    assert a != hole_region((0, 1), Fraction(2, 3))  # empty there
+    # coincident words give one hole at the golden ratio
+    w = multinacci(2)
+    h = hole_region((1, 0, 0), w)
+    assert not h.is_empty()
+    assert h == hole_region((0, 1, 1), w) and h != hole_region((0, 1, 0), w)
 
 
 def test_word_identity_at_golden_ratio():
