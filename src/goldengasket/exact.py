@@ -47,7 +47,7 @@ __all__ = [
 # Refinement rounds allowed before a sign, ceiling or float query gives up.
 MAX_REFINE_ROUNDS = 256
 
-# Default isolating-interval width, chosen so float conversion is faithful.
+# Isolating width at which power images settle the level loops without Horner rounds.
 DEFAULT_TOL = Fraction(1, 10**15)
 
 # Fraction bits of the fixed-point images of a base number's powers, from

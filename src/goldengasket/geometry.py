@@ -5,9 +5,9 @@ The maps f_i(x) = lam*x + (1-lam)*p_i act on barycentric coordinates as
 has the closed form lam^n * I + t * 1^T where the translation vector t
 depends only on which positions of w carry which digit.  Corner regions
 (images of the simplex) are cut out by lower bounds, candidate holes by
-strict upper bounds; everything here stays in exact scalars.  The regions
-of a level set are views over the integer bound vectors of one
-``exact.VectorFrame``, whose hole tests are settled on the frame's
+strict upper bounds; everything here stays in exact scalars.  Every region
+is a view over integer bound vectors of an ``exact.VectorFrame`` (one per
+level set, or a region's own), and hole tests are settled on the frame's
 certified integer images of the bounds.
 """
 
@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import lt
 
 from .errors import DomainError
-from .exact import as_scalar, compare, scalar_sign
+from .exact import VectorFrame, as_scalar, compare, scalar_sign
 
 __all__ = [
     "CornerRegion",
@@ -118,17 +118,10 @@ def apply_map(sim, point):
 
 
 class _Bounds:
-    """The bound vector of a region: either exact scalars, or a view over
-    one flat integer vector of a ``VectorFrame`` shared by a whole level
-    set, whose exact ``bounds`` are derived on first use."""
+    """The bound vector of a region: a view over one flat integer vector of
+    a ``VectorFrame``, whose exact ``bounds`` are derived on first use."""
 
     __slots__ = ("_bounds", "level", "word", "frame", "vec", "_image")
-
-    def __init__(self, bounds, level, word=None):
-        self._bounds = tuple(bounds)
-        self.level = level
-        self.word = word
-        self.frame = self.vec = self._image = None
 
     @classmethod
     def view(cls, frame, vec, level, word):
@@ -144,14 +137,10 @@ class _Bounds:
         return self._bounds
 
     def image(self):
-        """The frame's (lo, hi) images of the bounds of a view."""
+        """The frame's (lo, hi) images of the bounds."""
         if self._image is None:
             self._image = self.frame.images(self.vec)
         return self._image
-
-    @property
-    def d(self):
-        return len(self.bounds) - 1
 
 
 class CornerRegion(_Bounds):
@@ -181,14 +170,11 @@ class HoleRegion(_Bounds):
     """Open inverted sub-simplex {x_j < U_j for all j} within the simplex.
 
     Infeasible bound vectors (sum(U) <= 1) are all the same empty set and
-    compare equal regardless of their bounds.
+    compare equal regardless of their bounds.  Whoever makes a hole knows
+    whether it is empty.
     """
 
     __slots__ = ("_empty",)
-
-    def __init__(self, bounds, level, word=None):
-        super().__init__(bounds, level, word)
-        self._empty = None
 
     @classmethod
     def view(cls, frame, vec, level, word):
@@ -198,42 +184,45 @@ class HoleRegion(_Bounds):
         return self
 
     def is_empty(self):
-        if self._empty is None:
-            self._empty = compare(sum(self.bounds), 1) <= 0
         return self._empty
 
     def __eq__(self, other):
         if not isinstance(other, HoleRegion):
             return NotImplemented
-        if self.is_empty() and other.is_empty():
-            return True
-        if self.is_empty() != other.is_empty():
-            return False
-        return self.bounds == other.bounds
+        empty = self._empty
+        return empty == other._empty and (empty or self.bounds == other.bounds)
 
     def __hash__(self):
-        if self.is_empty():
-            return hash("empty-hole")
-        return hash(self.bounds)
+        return hash("empty-hole") if self._empty else hash(self.bounds)
 
     def __repr__(self):
         tag = " empty" if self.is_empty() else ""
         return "HoleRegion(level=%r%s)" % (self.level, tag)
 
 
+def _view(cls, frame, bounds, level, word):
+    """A ``cls`` view over exact bounds whose denominators ``frame`` clears."""
+    vec = tuple(c for x in bounds for c in frame.vector(x))
+    return cls.view(frame, vec, level, word)
+
+
 def image_region(word, lam, d=2):
     """f_w(simplex) as lower bounds; the empty word gives the full simplex."""
+    word, lam = validate_word(word, d), as_scalar(lam)
     t, _ = translation_vector(word, lam, d)
-    return CornerRegion(bounds=t, level=len(word), word=validate_word(word, d))
+    return _view(CornerRegion, VectorFrame(lam, t), t, len(word), word)
 
 
 def hole_region(word, lam, d=2):
-    """f_w(H_0) as strict upper bounds U_j = L_j + (1-lam)*lam^n."""
-    word = validate_word(word, d)
-    lam = as_scalar(lam)
+    """f_w(H_0) as strict upper bounds U_j = L_j + (1-lam)*lam^n, empty when
+    sum(U) <= 1."""
+    word, lam = validate_word(word, d), as_scalar(lam)
     t, lam_n = translation_vector(word, lam, d)
     width = (1 - lam) * lam_n
-    return HoleRegion(bounds=tuple(x + width for x in t), level=len(word), word=word)
+    bounds = tuple(x + width for x in t)
+    hole = _view(HoleRegion, VectorFrame(lam, bounds), bounds, len(word), word)
+    hole._empty = compare(sum(bounds), 1) <= 0
+    return hole
 
 
 def intersection_bounds(a, b):
@@ -251,27 +240,16 @@ def hole_meets_region(h, r):
 
     Feasibility of {L_j <= x_j < U_j, sum x_j = 1}: every lower bound must
     sit strictly below its upper bound, the lower bounds must leave room
-    (sum <= 1) and the upper bounds must overshoot (sum > 1).
+    (sum <= 1) and the upper bounds must overshoot (sum > 1).  The maker of
+    a hole knows whether it overshoots, a level region's bounds sum to
+    1 - lam^k < 1 and ``_one_frame`` checks any other corner, so only
+    L_j < U_j is left.  At an algebraic base it is decided on the bound
+    images; equal vectors are a tie, and only images that straddle fall
+    back to the exact compare.
     """
     frame = r.frame
-    if frame is not None and frame is h.frame:
-        return _views_meet(frame, h, r)
-    for lj, uj in zip(r.bounds, h.bounds):
-        if compare(lj, uj) >= 0:
-            return False
-    if compare(sum(r.bounds), 1) > 0:
-        return False
-    return not h.is_empty()
-
-
-def _views_meet(frame, h, r):
-    """``hole_meets_region`` for views of one level set.
-
-    A level region's bounds sum to 1 - lam^k < 1, and a hole view knows
-    whether it is empty, so only L_j < U_j is left.  At an algebraic base it
-    is decided on the bound images; equal vectors are a tie, and only images
-    that straddle fall back to the exact compare.
-    """
+    if h.frame is not frame:
+        frame, h, r = _one_frame(h, r)
     if frame.alg is None:
         # Exact numerators: the image loop below agrees on them, but made
         # `holes --lambda rational:40/61 -n 6` about 30% slower.
@@ -286,6 +264,17 @@ def _views_meet(frame, h, r):
         if r.vec[part] == h.vec[part] or compare(r.bounds[j], h.bounds[j]) >= 0:
             return False
     return not h.is_empty()
+
+
+def _one_frame(h, r):
+    """A hole and a corner on two frames, put on one that clears both.  A
+    corner without room (sum(L) > 1) meets no hole: it carries an empty one."""
+    if h.frame.alg is not r.frame.alg:
+        raise TypeError("regions over different base numbers")
+    frame = VectorFrame(r.bounds[0], h.bounds + r.bounds)
+    hole = _view(HoleRegion, frame, h.bounds, h.level, h.word)
+    hole._empty = h.is_empty() or compare(sum(r.bounds), 1) > 0
+    return frame, hole, _view(CornerRegion, frame, r.bounds, r.level, r.word)
 
 
 def region_feasible_point(a, b):

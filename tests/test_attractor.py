@@ -26,7 +26,14 @@ from goldengasket.attractor import (
     RenderOptions,
 )
 from goldengasket.errors import DomainError, ResourceLimit
-from goldengasket.exact import as_scalar, compare, isolate_root, multinacci, tau
+from goldengasket.exact import (
+    as_scalar,
+    compare,
+    isolate_root,
+    lambda_star,
+    multinacci,
+    tau,
+)
 from goldengasket.words import u_sequence
 
 W2 = multinacci(2)
@@ -138,6 +145,19 @@ def test_classify_holes_tests_each_pair_once(lam, tests, violations, monkeypatch
     assert len(tested) == len(set(tested)) == tests
     pairs = [(h.word, r.word) for h, r in rep.violations]
     assert len(pairs) == len(set(pairs)) == violations
+
+
+@pytest.mark.parametrize("lam,d,n", [
+    (W2, 2, 4), (lambda_star(), 2, 3), (Fraction(59, 100), 2, 3),
+    (Fraction(13, 20), 2, 3), (W2, 3, 2), (Fraction(3, 5), 3, 2),
+], ids=["omega2", "lambda-star", "0.59", "0.65", "omega2-d3", "0.60-d3"])
+def test_candidates_are_nonempty_holes(lam, d, n):
+    # hole_meets_region trusts a candidate to be non-empty without a test.
+    rep = classify_holes(lam, d, n)
+    assert len(rep.candidates) > 0
+    for h in rep.candidates:
+        assert not h.is_empty()
+        assert compare(sum(h.bounds), 1) > 0
 
 
 def test_holes_empty_past_two_thirds():

@@ -1,5 +1,6 @@
 """Command-line surface: tokens, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -347,6 +348,44 @@ def test_bad_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == EXIT_ERROR
     assert err
+
+
+# sha256 of the help text at COLUMNS=80, for `gasket -h` and `gasket <sub> -h`.
+HELP_SHA256 = {
+    "-h": "357b554a44004ff2024b684b5df4e2d4906be198b9d54efda0c9d0474c9ee48e",
+    "table1": "f096175eaf5902f63627f0cc644d4a008a154053d6a5372b54bd523472640f96",
+    "table2": "69801278265e1b8779bd107bea7bb7c6aee40f46e8086b8fcc5884f47f5cc32e",
+    "render": "7740dc4817ecb001fcab6a4753e9e1c55884ab0f8a20730c4180749f85b4dd6b",
+    "holes": "5af1ffbbbdca3c835ecea88d11c10545815fd68bd3c4291d8f25fa8cd547537e",
+    "selfsim": "0075cb39113d76c4835ff50959c646234e418569da1fa640904242331d194415",
+    "area": "5cbd095e015571f7ae80d2452185115adcff827ca57d34430049b3105fbdad10",
+    "boxdim": "ad497e61e0766121491d25076ed43ab83ad6cb93db33fcb7fdea4e99f95f7031",
+    "ell": "fdf556100885fc478864517681fff01bf8f020ca3b8179f3fbe54ba2e3e2fff7",
+    "witness": "a3fb00ad4b4b37c4f0a157f99d7cba26af013b06dd03b3fb13d6b5ed76b919de",
+    "uniq": "b179d1cfe4beffa823171fad06b240d813c604496cc1365fdd54a73d7679f3e9",
+    "seq": "0300b1eb4600eda727598debe813a4da62991fc8304b8652e283aa4d725af345",
+    "expand": "69c62f037576fa30f46c40d05eaa12ad7660e707925fbc82ee21c2a6c046cd76",
+}
+
+
+# argparse's help layout changes between Python minor versions.
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help digests recorded on Python 3.11")
+def test_help_and_usage_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at COLUMNS
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(HELP_SHA256) == {"-h", *subs.choices}
+    for key, digest in HELP_SHA256.items():
+        argv = ["-h"] if key == "-h" else [key, "-h"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    code, out, err = run(capsys, "holes")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: the following arguments are required: --lambda\n"
 
 
 def test_rational_token_rejects_zero_denominator(capsys):

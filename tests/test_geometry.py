@@ -16,10 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldengasket.errors import DomainError
-from goldengasket.exact import compare, multinacci
+from goldengasket.exact import VectorFrame, compare, lambda_star, multinacci
 from goldengasket.geometry import (
-    CornerRegion,
-    HoleRegion,
     apply_map,
     barycenter,
     compose_word,
@@ -129,6 +127,17 @@ def test_hole_bounds_offset_from_region():
         assert all(u == l + width for l, u in zip(r.bounds, h.bounds))
 
 
+def _on_other_frame(region):
+    """The region's bounds as a view labelled (9, 9) on a frame that also
+    clears 1/7: other integers, the same set."""
+    frame = VectorFrame(region.bounds[0], region.bounds + (Fraction(1, 7),))
+    assert frame.den != region.frame.den
+    vec = tuple(c for x in region.bounds for c in frame.vector(x))
+    view = type(region).view(frame, vec, 2, (9, 9))
+    assert view.vec != region.vec
+    return view
+
+
 def test_hole_emptiness_threshold():
     # sum(U) = 1 + lam^n (2 - 3 lam): positive below 2/3, zero at it.
     assert not hole_region((0, 1), Fraction(3, 5)).is_empty()
@@ -147,7 +156,7 @@ def test_nonempty_holes_compare_by_bounds():
     lam = Fraction(3, 5)
     a = hole_region((0, 1), lam)
     assert not a.is_empty()
-    b = HoleRegion(bounds=a.bounds, level=2, word=(9, 9))  # word is a label
+    b = _on_other_frame(a)  # word is a label
     assert a == b and hash(a) == hash(b)
     assert a != hole_region((1, 0), lam)
     assert a != hole_region((0, 1), Fraction(2, 3))  # empty there
@@ -248,5 +257,47 @@ def test_hole_predicate_against_sampling(lam):
 def test_corner_region_equality_is_by_bounds():
     lam = Fraction(3, 5)
     a = image_region((0, 1), lam)
-    b = CornerRegion(bounds=a.bounds, level=2, word=(9, 9))  # word is a label
+    b = _on_other_frame(a)  # word is a label
     assert a == b and hash(a) == hash(b)
+
+
+def reference_meets(h, r):
+    """The exact rule: all L_j < U_j, sum(L) <= 1 and sum(U) > 1."""
+    lower, upper = r.bounds, h.bounds
+    return (
+        all(compare(l, u) < 0 for l, u in zip(lower, upper))
+        and compare(sum(lower), 1) <= 0
+        and compare(sum(upper), 1) > 0
+    )
+
+
+# At -1/2 a corner of odd level has no room: its bounds sum to 1 + 2^-n.
+REFERENCE_LAMBDAS = [Fraction(3, 5), Fraction(13, 20), multinacci(2), multinacci(3),
+                     lambda_star(), Fraction(-1, 2)]
+
+
+@pytest.mark.parametrize("lam", REFERENCE_LAMBDAS,
+                         ids=["0.60", "0.65", "omega2", "omega3", "lambda-star", "-0.50"])
+def test_hole_predicate_matches_exact_rule(lam):
+    rng = random.Random(2718)
+    verdicts = set()
+    for wh, wr in _random_pairs(rng, 200, max_len=6):
+        h, r = hole_region(wh, lam), image_region(wr, lam)
+        verdict = hole_meets_region(h, r)
+        assert verdict == reference_meets(h, r), (wh, wr)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_lambda_star_frames_are_not_integral():
+    # lambda* is a root of the non-monic 2x^3 - 2x^2 + 2x - 1.
+    assert image_region((0, 1, 2), lambda_star()).frame.den > 1
+
+
+def test_regions_over_two_bases_are_refused():
+    w = multinacci(2)
+    for lam in (Fraction(3, 5), multinacci(2)):
+        with pytest.raises(TypeError):
+            hole_meets_region(hole_region((0,), w), image_region((1,), lam))
+        with pytest.raises(TypeError):
+            hole_meets_region(hole_region((0,), lam), image_region((1,), w))
