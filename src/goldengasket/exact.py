@@ -597,23 +597,11 @@ def compare(a, b):
 
 
 def compare_values(a, b):
-    """Compare two AlgebraicNumber/Fraction/int values, possibly over
-    different defining polynomials, by interval separation."""
-
-    def iv(x):
-        if isinstance(x, AlgebraicNumber):
-            return x
-        return Fraction(x)
-
-    a, b = iv(a), iv(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return 0 if a == b else (1 if a > b else -1)
-    if isinstance(a, Fraction):
-        return -compare_values(b, a)
-    if isinstance(b, Fraction):
-        return compare(a.as_scalar(), b)
-    if a is b:
-        return 0
+    """Exact trichotomy of two values that may live on different defining
+    polynomials.  Two distinct AlgebraicNumbers are separated by refining
+    their intervals; every other pair is ``compare`` of ``as_scalar``s."""
+    if not (isinstance(a, AlgebraicNumber) and isinstance(b, AlgebraicNumber)) or a is b:
+        return compare(as_scalar(a), as_scalar(b))
     # Equal values over different polynomials never separate by refinement;
     # a root of gcd(a.poly, b.poly) inside the interval overlap is forced to
     # be the unique root of each, certifying equality.
@@ -761,8 +749,8 @@ def uniqueness_dimension(m):
 
 def sierpinski_dimension(d, lam):
     """Similarity dimension log(d+1)/(-log lam) of the totally disconnected
-    or just-touching regime; requires lam <= 1/2."""
-    lamf = float(Fraction(lam) if isinstance(lam, (int, Fraction, str)) else lam)
-    if not 0 < lamf <= 0.5:
+    or just-touching regime; requires 0 < lam <= 1/2, decided exactly."""
+    lam = as_scalar(lam)
+    if scalar_sign(lam) <= 0 or compare(lam, Fraction(1, 2)) > 0:
         raise DomainError("separation requires 0 < lam <= 1/2")
-    return math.log(d + 1) / (-math.log(lamf))
+    return math.log(d + 1) / (-math.log(float(lam)))

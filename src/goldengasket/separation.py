@@ -102,9 +102,9 @@ def pisot_number(index):
 # ----------------------------------------------------------------------
 # multinacci proximity checks
 
-# Largest multinacci index the proximity checks look for.  Beyond it the
-# ratios crowd against 1/2 closer than the isolating width and the
-# distinction stops being meaningful.
+# Largest multinacci index the proximity checks look for.  It caps the work
+# (a first ``near_multinacci`` call just above 1/2 builds 29 bases, ~0.3 s),
+# not resolution: omega_30 is 2.3e-10 above 1/2, its interval 8.9e-16 wide.
 MULTINACCI_MAX = 30
 
 
@@ -133,9 +133,9 @@ def is_multinacci_reciprocal(theta):
     """Is theta exactly (algebraic input) or nearly (rational input) some
     1/omega_m?  Returns the matching m or None."""
     if isinstance(theta, AlgebraicNumber):
-        for m in range(2, MULTINACCI_MAX + 1):
-            if list(theta.poly) == [-1] * m + [1]:
-                return m
+        m = len(theta.poly) - 1
+        if 2 <= m <= MULTINACCI_MAX and theta.poly == (-1,) * m + (1,):
+            return m
         return None
     inv = 1 / _rational_ratio(theta)
     return near_multinacci(inv)
@@ -455,7 +455,7 @@ def separation_bound_check(theta, n_max, node_cap=DEFAULT_NODE_CAP):
 # small-difference gap property at ratios below one
 
 
-def gap_property_holds(lam, n, node_cap=DEFAULT_NODE_CAP):
+def gap_property_holds(lam, n):
     """Is every nonzero |sum(d_k lam^k)|, d in {0,+-1}^(n+1), >= lam^(n+1)?
 
     Equivalent to the pairwise form over 0/1 vectors a, a' of length n+1:
@@ -466,7 +466,7 @@ def gap_property_holds(lam, n, node_cap=DEFAULT_NODE_CAP):
     lam_s = as_scalar(lam)
     if scalar_sign(lam_s) <= 0 or compare(lam_s, 1) >= 0:
         raise DomainError("ratio must lie in (0, 1)")
-    _, witness = min_abs_signed_sum(lam_s, n, node_cap=node_cap)
+    _, witness = min_abs_signed_sum(lam_s, n)
     return compare(witness.value, lam_s ** (n + 1)) >= 0
 
 
@@ -543,8 +543,7 @@ def converse_witness(lam, n_max):
         raise DomainError(
             "ratio sits in the isolating interval of the index-%d ratio" % m
         )
-    w2 = multinacci(2)
-    if compare_values(lam, w2) > 0:
+    if lam > _multinacci_interval(2)[1]:  # lam is outside omega_2's interval
         star = lambda_star()
         if compare_values(lam, star) >= 0:
             return NotFound(reason="radial regime")

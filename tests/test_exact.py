@@ -176,6 +176,18 @@ def test_sierpinski_dimension_domain():
         sierpinski_dimension(2, Fraction(3, 5))
 
 
+def test_sierpinski_dimension_decides_one_half_exactly():
+    # 1/2 + 10^-20 is 0.5 as a float; the bound is decided exactly.
+    for lam in (Fraction(1, 2) + Fraction(1, 10**20), 0, Fraction(-1, 3)):
+        with pytest.raises(DomainError):
+            sierpinski_dimension(2, lam)
+    for lam in ("1/2", 0.5):
+        with pytest.raises(TypeError):
+            sierpinski_dimension(2, lam)
+    t = tau(2)
+    assert sierpinski_dimension(3, t) == math.log(4) / -math.log(float(t))
+
+
 def test_precision_exhausted_on_masked_zero():
     # (x^2 - 2)(x^2 - x - 1): the window isolates sqrt(2), and the
     # combination x^2 - 2 is exactly zero without reducing to the zero
@@ -218,6 +230,56 @@ def test_compare_values_orderings():
     lo, hi = w2.interval
     assert compare_values(w2, lo) == 1
     assert compare_values(w2, hi) == -1
+
+
+def _order_and_generation(order, pair):
+    """``order`` on a fresh copy of a pair: its verdict and the generation
+    each base is left at."""
+    a, b = pair()
+    verdict = order(a, b)
+    return verdict, [x.generation for x in (a, b) if isinstance(x, AlgebraicNumber)]
+
+
+def _as_scalars(order):
+    return lambda a, b: order(exact.as_scalar(a), exact.as_scalar(b))
+
+
+@pytest.mark.parametrize("pair", [
+    # ω₂ = 0.61803398874989484820...: 5e-17 below it needs refinement.
+    lambda: (Fraction(6180339887498948, 10**16), multinacci(2)),
+    lambda: (multinacci(2), Fraction(6180339887498949, 10**16)),
+    lambda: (1, lambda_star()),
+    lambda: (lambda_star(), 0),
+    lambda: (Fraction(3, 5), Fraction(5, 8)),
+    lambda: (multinacci(2),) * 2,
+], ids=["fraction-omega", "omega-fraction", "int-star", "star-int", "fractions", "same"])
+def test_compare_values_is_compare_on_one_base(pair):
+    got = _order_and_generation(compare_values, pair)
+    assert got == _order_and_generation(_as_scalars(compare), pair)
+    if got[1]:
+        # Swapping the sides negates the vector, its image and its Horner
+        # enclosure, so the same rounds run and the sign flips.
+        flipped = _order_and_generation(lambda a, b: -compare_values(b, a), pair)
+        assert flipped == got
+
+
+def test_compare_values_orders_two_bases_of_one_ratio():
+    # Two separate multinacci(2) objects are two bases: compare refuses
+    # them, and compare_values certifies their equality by the gcd.
+    a, b = multinacci(2), multinacci(2)
+    with pytest.raises(TypeError, match="different base numbers"):
+        compare(a.as_scalar(), b.as_scalar())
+    generations = a.generation, b.generation
+    assert compare_values(a, b) == 0
+    assert (a.generation, b.generation) == generations
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_compare_values_rejects_floats_and_strings(bad):
+    with pytest.raises(TypeError):
+        compare_values(bad, multinacci(2))
+    with pytest.raises(TypeError):
+        compare_values(Fraction(1, 2), bad)
 
 
 def _shifted_golden(factor):

@@ -22,12 +22,14 @@ from goldengasket.exact import (
     LinearCombination,
     as_scalar,
     compare,
+    compare_values,
     isolate_root,
     multinacci,
     scalar_sign,
 )
 from goldengasket.separation import (
     DEFAULT_NODE_CAP,
+    MULTINACCI_MAX,
     PRUNE_MARGIN,
     ConverseWitness,
     NotFound,
@@ -38,13 +40,14 @@ from goldengasket.separation import (
     erdos_joo_gap_check,
     gap_property_holds,
     golden_ratio,
+    is_multinacci_reciprocal,
     min_abs_signed_sum,
     multinacci_reciprocal,
     pisot_number,
     prune_margin,
     separation_bound_check,
 )
-from goldengasket.separation import _SignedSumSearch
+from goldengasket.separation import _SignedSumSearch, _multinacci_interval
 from goldengasket.cli import parse_theta_token
 from goldengasket.attractor import check_total_self_similarity, Violation
 
@@ -498,6 +501,36 @@ def test_converse_rejects_floats_and_window():
         converse_witness(Fraction(2, 5), 8)
     with pytest.raises(DomainError):
         converse_witness(Fraction(59, 100), 1)
+
+
+def test_converse_regime_edges_follow_exact_order():
+    # Just outside omega_2's cached interval on either side, the n = 2
+    # witness is taken exactly when lam > omega_2 by the exact compare.
+    lo, hi = _multinacci_interval(2)
+    for lam in (hi + Fraction(1, 10**18), lo - Fraction(1, 10**18)):
+        fixed = converse_witness(lam, 4) == ConverseWitness(n=2, digits=(1,))
+        assert fixed == (compare_values(lam, multinacci(2)) > 0)
+
+
+@pytest.mark.parametrize("lam", [Fraction(59, 100), Fraction(61, 100)])
+def test_converse_witness_builds_no_base_when_warm(lam, monkeypatch):
+    # Below omega_2 neither regime test needs a base once the omega
+    # intervals are cached.
+    converse_witness(lam, 12)
+
+    def refuse(self, *args):
+        pytest.fail("converse_witness built a base %r" % (args,))
+
+    monkeypatch.setattr(exact.AlgebraicNumber, "__init__", refuse)
+    assert isinstance(converse_witness(lam, 12), ConverseWitness)
+
+
+def test_is_multinacci_reciprocal():
+    for m in (2, 3, 5, MULTINACCI_MAX):
+        assert is_multinacci_reciprocal(multinacci_reciprocal(m)) == m
+    assert is_multinacci_reciprocal(multinacci_reciprocal(MULTINACCI_MAX + 1)) is None
+    for index in range(1, 5):
+        assert is_multinacci_reciprocal(pisot_number(index)) is None
 
 
 def test_pinch_needs_matching_digit_count():
