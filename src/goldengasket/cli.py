@@ -165,8 +165,36 @@ def _write_text(path, text):
             fh.write(text)
 
 
+def _json_text(obj, pad):
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for ``obj`` at indent ``pad``.
+
+    The same bytes without the pure-Python encoder that ``indent`` selects:
+    containers are laid out here, an all-int list in one join, and keys and
+    every other scalar go through the C encoder, whose key encoder raises
+    TypeError on a key that is not a str.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        key_text = json.encoder.encode_basestring_ascii
+        body = sep.join([key_text(key) + ": " + _json_text(obj[key], inner)
+                         for key in sorted(obj)])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_json_text(x, inner) for x in obj])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(obj)
+
+
 def _emit_json(obj, path):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json_text(obj, "") + "\n")
 
 
 def _emit_csv(rows, path):
@@ -376,82 +404,72 @@ def _add_common(sub, lam=False, theta=False, depth=None, res=False,
     sub.add_argument("--dry-run", action="store_true", dest="dry_run")
 
 
-def build_parser():
+def _arg(*flags, **options):
+    return flags, options
+
+
+_DIMENSION = _arg("--dimension", "-d", type=int, default=2)
+
+# name: (help, handler, options of _add_common, further arguments)
+_SUBCOMMANDS = {
+    "table1": ("dimension table over multinacci ratios", cmd_table1, {}, ()),
+    "table2": ("dimension grid over simplex dimensions", cmd_table2, {}, ()),
+    "render": ("write an SVG of the level-n region set", cmd_render,
+               dict(lam=True, depth=6, levels=True),
+               (_arg("--size", type=int, default=640),
+                _arg("--radial-holes", action="store_true"),
+                _arg("--overlaps", action="store_true"))),
+    "holes": ("classify level-n hole candidates", cmd_holes,
+              dict(lam=True, depth=4, levels=True), (_DIMENSION,)),
+    "selfsim": ("search for a self-similarity violation", cmd_selfsim,
+                dict(lam=True, depth=6, levels=True), (_DIMENSION,)),
+    "area": ("bracket the covered fraction of the simplex", cmd_area,
+             dict(lam=True, depth=8, res=True, levels=True), ()),
+    "boxdim": ("box-counting dimension estimate", cmd_boxdim,
+               dict(lam=True, depth=8, levels=True), (_DIMENSION,)),
+    "ell": ("degree-bounded separation minimum", cmd_ell, dict(theta=True),
+            (_arg("--degree", type=int, default=14),
+             _arg("--node-cap", type=int, default=DEFAULT_NODE_CAP,
+                  help="search-node budget for the signed-sum minimizer"))),
+    "witness": ("digit witness against total self-similarity", cmd_witness,
+                dict(lam=True, depth=16), ()),
+    "uniq": ("counts of words with unique addresses", cmd_uniq,
+             dict(depth=15), (_arg("--m", type=int, default=2),)),
+    "seq": ("hole counting sequences", cmd_seq, dict(depth=12),
+            (_arg("--which", choices=("u", "h", "p"), default="u"),
+             _arg("--m", type=int, default=3))),
+    "expand": ("greedy digit expansion", cmd_expand, dict(lam=True, depth=12),
+               (_arg("--x", default="1", help="rational argument, e.g. 1 or 3/4"),
+                _arg("--tail", action="store_true",
+                     help="use the periodic tail form of the expansion of 1"))),
+}
+
+
+def build_parser(command=None):
+    """The gasket parser with every subcommand, or with ``command`` only.
+
+    A job needs only its own subcommand's parser; the full one serves help,
+    a missing or unknown command, and an option before the command.
+    """
     parser = _Parser(prog="gasket",
                      description="Overlapping simplex gaskets, exactly.")
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
-
-    s = subs.add_parser("table1", help="dimension table over multinacci ratios")
-    _add_common(s)
-    s.set_defaults(handler=cmd_table1)
-
-    s = subs.add_parser("table2", help="dimension grid over simplex dimensions")
-    _add_common(s)
-    s.set_defaults(handler=cmd_table2)
-
-    s = subs.add_parser("render", help="write an SVG of the level-n region set")
-    _add_common(s, lam=True, depth=6, levels=True)
-    s.add_argument("--size", type=int, default=640)
-    s.add_argument("--radial-holes", action="store_true")
-    s.add_argument("--overlaps", action="store_true")
-    s.set_defaults(handler=cmd_render)
-
-    s = subs.add_parser("holes", help="classify level-n hole candidates")
-    _add_common(s, lam=True, depth=4, levels=True)
-    s.add_argument("--dimension", "-d", type=int, default=2)
-    s.set_defaults(handler=cmd_holes)
-
-    s = subs.add_parser("selfsim", help="search for a self-similarity violation")
-    _add_common(s, lam=True, depth=6, levels=True)
-    s.add_argument("--dimension", "-d", type=int, default=2)
-    s.set_defaults(handler=cmd_selfsim)
-
-    s = subs.add_parser("area", help="bracket the covered fraction of the simplex")
-    _add_common(s, lam=True, depth=8, res=True, levels=True)
-    s.set_defaults(handler=cmd_area)
-
-    s = subs.add_parser("boxdim", help="box-counting dimension estimate")
-    _add_common(s, lam=True, depth=8, levels=True)
-    s.add_argument("--dimension", "-d", type=int, default=2)
-    s.set_defaults(handler=cmd_boxdim)
-
-    s = subs.add_parser("ell", help="degree-bounded separation minimum")
-    _add_common(s, theta=True)
-    s.add_argument("--degree", type=int, default=14)
-    s.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP,
-                   help="search-node budget for the signed-sum minimizer")
-    s.set_defaults(handler=cmd_ell)
-
-    s = subs.add_parser("witness", help="digit witness against total self-similarity")
-    _add_common(s, lam=True, depth=16)
-    s.set_defaults(handler=cmd_witness)
-
-    s = subs.add_parser("uniq", help="counts of words with unique addresses")
-    _add_common(s, depth=15)
-    s.add_argument("--m", type=int, default=2)
-    s.set_defaults(handler=cmd_uniq)
-
-    s = subs.add_parser("seq", help="hole counting sequences")
-    _add_common(s, depth=12)
-    s.add_argument("--which", choices=("u", "h", "p"), default="u")
-    s.add_argument("--m", type=int, default=3)
-    s.set_defaults(handler=cmd_seq)
-
-    s = subs.add_parser("expand", help="greedy digit expansion")
-    _add_common(s, lam=True, depth=12)
-    s.add_argument("--x", default="1", help="rational argument, e.g. 1 or 3/4")
-    s.add_argument("--tail", action="store_true",
-                   help="use the periodic tail form of the expansion of 1")
-    s.set_defaults(handler=cmd_expand)
-
+    for name in _SUBCOMMANDS if command is None else (command,):
+        help_text, handler, common, arguments = _SUBCOMMANDS[name]
+        s = subs.add_parser(name, help=help_text)
+        _add_common(s, **common)
+        for flags, options in arguments:
+            s.add_argument(*flags, **options)
+        s.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except _ParseFailure as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

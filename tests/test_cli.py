@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldengasket import cli
 from goldengasket.cli import EXIT_ERROR, EXIT_OK, EXIT_VERDICT, main
@@ -130,6 +133,32 @@ def test_ell_golden_json(capsys):
     assert abs(doc["min_abs"] - 0.6180339887498949) < 1e-12
     # stable key order and trailing newline
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# One command line per JSON shape: each prints exactly the re-encoding of
+# what it printed.
+JSON_JOBS = [
+    (("holes", "--lambda", "rational:59/100", "-n", "3"), EXIT_VERDICT),
+    (("selfsim", "--lambda", "rational:59/100", "-n", "6"), EXIT_VERDICT),
+    (("selfsim", "--lambda", "omega:3", "-n", "4"), EXIT_OK),
+    (("area", "--lambda", "omega:2", "-n", "2", "--resolution", "96"), EXIT_OK),
+    (("boxdim", "--lambda", "omega:2", "-n", "4"), EXIT_OK),
+    (("witness", "--lambda", "rational:59/100", "-n", "12"), EXIT_OK),
+    (("witness", "--lambda", "rational:131/200", "-n", "12"), EXIT_VERDICT),
+    (("expand", "--lambda", "omega:2", "-n", "8", "--tail"), EXIT_OK),
+    (("holes", "--lambda", "lambda-star", "--dry-run"), EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("argv,want", JSON_JOBS,
+                         ids=[" ".join(argv) for argv, _ in JSON_JOBS])
+def test_json_output_is_sorted_indented_ascii(capsys, argv, want):
+    code, out, _ = run(capsys, *argv)
+    assert code == want
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if argv[0] == "holes" and want == EXIT_VERDICT:
+        assert doc["violations"]
 
 
 def test_ell_certifies_inside_window(capsys):
@@ -348,6 +377,139 @@ def test_bad_subcommand(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == EXIT_ERROR
     assert err
+
+
+# argv -> (exit code, stderr) of usage errors, recorded when every job
+# built the parser of all thirteen subcommands.  Nothing goes to stdout.
+_CHOICES = ("(choose from 'table1', 'table2', 'render', 'holes', 'selfsim', "
+            "'area', 'boxdim', 'ell', 'witness', 'uniq', 'seq', 'expand')")
+USAGE_ERRORS = [
+    ((), (EXIT_ERROR,
+          "error: the following arguments are required: command\n")),
+    (("bogus",), (EXIT_ERROR,
+                  "error: argument command: invalid choice: 'bogus' %s\n"
+                  % _CHOICES)),
+    (("--lambda", "omega:2", "holes"), (
+        EXIT_ERROR,
+        "error: argument command: invalid choice: 'omega:2' %s\n" % _CHOICES)),
+    (("holes", "--lambda", "omega:2", "--bogus"), (
+        EXIT_ERROR, "error: unrecognized arguments: --bogus\n")),
+    (("holes", "--lambda", "omega:2", "-n", "x"), (
+        EXIT_ERROR, "error: argument --depth/-n: invalid int value: 'x'\n")),
+    (("area", "--lambda", "omega:2", "-d", "3"), (
+        EXIT_ERROR, "error: unrecognized arguments: -d 3\n")),
+    (("ell", "--theta", "golden", "--node-cap", "0"), (
+        EXIT_ERROR, "error: --node-cap must be >= 1\n")),
+]
+
+
+@pytest.mark.parametrize("argv,want", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "-" for argv, _ in USAGE_ERRORS])
+def test_usage_error_bytes(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == want and out == ""
+
+
+# sha256 of the --dry-run JSON of one command line per subcommand, recorded
+# with json.dumps(obj, indent=2, sort_keys=True) + "\n".
+DRY_RUN_SHA256 = {
+    ("table1",):
+        "11b68bdcaa52c282352b3ee7c9494444c7492abbfd07a3dab6a4072cb2ed173e",
+    ("table2",):
+        "3415a70c4a534b08ca6fd9ae3592cb341e98a38acac39e715aa5b3e7e8ccfaec",
+    ("render", "--lambda", "omega:2"):
+        "5368f573116264b5401ef50c677c8ef3b5efa960e9fb18984e04ce7a55e61f6f",
+    ("holes", "--lambda", "rational:59/100", "-n", "3"):
+        "4ab922254793914bf44d805f3ba7859c3c8e0c1bd760211bb88b11e8544a385a",
+    ("selfsim", "--lambda", "lambda-star", "-n", "5"):
+        "1e02bf6d285c058038acc2e6971dd22a5b789308937e8d6ac3953434d5686517",
+    ("area", "--lambda", "omega:3", "-n", "7", "--resolution", "128"):
+        "0a938a712147482a25408f93199f1e5f4a05e7c7ffcecd208bc9cefa2f5adb79",
+    ("boxdim", "--lambda", "omega:2", "-d", "3"):
+        "10158f6c72ec2cd25c1ab288fa15c72e6207f4ac20a25991f526a6109e21652a",
+    ("ell", "--theta", "pisot:3", "--degree", "15", "--node-cap", "100"):
+        "3a2c853dd3961a0ce917a1853a6f21d7402950cd66ba83b19de805d182444ea4",
+    ("witness", "--lambda", "rational:59/100"):
+        "ddab98a2a299a7223bf9268787fe377d03713a07be3b2e47f88736a663a85ec0",
+    ("uniq", "--m", "3"):
+        "3803bd282568e37d1cc2ac0165ae5a1841dbbf8cbd20baf8edc87b82930cdc79",
+    ("seq", "--which", "h", "-n", "8"):
+        "31f3d41420f4e63d17b91a20c11a331ff45089353a5a58913be8054c91335cd0",
+    ("expand", "--lambda", "omega:2", "--x", "6/8", "--tail"):
+        "3103c65fd0f153d657b6d9fc236a4d1e2a9d17823821a8abf36aed756e2dcf23",
+}
+
+
+def test_dry_run_bytes_per_subcommand(capsys):
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in DRY_RUN_SHA256} == set(subs.choices)
+    for argv, digest in DRY_RUN_SHA256.items():
+        code, out, err = run(capsys, *argv, "--dry-run")
+        assert code == EXIT_OK and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_a_job_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    code, _, _ = run(capsys, "holes", "--lambda", "omega:2", "-n", "1")
+    assert code == EXIT_OK
+    assert built == ["gasket", "gasket holes"]
+
+
+def _pinned_json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+JSON_EDGE_CASES = [
+    {}, [], (), {"a": {}, "b": [], "c": ()},
+    [True, False, None, 0, -1, 1], {"t": True, "f": False, "n": None},
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324, 0.1],
+    [10**25, -(10**40), 12345678901234567890], [[1, 2], [3, [4, (5, 6)]]],
+    ["caf\u00e9 \u03bb\u00b2 \U0001d54a", "quote \" back \\ slash",
+     "\x00\x01\n\t\r\x1f\x7f"],
+    {"\u00e9": 1, "a\"b": [2.5, "x"], "\n": {"z": [], "y": [{}]}},
+    {"b": 1, "a": 2, "B": 3, "": 4, "aa": [1, 2.0, True]},
+    ([1, True], (2, None), [0.5, 1]),
+    "plain", 7, -0.0, math.nan, None, True,
+]
+
+
+@pytest.mark.parametrize("obj", JSON_EDGE_CASES, ids=repr)
+def test_json_text_matches_indented_dumps(obj):
+    assert cli._json_text(obj, "") + "\n" == _pinned_json(obj)
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers()
+                 | st.integers(min_value=10**19, max_value=10**30)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    _json_scalars,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(st.integers(), max_size=5)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=30))
+def test_json_text_matches_indented_dumps_on_random_documents(obj):
+    assert cli._json_text(obj, "") + "\n" == _pinned_json(obj)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
+def test_json_text_rejects_non_str_keys(key):
+    with pytest.raises(TypeError):
+        cli._json_text({key: 1}, "")
+    with pytest.raises(TypeError):
+        cli._json_text([{"ok": {key: 1}}], "")
 
 
 # sha256 of the help text at COLUMNS=80, for `gasket -h` and `gasket <sub> -h`.
