@@ -8,10 +8,10 @@ reduce to integer comparisons once the region bounds have exact ceilings.
 
 Inside the loops a region bound is an integer vector of one
 ``exact.VectorFrame`` per level set, so children are vector adds and
-deduplication hashes flat int tuples.  Hole tests, ceilings and the grid's
-corner compares are decided on the bounds' certified integer images by the
-exact core's own deciders, and drop to the exact scalars only when an
-image straddles the answer.
+deduplication hashes flat int tuples.  Hole tests and the grid's ceilings
+are decided on the bounds' certified integer images by the exact core's
+own deciders, and drop to the exact scalars only when an image straddles
+the answer; the grid's corner tests compare those ceilings.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .exact import (
     VectorFrame,
     as_scalar,
     compare,
-    image_below,
     image_ceil,
     scalar_ceil,
     scalar_sign,
@@ -269,49 +268,47 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
 # coordinates in S sit below their C, sum(idx_t, t not in S) < r * (1 -
 # sum(L_t, t in S)).  With one such coordinate that is automatic, with
 # three it reads 0 < r lam^n, and with two, a and b, it is the corner test
-# g_a + g_b < -1 on the corner cell idx_a = D_a, idx_b = D_b.
+# g_a + g_b < -1 on the corner cell idx_a = D_a, idx_b = D_b.  The bounds
+# of a level-n region sum to 1 - lam^n, so g_a + g_b + g_c = T - r lam^n
+# with T = r - C_0 - C_1 - C_2, and the corner test reads T + 1 < E_c for
+# the integer E_c = ceil(r (L_c + lam^n)) - C_c of the third coordinate.
 #
 # So in row C_0 + m the contained cells are one run from 2 C_1 and the
 # meeting cells one run from 2 D_1, whose end cells are the corner cells.
-# Relative to the cell (C_0, C_1) the runs depend only on the key: T = r -
-# C_0 - C_1 - C_2, the three gap flags g_j < 0 and the three corner
-# verdicts, so they are built once per key and stamped by slice writes.
-# L_j depends only on where digit j occurs, so C_j, its flag and the image
-# of g_j are kept once per distinct coordinate vector.  Ceilings, flags and
-# corner tests are read off the certified integer images and go to the
-# exact scalars only when an image straddles the answer.
+# Relative to the cell (C_0, C_1) the runs depend only on the key: T, the
+# three gap flags g_j < 0 and the three corner verdicts, so they are built
+# once per key and stamped by slice writes.  L_j depends only on where
+# digit j occurs, so C_j, its flag and E_j are kept once per distinct
+# coordinate vector.  Each ceiling and flag is read off the certified
+# integer image and goes to the exact scalars only when the image
+# straddles the answer.
 
 
 class _Coordinates(dict):
-    """(C, g < 0, image of unit * g, vec) of each distinct coordinate
-    vector ``vec`` of r L, made on first use."""
+    """(C, g < 0, E) of each distinct coordinate vector ``vec`` of r L,
+    made on first use; ``tail`` is the vector of lam^n."""
 
-    def __init__(self, frame, r):
+    def __init__(self, frame, r, tail):
         super().__init__()
-        self.frame, self.r = frame, r
+        self.frame, self.r, self.tail = frame, r, tail
 
     def __missing__(self, vec):
+        c, frac = self._ceil(vec, True)
+        e, _ = self._ceil(tuple(map(add, vec, self.tail)), False)
+        self[vec] = known = c, frac, e - c
+        return known
+
+    def _ceil(self, vec, flag):
+        """(ceil(r x), whether r x is not an integer) of the scalar x of
+        ``vec``; without ``flag`` the exact path leaves the second open."""
         frame, r = self.frame, self.r
         lo, hi = frame.images(vec)[0]
-        lo, hi, unit = r * lo, r * hi, frame.unit
-        decided = image_ceil(lo, hi, unit)
+        decided = image_ceil(r * lo, r * hi, frame.unit)
         if decided is None:
             x = r * frame.scalar(vec)
             c = scalar_ceil(x)
-            decided = c, compare(x, c) != 0
-        c, frac = decided
-        self[vec] = known = c, frac, (lo - c * unit, hi - c * unit), vec
-        return known
-
-
-def _corner_below(frame, r, a, b):
-    """The corner test g_a + g_b < -1 of two coordinates."""
-    (ca, _, (alo, ahi), avec), (cb, _, (blo, bhi), bvec) = a, b
-    below = image_below(alo + blo, ahi + bhi, -frame.unit)
-    if below is None:
-        x = r * frame.scalar(avec) + r * frame.scalar(bvec)
-        below = compare(x, ca + cb - 1) < 0
-    return below
+            decided = c, flag and compare(x, c) != 0
+        return decided
 
 
 def _stamp(key, stride, lo_cells, hi_cells):
@@ -342,7 +339,10 @@ def _grid_counts(regions, r):
     hi_cells = bytearray(r * stride)
     frame = regions[0].frame
     deg = frame.deg
-    coordinates = _Coordinates(frame, r)
+    # lam^n is 1 minus the bounds of any region of the level.
+    first = regions[0].vec
+    tail = tuple(frame.den * (i == 0) - sum(first[i::deg]) for i in range(deg))
+    coordinates = _Coordinates(frame, r, tail)
     stamps = {}
     for reg in regions:
         vec = reg.vec
@@ -353,9 +353,9 @@ def _grid_counts(regions, r):
         # A corner cell with two deficient coordinates exists iff T >= -1.
         key = (
             t, a[1], b[1], c[1],
-            t >= -1 and a[1] and b[1] and _corner_below(frame, r, a, b),
-            t >= -1 and a[1] and c[1] and _corner_below(frame, r, a, c),
-            t >= -1 and b[1] and c[1] and _corner_below(frame, r, b, c),
+            t >= -1 and a[1] and b[1] and t + 1 < c[2],
+            t >= -1 and a[1] and c[1] and t + 1 < b[2],
+            t >= -1 and b[1] and c[1] and t + 1 < a[2],
         )
         stamp = stamps.get(key)
         if stamp is None:

@@ -86,6 +86,8 @@ def _rational_token(kind, rest):
         p, slash, q = rest.partition("/")
         if not slash:
             raise DomainError("rational token needs <p>/<q>")
+        if int(q) == 0:
+            raise DomainError("rational token needs a nonzero denominator")
         return Fraction(int(p), int(q))
     if kind == "real":
         return Fraction(rest)
@@ -479,8 +481,7 @@ def main(argv=None):
         if hasattr(args, "theta_token"):
             args.theta = parse_theta_token(args.theta_token)
         if hasattr(args, "x"):
-            p, slash, q = args.x.partition("/")
-            args.x = Fraction(int(p), int(q)) if slash else Fraction(args.x)
+            args.x = _rational_token("rational" if "/" in args.x else "real", args.x)
         if getattr(args, "node_cap", 1) < 1:
             raise DomainError("--node-cap must be >= 1")
         if getattr(args, "max_words", None) is not None and args.max_words < 1:

@@ -1,17 +1,17 @@
 """Exact arithmetic for the algebraic numbers the gasket constructions live on.
 
-Everything here is rational-interval based: an algebraic number is an integer
-polynomial plus an isolating interval with rational endpoints, and derived
-quantities are integer (or rational) combinations of its powers.
-
-A ``VectorFrame`` writes the scalars of one base as integer vectors over one
-denominator and gives each a certified integer image lo <= unit * value <= hi,
-read off midpoint-radius fixed-point images of the base's powers.  Every
-sign, ceiling and float of a combination is settled in ``_settle``: first on
-the image a frame of denominator 1 gives it, then on interval Horner
-enclosures (unit 1) of a shrinking isolating interval.  The same deciders
-read both kinds of bounds, and the level loops ask them of their frames'
-images.  No float ever feeds back into a comparison.
+An algebraic number is an integer polynomial plus an isolating interval
+(lo/den, hi/den): integer numerators over one denominator, which each
+bisection doubles.  Derived quantities are integer (or rational)
+combinations of its powers.  Every kernel runs on integers and gives a
+bound as (lo, hi, unit), meaning lo <= unit * value <= hi: polynomial signs,
+Sturm chains by pseudo-remainders with positive multipliers, and interval
+Horner enclosures whose unit is a power of den.  A ``VectorFrame`` reads its
+images, of unit 2^(FIXED_BITS+1) * its denominator, off midpoint-radius
+fixed-point images of the base's powers.  Every sign, ceiling and float of a
+combination is settled in ``_settle``: first on a frame image, then on
+Horner enclosures of a shrinking interval.  The same deciders read any
+unit, and no float ever feeds back into a comparison.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "compare",
     "compare_values",
     "gasket_dimension",
-    "image_below",
     "image_ceil",
     "isolate_root",
     "lambda_star",
@@ -56,7 +55,7 @@ FIXED_BITS = 96
 
 
 # ----------------------------------------------------------------------
-# dense univariate polynomials, ascending coefficient order
+# dense univariate integer polynomials, ascending coefficient order
 
 
 def poly_trim(coeffs):
@@ -66,110 +65,103 @@ def poly_trim(coeffs):
     return c
 
 
-def poly_eval(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def poly_deriv(coeffs):
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
-def poly_divmod(num, den):
-    den = poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    num = [Fraction(c) for c in num]
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = Fraction(den[-1])
-    while len(poly_trim(num)) >= len(den):
-        num = poly_trim(num)
-        shift = len(num) - len(den)
-        f = num[-1] / lead
-        q[shift] = f
-        for i, c in enumerate(den):
-            num[shift + i] -= f * c
-    return poly_trim(q), poly_trim(num)
-
-
-def _poly_gcd(a, b):
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, poly_trim(r)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def squarefree_part(coeffs):
-    g = _poly_gcd(coeffs, poly_deriv(coeffs))
-    if len(g) <= 1:
-        return poly_trim(coeffs)
-    q, _ = poly_divmod(coeffs, g)
-    return q
+def _sign_at(poly, p, q=1):
+    """The sign of poly(p/q) for q > 0: that of sum(c_k p^k q^(deg-k))."""
+    acc, qk = 0, 1
+    for c in reversed(poly):
+        acc = acc * p + c * qk
+        qk *= q
+    return (acc > 0) - (acc < 0)
 
 
 def _primitive_int(coeffs):
     """Clear denominators and content; leading coefficient made positive."""
-    dens = [Fraction(c).denominator for c in coeffs]
-    scale = math.lcm(*dens) if dens else 1
-    ints = [int(Fraction(c) * scale) for c in coeffs]
-    ints = poly_trim(ints)
-    if not ints:
-        return []
-    g = math.gcd(*(abs(c) for c in ints))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    coeffs = [Fraction(c) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = poly_trim(c.numerator * (scale // c.denominator) for c in coeffs)
+    g = math.gcd(*ints)
+    if ints and ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints]
+
+
+def _pseudo_divmod(a, b):
+    """(q, r) with m a = q b + r, m > 0 and deg r < deg b, for integer
+    polynomials; r is divided by its content.  Each step scales by
+    |lead(b)| before it cancels a leading term, so q and r are positive
+    multiples of the Fraction quotient and remainder: every sign is kept."""
+    a, q = list(a), [0] * max(0, len(a) - len(b) + 1)
+    m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(a) >= len(b):
+        f, shift = s * a[-1], len(a) - len(b)
+        a, q = [m * c for c in a], [m * c for c in q]
+        q[shift] += f
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a = poly_trim(a)
+    g = math.gcd(*a) or 1
+    return q, [c // g for c in a]
+
+
+def _poly_gcd(a, b):
+    """The primitive gcd, leading coefficient positive."""
+    a, b = _primitive_int(a), _primitive_int(b)
+    while b:
+        a, b = b, _pseudo_divmod(a, b)[1]
+    return _primitive_int(a)
+
+
+def squarefree_part(coeffs):
+    """The primitive squarefree part of a rational polynomial."""
+    coeffs = _primitive_int(coeffs)
+    g = _poly_gcd(coeffs, poly_deriv(coeffs))
+    return _primitive_int(_pseudo_divmod(coeffs, g)[0]) if len(g) > 1 else coeffs
 
 
 def sturm_chain(coeffs):
-    chain = [poly_trim([Fraction(c) for c in coeffs])]
+    """Positive multiples of the Sturm chain of an integer polynomial."""
+    chain = [poly_trim(coeffs)]
     d = poly_trim(poly_deriv(chain[0]))
     if d:
         chain.append(d)
         while True:
-            _, r = poly_divmod(chain[-2], chain[-1])
-            r = poly_trim(r)
+            _, r = _pseudo_divmod(chain[-2], chain[-1])
             if not r:
                 break
             chain.append([-c for c in r])
     return chain
 
 
-def _variations(chain, x):
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _variations(chain, p, q=1):
+    """Sign variations of the chain at p/q, q > 0."""
+    signs = [s for s in (_sign_at(poly, p, q) for poly in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _root_windows(chain, lo, hi):
-    """Windows (a, b), left to right, each holding exactly one root of
-    chain[0] in (lo, hi); neither lo nor hi may be a root.
+def _root_windows(chain, lo, hi, den):
+    """Windows (a, b, den), left to right, each with exactly one root of
+    chain[0] in (a/den, b/den), inside (lo/den, hi/den); neither lo nor hi
+    may be a root.
 
     A window holding several roots is halved, its midpoint moved towards
     the left end while it is a root, so no window ends on a root.
     """
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    stack = [(lo, hi, den, _variations(chain, lo, den), _variations(chain, hi, den))]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, den, va, vb = stack.pop()
         if va - vb == 1:
-            yield a, b
+            yield a, b, den
         elif va - vb > 1:
-            mid = (a + b) / 2
-            while poly_eval(chain[0], mid) == 0:
-                mid = (a + 2 * mid) / 3
-            vm = _variations(chain, mid)
-            stack.append((mid, b, vm, vb))
-            stack.append((a, mid, va, vm))
+            a, b, mid, den = 2 * a, 2 * b, a + b, 2 * den
+            while not _sign_at(chain[0], mid, den):
+                a, b, mid, den = 3 * a, 3 * b, a + 2 * mid, 3 * den
+            vm = _variations(chain, mid, den)
+            stack.append((mid, b, den, vm, vb))
+            stack.append((a, mid, den, va, vm))
 
 
 def _rational_roots(sf, chain):
@@ -182,23 +174,23 @@ def _rational_roots(sf, chain):
     midpoint with denominator at most |lead|.
     """
     lead = abs(sf[-1])
-    # Cauchy's bound: every real root lies strictly inside (-bound, bound).
-    bound = 1 + Fraction(max(abs(c) for c in sf[:-1]), lead)
-    width = Fraction(1, 2 * lead * lead)
+    # Cauchy's bound: every real root lies strictly inside +-bound / lead.
+    bound = lead + max(abs(c) for c in sf[:-1])
     roots = []
-    for a, b in _root_windows(chain, -bound, bound):
-        sign_a = poly_eval(sf, a) > 0
-        while b - a >= width:
-            mid = (a + b) / 2
-            v = poly_eval(sf, mid)
-            if v == 0:
-                a = b = mid
-            elif (v > 0) == sign_a:
-                a = mid
+    for lo, hi, den in _root_windows(chain, -bound, bound, lead):
+        sign_lo = _sign_at(sf, lo, den)
+        while (hi - lo) * 2 * lead * lead >= den:
+            mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+            s = _sign_at(sf, mid, den)
+            if s == 0:
+                lo = hi = mid
+            elif s == sign_lo:
+                lo = mid
             else:
-                b = mid
-        cand = ((a + b) / 2).limit_denominator(lead)
-        if a <= cand <= b and poly_eval(sf, cand) == 0:
+                hi = mid
+        cand = Fraction(lo + hi, 2 * den).limit_denominator(lead)
+        p, q = cand.numerator, cand.denominator
+        if lo * q <= p * den <= hi * q and _sign_at(sf, p, q) == 0:
             roots.append(cand)
     return roots
 
@@ -225,20 +217,22 @@ class AlgebraicNumber:
     stored polynomial.
     """
 
-    __slots__ = ("poly", "_lo", "_hi", "_sign_lo", "_gen", "_images")
+    __slots__ = ("poly", "_lo", "_hi", "_den", "_sign_lo", "_gen", "_images")
 
     def __init__(self, coeffs, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
         if not lo < hi:
             raise DomainError("empty isolating interval")
-        ints = _primitive_int([Fraction(c) for c in coeffs])
+        ints = _primitive_int(coeffs)
         if len(ints) < 2:
             raise DomainError("constant polynomial has no roots")
-        sf = _primitive_int(squarefree_part(ints))
-        if poly_eval(sf, lo) == 0 or poly_eval(sf, hi) == 0:
+        sf = squarefree_part(ints)
+        den = math.lcm(lo.denominator, hi.denominator)
+        ilo, ihi = (x.numerator * (den // x.denominator) for x in (lo, hi))
+        if not (_sign_at(sf, ilo, den) and _sign_at(sf, ihi, den)):
             raise ValueError("interval endpoint is a root")
         chain = sturm_chain(sf)
-        n = _variations(chain, lo) - _variations(chain, hi)
+        n = _variations(chain, ilo, den) - _variations(chain, ihi, den)
         if n == 0:
             raise NoRootError("no root in (%s, %s)" % (lo, hi))
         if n > 1:
@@ -246,11 +240,10 @@ class AlgebraicNumber:
         for r in _rational_roots(sf, chain):
             if lo < r < hi:
                 raise _RationalRoot(r, lo, hi)
-            q, _ = poly_divmod(sf, [-r.numerator, r.denominator])
-            sf = _primitive_int(q)
+            sf = _primitive_int(_pseudo_divmod(sf, [-r.numerator, r.denominator])[0])
         self.poly = tuple(sf)
-        self._lo, self._hi = lo, hi
-        self._sign_lo = 1 if poly_eval(self.poly, lo) > 0 else -1
+        self._lo, self._hi, self._den = ilo, ihi, den
+        self._sign_lo = _sign_at(self.poly, ilo, den)
         self._gen = 0
         self._images = None
         self.refine_to(DEFAULT_TOL)
@@ -259,43 +252,51 @@ class AlgebraicNumber:
 
     @property
     def interval(self):
-        return self._lo, self._hi
+        return Fraction(self._lo, self._den), Fraction(self._hi, self._den)
 
     @property
     def generation(self):
         return self._gen
 
     def refine(self):
-        mid = (self._lo + self._hi) / 2
-        if (1 if poly_eval(self.poly, mid) > 0 else -1) == self._sign_lo:
-            self._lo = mid
+        lo, hi = self._lo, self._hi
+        mid = lo + hi
+        self._den *= 2
+        # The polynomial has no rational root, so the sign at mid is +-1.
+        if _sign_at(self.poly, mid, self._den) == self._sign_lo:
+            self._lo, self._hi = mid, 2 * hi
         else:
-            self._hi = mid
+            self._lo, self._hi = 2 * lo, mid
         self._gen += 1
         self._images = None
 
     def refine_to(self, width):
         width = Fraction(width)
-        while self._hi - self._lo > width:
+        p, q = width.numerator, width.denominator
+        while (self._hi - self._lo) * q > p * self._den:
             self.refine()
 
     def midpoint(self):
-        return (self._lo + self._hi) / 2
+        return Fraction(self._lo + self._hi, 2 * self._den)
 
     def power_images(self):
         """(mid, rad): 2^(FIXED_BITS+1) x^k is within rad[k] of mid[k] on the
         isolating interval, k below the degree.  Every frame on this number
         and the screen of ``_settle`` share them until the next ``refine``
-        (a cached frame would refer back to the number, a cycle outliving it)."""
+        (a cached frame would refer back to the number, a cycle outliving it).
+        Each end is a shift and a floor division of lo^k or hi^k by den^k."""
         if self._images is None:
             lo, hi = self._lo, self._hi
+            straddle = lo < 0 < hi
             mid, rad = [], []
+            lo_k = hi_k = den_k = 1
             for k in range(len(self.poly) - 1):
-                ends = (lo**k, hi**k, 0) if k and lo < 0 < hi else (lo**k, hi**k)
-                a = math.floor(min(ends) * 2**FIXED_BITS)
-                b = math.ceil(max(ends) * 2**FIXED_BITS)
+                ends = (lo_k, hi_k, 0) if k and straddle else (lo_k, hi_k)
+                a = (min(ends) << FIXED_BITS) // den_k
+                b = -((-max(ends) << FIXED_BITS) // den_k)
                 mid.append(a + b)
                 rad.append(b - a)
+                lo_k, hi_k, den_k = lo_k * lo, hi_k * hi, den_k * self._den
             self._images = tuple(mid), tuple(rad)
         return self._images
 
@@ -318,14 +319,25 @@ class AlgebraicNumber:
         return "AlgebraicNumber(%s ~ %.12g)" % (" + ".join(terms), self.midpoint())
 
 
-def _interval_eval(coeffs, lo, hi):
-    """Enclose poly(x) for x in [lo, hi] by interval Horner."""
-    vlo = vhi = Fraction(coeffs[-1]) if coeffs else Fraction(0)
-    for c in reversed(coeffs[:-1]):
-        p1, p2, p3, p4 = vlo * lo, vlo * hi, vhi * lo, vhi * hi
-        vlo = min(p1, p2, p3, p4) + c
-        vhi = max(p1, p2, p3, p4) + c
-    return vlo, vhi
+def _horner_image(coeffs, lo, hi, den):
+    """(vlo, vhi, unit) with vlo <= unit * sum(c_k x^k) <= vhi for x in
+    [lo/den, hi/den], by interval Horner on integers.  Each bound is the
+    one Fraction interval Horner gives, times ``unit``."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    vlo = vhi = ints[-1]
+    step = 1
+    for c in reversed(ints[:-1]):
+        if lo >= 0:
+            # x >= 0: each end of v * x is one product.
+            a = vlo * (lo if vlo >= 0 else hi)
+            b = vhi * (hi if vhi >= 0 else lo)
+        else:
+            ps = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+            a, b = min(ps), max(ps)
+        step *= den
+        vlo, vhi = a + c * step, b + c * step
+    return vlo, vhi, step * scale
 
 
 class LinearCombination:
@@ -431,9 +443,10 @@ class LinearCombination:
         return _settle(self, _sign_of, "sign")
 
     def enclosure(self):
-        """Rational bounds on the value by interval Horner."""
-        lo, hi = self.alg.interval
-        return _interval_eval(self.coeffs, lo, hi)
+        """(lo, hi, unit) with lo <= unit * value <= hi by interval Horner
+        on the isolating interval."""
+        alg = self.alg
+        return _horner_image(self.coeffs, alg._lo, alg._hi, alg._den)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -448,8 +461,8 @@ class LinearCombination:
         return _settle(self, _float_of, "float", screen=False)
 
     def __repr__(self):
-        lo, hi = self.enclosure()
-        return "LinearCombination(%s ~ %.12g)" % (list(self.coeffs), (lo + hi) / 2)
+        lo, hi, unit = self.enclosure()
+        return "LinearCombination(%s ~ %.12g)" % (list(self.coeffs), (lo + hi) / (2 * unit))
 
 
 class VectorFrame:
@@ -495,9 +508,7 @@ class VectorFrame:
         den = self.den
         if self.alg is None:
             return Fraction(vec[0], den)
-        return LinearCombination(
-            self.alg, vec if den == 1 else [Fraction(c, den) for c in vec]
-        )
+        return LinearCombination(self.alg, [Fraction(c, den) for c in vec] if den > 1 else vec)
 
     def scalars(self, vec):
         """The exact scalars of a flat vector."""
@@ -534,7 +545,7 @@ def _settle(v, decide, what, screen=True):
 
     With ``screen``, an int vector is first asked on the certified image a
     frame of denominator 1 gives it.  Only when that has no answer do the
-    rounds run: each asks the interval Horner enclosure (unit 1) and, when
+    rounds run: each asks the interval Horner enclosure and, when
     unsettled, bisects the isolating interval.  Nothing else refines for a
     question about a combination.
     """
@@ -544,23 +555,18 @@ def _settle(v, decide, what, screen=True):
         if answer is not None:
             return answer
     for _ in range(MAX_REFINE_ROUNDS):
-        answer = decide(*v.enclosure(), 1)
+        answer = decide(*v.enclosure())
         if answer is not None:
             return answer
         v.alg.refine()
-    raise PrecisionExhausted(
-        "%s of %r undecided after %d rounds" % (what, v.coeffs, MAX_REFINE_ROUNDS)
-    )
+    raise PrecisionExhausted("%s of %r undecided after %d rounds"
+                             % (what, v.coeffs, MAX_REFINE_ROUNDS))
 
 
 def _sign_of(lo, hi, unit):
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    if lo == hi:
-        # A point enclosure is the exact value, here zero.
-        return 0
+    # A point enclosure is the exact value, so lo == hi decides a zero too.
+    if lo > 0 or hi < 0 or lo == hi:
+        return (lo > 0) - (hi < 0)
     return None
 
 
@@ -582,15 +588,6 @@ def image_ceil(lo, hi, unit):
     return None
 
 
-def image_below(lo, hi, bound):
-    """Whether x < bound from lo <= x <= hi, or None when undecided."""
-    if hi < bound:
-        return True
-    if lo >= bound:
-        return False
-    return None
-
-
 def compare(a, b):
     """Exact trichotomy for combinations over one base number: -1, 0 or +1."""
     return scalar_sign(a - b)
@@ -605,20 +602,21 @@ def compare_values(a, b):
     # Equal values over different polynomials never separate by refinement;
     # a root of gcd(a.poly, b.poly) inside the interval overlap is forced to
     # be the unique root of each, certifying equality.
-    g = _primitive_int(_poly_gcd(list(a.poly), list(b.poly)))
+    g = _poly_gcd(a.poly, b.poly)
     chain = sturm_chain(g) if len(g) > 1 else None
     for _ in range(MAX_REFINE_ROUNDS):
-        alo, ahi = a.interval
-        blo, bhi = b.interval
+        # Both intervals over the denominator a._den * b._den.
+        alo, ahi = a._lo * b._den, a._hi * b._den
+        blo, bhi = b._lo * a._den, b._hi * a._den
         if ahi <= blo:
             return -1
         if bhi <= alo:
             return 1
-        lo, hi = max(alo, blo), min(ahi, bhi)
+        lo, hi, den = max(alo, blo), min(ahi, bhi), a._den * b._den
         # g is squarefree, as both polynomials are; an overlap ending on
         # one of its roots waits for the next round.
-        if chain is not None and poly_eval(g, lo) and poly_eval(g, hi):
-            n = _variations(chain, lo) - _variations(chain, hi)
+        if chain is not None and _sign_at(g, lo, den) and _sign_at(g, hi, den):
+            n = _variations(chain, lo, den) - _variations(chain, hi, den)
             if n == 1:
                 return 0
             if n == 0:
@@ -683,12 +681,12 @@ def smallest_positive_root(coeffs, window_hi=Fraction(1)):
     """The smallest root in (0, window_hi), as ``isolate_root`` returns it;
     raises NoRootError if there is none."""
     window_hi = Fraction(window_hi)
-    ints = _primitive_int([Fraction(c) for c in coeffs])
-    sf = _primitive_int(squarefree_part(ints))
-    if poly_eval(sf, 0) == 0 or poly_eval(sf, window_hi) == 0:
+    sf = squarefree_part(coeffs)
+    p, q = window_hi.numerator, window_hi.denominator
+    if not (_sign_at(sf, 0) and _sign_at(sf, p, q)):
         raise DomainError("window endpoint is a root; shrink the window")
-    for window in _root_windows(sturm_chain(sf), Fraction(0), window_hi):
-        return isolate_root(sf, window)
+    for a, b, den in _root_windows(sturm_chain(sf), 0, p, q):
+        return isolate_root(sf, (Fraction(a, den), Fraction(b, den)))
     raise NoRootError("no root in (0, %s)" % (window_hi,))
 
 
@@ -697,8 +695,7 @@ def multinacci(m):
     the unique positive root of x^m + ... + x = 1, in (1/2, 2/3)."""
     if not isinstance(m, int) or m < 2:
         raise DomainError("multinacci index must be an integer >= 2")
-    coeffs = [-1] + [1] * m
-    return isolate_root(coeffs, (Fraction(1, 2), Fraction(3, 4)))
+    return isolate_root([-1] + [1] * m, (Fraction(1, 2), Fraction(3, 4)))
 
 
 def tau(m, d=2):
@@ -708,9 +705,7 @@ def tau(m, d=2):
         raise DomainError("m must be an integer >= 2")
     if not isinstance(d, int) or d < 2:
         raise DomainError("d must be an integer >= 2")
-    lead = d * (d + 1) // 2
-    coeffs = [1, -(d + 1)] + [0] * (m - 1) + [lead]
-    return smallest_positive_root(coeffs)
+    return smallest_positive_root([1, -(d + 1)] + [0] * (m - 1) + [d * (d + 1) // 2])
 
 
 def sigma(m):
@@ -718,8 +713,7 @@ def sigma(m):
     root of 2 t^m - 3 t + 1 (the Fraction 1/2 when m = 2)."""
     if not isinstance(m, int) or m < 2:
         raise DomainError("m must be an integer >= 2")
-    coeffs = [1, -3] + [0] * (m - 2) + [2]
-    return smallest_positive_root(coeffs, window_hi=Fraction(15, 16))
+    return smallest_positive_root([1, -3] + [0] * (m - 2) + [2], window_hi=Fraction(15, 16))
 
 
 def lambda_star():
@@ -734,17 +728,13 @@ def lambda_star():
 
 def gasket_dimension(m, d=2):
     """log tau(m, d) / log multinacci(m), as a float."""
-    t = tau(m, d)
-    w = multinacci(m)
-    return math.log(float(t)) / math.log(float(w))
+    return math.log(float(tau(m, d))) / math.log(float(multinacci(m)))
 
 
 def uniqueness_dimension(m):
     """log sigma(m) / log multinacci(m): dimension of the set of points
     with a unique address."""
-    s = sigma(m)
-    w = multinacci(m)
-    return math.log(float(s)) / math.log(float(w))
+    return math.log(float(sigma(m))) / math.log(float(multinacci(m)))
 
 
 def sierpinski_dimension(d, lam):

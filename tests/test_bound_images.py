@@ -3,11 +3,11 @@ generic-scalar reference.
 
 Region bounds live in the loops as integer vectors of one ``VectorFrame``;
 every decision taken on their certified images (a ceiling, the integrality
-of r*L, the grid's two-deficient corner compare, L_j < U_j) must be the
-answer of the exact ``LinearCombination``/``Fraction`` path whenever the
-image gives one.  The near-integer vectors +-lam^n + k, n <= 80, sit within
-the images' rounding slack of the answer, so a screen that drops the slack
-claims wrong answers on them.
+of r*L, the ceiling of the grid's two-deficient corner test, L_j < U_j)
+must be the answer of the exact ``LinearCombination``/``Fraction`` path
+whenever the image gives one.  The near-integer vectors +-lam^n + k,
+n <= 80, sit within the images' rounding slack of the answer, so a screen
+that drops the slack claims wrong answers on them.
 
 The reference at the end is the level-set algorithm on exact scalars:
 regions as tuples of exact bounds, a DFS with exact compares for the holes,
@@ -18,6 +18,7 @@ fallback.
 """
 
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from goldengasket.exact import (
     VectorFrame,
     as_scalar,
     compare,
-    image_below,
     image_ceil,
     isolate_root,
     lambda_star,
@@ -131,14 +131,19 @@ def test_ceiling_and_integrality_images_agree_with_exact(case, r):
 @settings(max_examples=300, deadline=None)
 @given(pairs("sum"), st.integers(1, 300), st.integers(-1, 1))
 def test_corner_compare_images_agree_with_exact(case, r, shift):
+    # The grid's corner test asks whether an integer k lies below r (x + y),
+    # which is k < E for E the ceiling read off the image of the summed
+    # vector.  Near-integer sums put k at and beside the tie.
     name, (a, x), (b, y) = case
     frame = FRAMES[name][0]
-    (alo, ahi), (blo, bhi) = _image(frame, a), _image(frame, b)
+    lo, hi = _image(frame, tuple(map(add, a, b)))
+    decided = image_ceil(r * lo, r * hi, frame.unit)
     total = r * x + r * y
-    bound = scalar_ceil(total) + shift
-    below = image_below(r * (alo + blo), r * (ahi + bhi), bound * frame.unit)
-    if below is not None:
-        assert below == (compare(total, bound) < 0)
+    e = scalar_ceil(total)
+    if decided is not None:
+        assert decided[0] == e
+    k = e - 1 + shift
+    assert (k < e) == (compare(total, k) > 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -179,7 +184,6 @@ def test_integer_valued_vector_reaches_the_exact_path():
     one = (0, -1, 1, 0)
     lo, hi = _image(frame, one)
     assert image_ceil(lo, hi, frame.unit) is None
-    assert image_below(lo, hi, frame.unit) is None
     with pytest.raises(PrecisionExhausted):
         scalar_ceil(frame.scalar(one))
     hole = HoleRegion.view(frame, (1, 0, 0, 0), 0, ())
@@ -362,27 +366,34 @@ def test_grid_kernel_exact_fallbacks_give_the_same_bracket(make, n, r, monkeypat
         return wrapper
 
     monkeypatch.setattr(attractor, "image_ceil", lambda *args: None)
-    monkeypatch.setattr(attractor, "image_below", lambda *args: None)
     monkeypatch.setattr(attractor, "scalar_ceil",
                         counted("ceil", attractor.scalar_ceil))
     monkeypatch.setattr(attractor, "compare", counted("compare", attractor.compare))
     assert estimate_area(make(), 2, n, r) == expected
-    # One ceiling per distinct coordinate, each with one compare for its
-    # integrality; the range check of lam makes one more, and the rest are
-    # the corner tests.
+    # Two ceilings per distinct coordinate, C and the E of its corner test,
+    # and one compare for the integrality of C; the range check of lam
+    # makes one more compare.  The corner tests themselves compare ints.
     assert calls["ceil"] > 0
-    assert calls["compare"] > calls["ceil"] + 1
+    assert calls["ceil"] == 2 * (calls["compare"] - 1)
 
 
 def test_exact_corner_tie_is_not_below():
-    # r L_a = lam and r L_b = 5 - lam are both fractional and their gaps sum
-    # to exactly -1: the corner cell touches the region in one point.  The
-    # summed images straddle the tie, so the exact compare decides it.
+    # r L_a = lam + s and r L_b = 5 - lam are both fractional, and their
+    # gaps sum to -1 + s for s = shift * lam^60.  With L_c = 1 - lam^n -
+    # L_a - L_b the corner test g_a + g_b < -1 reads T + 1 < E_c, where
+    # r (L_c + lam^n) = r - 5 - s: at the exact tie (s = 0) the corner cell
+    # touches the region in one point and is not below.
     lam = as_scalar(multinacci(2))
-    r = 100
-    values = [lam * Fraction(1, r), Fraction(5, r) - lam * Fraction(1, r)]
-    frame = VectorFrame(lam, values)
-    coordinates = attractor._Coordinates(frame, r)
-    a, b = (coordinates[frame.vector(x)] for x in values)
-    assert (a[:2], b[:2]) == ((1, True), (5, True))
-    assert attractor._corner_below(frame, r, a, b) is False
+    r, n = 100, 6
+    tail = lam**n
+    for shift in (0, 1, -1):
+        la = (lam + shift * lam**60) * Fraction(1, r)
+        lb = Fraction(5, r) - lam * Fraction(1, r)
+        values = [la, lb, 1 - tail - la - lb, tail]
+        frame = VectorFrame(lam, values)
+        coordinates = attractor._Coordinates(frame, r, frame.vector(tail))
+        a, b, c = (coordinates[frame.vector(x)] for x in values[:3])
+        assert (a[:2], b[:2]) == ((1, True), (5, True))
+        t = r - a[0] - b[0] - c[0]
+        below = t + 1 < c[2]
+        assert below == (compare(r * la + r * lb, a[0] + b[0] - 1) < 0) == (shift < 0)

@@ -553,6 +553,10 @@ def test_help_and_usage_bytes(capsys, monkeypatch):
 def test_rational_token_rejects_zero_denominator(capsys):
     code, _, err = run(capsys, "witness", "--lambda", "rational:1/0")
     assert code == EXIT_ERROR
+    assert err == "error: rational token needs a nonzero denominator\n"
+    code, _, err = run(capsys, "expand", "--lambda", "omega:2", "--x", "1/0")
+    assert code == EXIT_ERROR
+    assert err == "error: rational token needs a nonzero denominator\n"
 
 
 def test_real_tokens_are_exact_decimals(capsys):

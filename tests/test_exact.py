@@ -13,7 +13,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldengasket.errors import (
@@ -22,7 +22,7 @@ from goldengasket.errors import (
     NoRootError,
     PrecisionExhausted,
 )
-from goldengasket import exact
+from goldengasket import exact, separation
 from goldengasket.exact import (
     AlgebraicNumber,
     LinearCombination,
@@ -282,6 +282,14 @@ def test_compare_values_rejects_floats_and_strings(bad):
         compare_values(Fraction(1, 2), bad)
 
 
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def _shifted_golden(factor):
     """(x^2 + x - 1)(factor) and the same with x^2 + x - 1 moved right by
     10^-20, each with its root in (1/2, 3/4): two roots closer than the
@@ -289,17 +297,9 @@ def _shifted_golden(factor):
     e = Fraction(1, 10**20)
     golden = [-1, 1, 1]
     shifted = [e * e - e - 1, 1 - 2 * e, 1]
-
-    def times(p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-        return out
-
     window = (Fraction(1, 2), Fraction(3, 4))
-    return (isolate_root(times(golden, factor), window),
-            isolate_root(times(shifted, factor), window))
+    return (isolate_root(_times(golden, factor), window),
+            isolate_root(_times(shifted, factor), window))
 
 
 @pytest.mark.parametrize("factor", [[1], [-2, 0, 1]], ids=["coprime", "common-factor"])
@@ -580,3 +580,223 @@ def test_combinations_order_only_through_compare(op):
         with pytest.raises(TypeError):
             op(other, v)
     assert compare(v, Fraction(1, 2)) == 1 and compare(v, 1) == -1
+
+
+# ----------------------------------------------------------------------
+# the integer kernels against the Fraction arithmetic they replace
+#
+# The reference below is the rational-arithmetic form of each kernel:
+# Horner on Fractions, the four-product interval Horner, powers of the
+# rational interval ends, Sturm chains by Fraction polynomial division and
+# bisection at the Fraction midpoint.  The kernels must give the same
+# rationals, so every decision, interval and float stays the same.
+
+
+def _ref_eval(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_sign(poly, x):
+    v = _ref_eval(poly, x)
+    return (v > 0) - (v < 0)
+
+
+def _ref_horner(coeffs, lo, hi):
+    vlo = vhi = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        ps = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(ps) + c, max(ps) + c
+    return vlo, vhi
+
+
+def _ref_power_images(lo, hi, deg):
+    mid, rad = [], []
+    for k in range(deg):
+        ends = (lo**k, hi**k, 0) if k and lo < 0 < hi else (lo**k, hi**k)
+        a = math.floor(min(ends) * 2**exact.FIXED_BITS)
+        b = math.ceil(max(ends) * 2**exact.FIXED_BITS)
+        mid.append(a + b)
+        rad.append(b - a)
+    return tuple(mid), tuple(rad)
+
+
+def _ref_divmod(num, den):
+    num = [Fraction(c) for c in num]
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    while len(exact.poly_trim(num)) >= len(den):
+        num = exact.poly_trim(num)
+        shift = len(num) - len(den)
+        q[shift] = f = num[-1] / den[-1]
+        for i, c in enumerate(den):
+            num[shift + i] -= f * c
+    return exact.poly_trim(q), exact.poly_trim(num)
+
+
+def _ref_sturm_chain(poly):
+    chain = [[Fraction(c) for c in exact.poly_trim(poly)]]
+    d = exact.poly_trim(exact.poly_deriv(chain[0]))
+    if d:
+        chain.append(d)
+        while True:
+            r = _ref_divmod(chain[-2], chain[-1])[1]
+            if not r:
+                break
+            chain.append([-c for c in r])
+    return chain
+
+
+def _ref_variations(chain, x):
+    signs = [s for s in (_ref_sign(p, x) for p in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+int_polys = st.lists(st.integers(-60, 60), min_size=1, max_size=7)
+points = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_polys, points, st.booleans())
+def test_sign_at_matches_fraction_horner(poly, x, make_root):
+    if make_root:
+        # x is then an exact root, whatever the sign of x
+        poly = _times(poly, [-x.numerator, x.denominator])
+    want = _ref_sign(poly, x)
+    assert exact._sign_at(poly, x.numerator, x.denominator) == want
+    if make_root:
+        assert want == 0
+    # unreduced: the same point over a larger denominator
+    assert exact._sign_at(poly, 7 * x.numerator, 7 * x.denominator) == want
+
+
+horner_coeffs = st.lists(st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 1000)),
+), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(horner_coeffs, st.integers(-10**9, 10**9), st.integers(1, 10**9),
+       st.integers(1, 10**9))
+def test_horner_image_bounds_are_the_fraction_bounds(coeffs, lo, width, den):
+    # lo ranges over both signs, so intervals with lo < 0 < hi occur
+    hi = lo + width
+    vlo, vhi, unit = exact._horner_image(coeffs, lo, hi, den)
+    assert unit > 0
+    assert (Fraction(vlo, unit), Fraction(vhi, unit)) == _ref_horner(
+        coeffs, Fraction(lo, den), Fraction(hi, den))
+
+
+def test_horner_image_straddling_zero():
+    for coeffs in ([1, -2, 3], [Fraction(-1, 3), 5, -7, Fraction(2, 9)], [4]):
+        for lo, hi, den in ((-3, 5, 4), (-1, 1, 1), (-7, 0, 3), (0, 9, 8)):
+            vlo, vhi, unit = exact._horner_image(coeffs, lo, hi, den)
+            assert (Fraction(vlo, unit), Fraction(vhi, unit)) == _ref_horner(
+                coeffs, Fraction(lo, den), Fraction(hi, den))
+
+
+def _at_interval(x, lo, hi, den):
+    """A copy of ``x`` whose stored interval is (lo/den, hi/den)."""
+    y = copy.deepcopy(x)
+    y._lo, y._hi, y._den, y._images = lo, hi, den, None
+    return y
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**12), st.integers(1, 10**12))
+def test_power_images_are_the_fraction_images(lo, width, den):
+    base = pisot_number(3)
+    y = _at_interval(base, lo, lo + width, den)
+    assert y.power_images() == _ref_power_images(
+        Fraction(lo, den), Fraction(lo + width, den), len(base.poly) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, st.lists(points, min_size=1, max_size=4), st.booleans())
+# a remainder two degrees down under a negative leading coefficient: an odd
+# number of steps, so the multiplier must be |lead|^k, not lead^k
+@example([-3, 0, 3, 0, 0, 2], [Fraction(1, 2)], False)
+def test_sturm_variations_match_the_fraction_chain(poly, xs, repeated):
+    if repeated:
+        poly = _times(poly, poly)
+    if not exact.poly_trim(poly):
+        return
+    chain, ref = exact.sturm_chain(poly), _ref_sturm_chain(poly)
+    assert len(chain) == len(ref)
+    for p, r in zip(chain, ref):
+        # each member a positive multiple of the Fraction one
+        assert p[-1] / r[-1] > 0 and [c * r[-1] for c in p] == [p[-1] * c for c in r]
+    for x in xs + [Fraction(0), Fraction(-1), Fraction(1)]:
+        got = exact._variations(chain, x.numerator, x.denominator)
+        assert got == _ref_variations(ref, x)
+
+
+def _ref_gcd(a, b):
+    a, b = exact.poly_trim(a), exact.poly_trim(b)
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_polys, int_polys)
+def test_squarefree_part_and_gcd_match_fraction_division(a, b):
+    if not exact.poly_trim(a) or not exact.poly_trim(b):
+        return
+    square = _times(_times(a, a), b)
+    assert exact._poly_gcd(square, b) == exact._primitive_int(_ref_gcd(square, b))
+    g = _ref_gcd(square, exact.poly_deriv(square))
+    want = _ref_divmod(square, g)[0] if len(g) > 1 else square
+    assert squarefree_part(square) == exact._primitive_int(want)
+
+
+def _ref_bisect(poly, lo, hi):
+    mid = (lo + hi) / 2
+    if (_ref_sign(poly, mid) > 0) == (_ref_sign(poly, lo) > 0):
+        return mid, hi
+    return lo, mid
+
+
+def _ref_fresh(poly, lo, hi):
+    """The interval and generation the Fraction bisection leaves at the
+    default isolating width."""
+    gen = 0
+    while hi - lo > exact.DEFAULT_TOL:
+        lo, hi = _ref_bisect(poly, lo, hi)
+        gen += 1
+    return lo, hi, gen
+
+
+SEQUENCE_BASES = [
+    ("golden", lambda: multinacci_reciprocal(2), (Fraction(3, 2), Fraction(2))),
+] + [
+    ("pisot%d" % i, lambda i=i: pisot_number(i), window)
+    for i, (_, window) in enumerate(separation._PISOT_POLYS, 1)
+] + [
+    ("omega%d" % m, lambda m=m: multinacci(m), (Fraction(1, 2), Fraction(3, 4)))
+    for m in range(2, 7)
+] + [
+    ("lambda-star", lambda_star, (Fraction(1, 2), Fraction(3, 4))),
+    ("nonmonic", lambda: isolate_root([-1, -2, 2], (Fraction(1), Fraction(3, 2))),
+     (Fraction(1), Fraction(3, 2))),
+]
+
+
+@pytest.mark.parametrize("make,window", [b[1:] for b in SEQUENCE_BASES],
+                         ids=[b[0] for b in SEQUENCE_BASES])
+def test_refine_sequence_matches_fraction_bisection(make, window):
+    x = make()
+    lo, hi, gen = _ref_fresh(x.poly, *window)
+    assert (x.interval, x.generation) == ((lo, hi), gen)
+    for _ in range(60):
+        x.refine()
+        lo, hi = _ref_bisect(x.poly, lo, hi)
+        gen += 1
+        assert (x.interval, x.generation) == ((lo, hi), gen)
+        assert x.midpoint() == (lo + hi) / 2
+        assert x.power_images() == _ref_power_images(lo, hi, len(x.poly) - 1)
+        v = LinearCombination(x, [Fraction(1, 3), -2, 5][:len(x.poly) - 1])
+        vlo, vhi, unit = v.enclosure()
+        assert (Fraction(vlo, unit), Fraction(vhi, unit)) == _ref_horner(v.coeffs, lo, hi)
