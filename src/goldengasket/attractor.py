@@ -83,6 +83,14 @@ class LevelSet:
         return len(self.regions)
 
 
+def _check_words(d, depth, max_words):
+    """Refuse a level whose (d+1)^depth words exceed the word cap."""
+    cap = DEFAULT_WORD_CAP if max_words is None else max_words
+    if (d + 1) ** depth > cap:
+        raise ResourceLimit("%d words at level %d exceed the cap %d"
+                            % ((d + 1) ** depth, depth, cap))
+
+
 def _levels(lam, d, depth, max_words=None):
     """Yield each deduplicated level 0..depth as a tree under its makers.
 
@@ -92,24 +100,14 @@ def _levels(lam, d, depth, max_words=None):
     is the parent whose child it was when first made.  A child raises one
     lower bound of its maker, so it lies inside it, and children of
     bound-identical regions are bound-identical, so dedup runs level by
-    level.  The (d+1)^depth words are checked against ``max_words``, or
-    ``DEFAULT_WORD_CAP`` when it is None.
+    level.  The (d+1)^depth words are checked against ``max_words``.
 
     The regions are views over one ``VectorFrame`` of all the levels: digit
     j at position k of a word adds the vector of (1 - lam) lam^k to bound
     j, and dedup hashes the flat int vectors.
     """
-    cap = DEFAULT_WORD_CAP if max_words is None else max_words
-    if (d + 1) ** depth > cap:
-        raise ResourceLimit(
-            "%d words at level %d exceed the cap %d"
-            % ((d + 1) ** depth, depth, cap)
-        )
-    steps = []
-    step = 1 - lam
-    for _ in range(depth):
-        steps.append(step)
-        step = step * lam
+    _check_words(d, depth, max_words)
+    steps = [(1 - lam) * lam**k for k in range(depth)]
     frame = VectorFrame(lam, steps)
     deg = frame.deg
     level = [CornerRegion.view(frame, (0,) * ((d + 1) * deg), 0, ())]
@@ -181,47 +179,78 @@ def classify_holes(lam, d, n, max_words=None):
     Candidates are deduplicated by their exact bound vectors.  Each one is
     pushed down the region tree of ``_levels``, pruning subtrees that miss
     the hole: a region lies inside its maker, so one that meets the hole is
-    reached, and tested, exactly once.  The bounds of a candidate sum to
-    1 + lam^n (d - (d+1) lam), so at ratios >= d/(d+1) the central hole is
-    empty and there are no candidates at all.
+    reached, and tested, exactly once; below the root only the bound a
+    region's last digit raised is tested (``_meets``).  The bounds of a
+    candidate sum to 1 + lam^n (d - (d+1) lam), so at ratios >= d/(d+1) the
+    central hole is empty and there are no candidates at all.
     """
     _check_level(d, n)
     lam = _check_lam(lam)
-    levels, starts = zip(*_levels(lam, d, n + 1, max_words))
+    return _classify(lam, d, n, list(map(_moves, _levels(lam, d, n + 1, max_words))))
+
+
+def _moves(level):
+    """(regions, starts, moved) of a level of ``_levels``: moved[i] is (b, lo,
+    hi), shared per distinct bound, of the bound L_b region i raised."""
+    regions, starts = level
+    frame = regions[0].frame
+    known = {}
+    moved = []
+    for reg in regions if starts else ():
+        b = reg.word[-1]
+        key = b, reg.vec[b * frame.deg:(b + 1) * frame.deg]
+        if key not in known:
+            known[key] = (b, *frame.images(key[1])[0])
+        moved.append(known[key])
+    return regions, starts, moved
+
+
+def _meets(hole, upper, reg, moved):
+    """Whether ``hole``, of images ``upper``, meets the level region
+    ``reg``, given that it meets reg's maker, which passed L_j < U_j on
+    every j: only the bound ``moved`` is left.  It is decided on the images,
+    a tie on equal vectors fails, and only a straddle takes the exact
+    compare.  The root has no maker and takes ``hole_meets_region``."""
+    if moved is None:
+        return hole_meets_region(hole, reg)
+    b, lo, hi = moved
+    ulo, uhi = upper[b]
+    if hi < ulo or lo >= uhi:
+        return hi < ulo
+    part = slice(b * reg.frame.deg, (b + 1) * reg.frame.deg)
+    return (reg.vec[part] != hole.vec[part]
+            and compare(reg.bounds[b], hole.bounds[b]) < 0)
+
+
+def _classify(lam, d, n, tree):
+    """The HoleReport of level n over ``tree``: ``_moves`` of levels 0..n+1."""
     holes = []
     if compare(lam, Fraction(d, d + 1)) < 0:
-        frame = levels[0][0].frame
+        frame = tree[0][0][0].frame
         width = frame.vector((1 - lam) * lam**n) * (d + 1)
-        holes = [
-            HoleRegion.view(frame, tuple(map(add, reg.vec, width)), n, reg.word)
-            for reg in levels[n]
-        ]
-    genuine = []
-    violations = []
+        holes = [HoleRegion.view(frame, tuple(map(add, reg.vec, width)), n, reg.word)
+                 for reg in tree[n][0]]
+    genuine, violations = [], []
     for hole in holes:
+        upper = hole.frame.images(hole.vec)
         hits = []
-        stack = [(0, 0)]
+        stack = [(0, 0)] if _meets(hole, upper, tree[0][0][0], None) else []
         while stack:
             level, at = stack.pop()
-            reg = levels[level][at]
-            if not hole_meets_region(hole, reg):
+            if level > n:
+                hits.append(tree[level][0][at])
                 continue
-            if level == n + 1:
-                hits.append(reg)
-                continue
-            made = starts[level + 1]
-            stack.extend((level + 1, c) for c in range(made[at], made[at + 1]))
-        if hits:
-            hits.sort(key=lambda reg: reg.word)
-            violations.extend((hole, reg) for reg in hits)
-        else:
+            level += 1
+            regions, made, moved = tree[level]
+            for c in range(made[at], made[at + 1]):
+                if _meets(hole, upper, regions[c], moved[c]):
+                    stack.append((level, c))
+        hits.sort(key=lambda reg: reg.word)
+        violations.extend((hole, reg) for reg in hits)
+        if not hits:
             genuine.append(hole)
-    return HoleReport(
-        n=n,
-        candidates=tuple(holes),
-        genuine=tuple(genuine),
-        violations=tuple(violations),
-    )
+    return HoleReport(n=n, candidates=tuple(holes), genuine=tuple(genuine),
+                      violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -240,13 +269,23 @@ class Violation:
 
 
 def check_total_self_similarity(lam, d, n_max, max_words=None):
-    """First hole violation in levels 0..n_max, or consistency up to n_max."""
+    """First hole violation in levels 0..n_max, or consistency up to n_max
+    (evidence, not a proof), each level classified as ``classify_holes`` does
+    on one tree grown a level at a time; level n+1's cap is checked at n."""
     _check_level(d, n_max)
     lam = _check_lam(lam)
     if compare(lam, Fraction(1, 2)) <= 0 or compare(lam, Fraction(2, 3)) >= 0:
         raise DomainError("self-similarity scan expects lam in (1/2, 2/3)")
+    # The deepest level the scan reaches: n_max + 1, or the last within the cap.
+    cap = DEFAULT_WORD_CAP if max_words is None else max_words
+    depth = next(k for k in range(n_max + 2) if k > n_max or (d + 1) ** (k + 1) > cap)
+    levels = _levels(lam, d, depth, max_words)
+    tree = []
     for n in range(n_max + 1):
-        report = classify_holes(lam, d, n, max_words)
+        _check_words(d, n + 1, max_words)
+        while len(tree) < n + 2:
+            tree.append(_moves(next(levels)))
+        report = _classify(lam, d, n, tree)
         if report.violations:
             hole, _ = report.violations[0]
             return Violation(word=hole.word, level=n)

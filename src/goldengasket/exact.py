@@ -227,11 +227,15 @@ class AlgebraicNumber:
         if len(ints) < 2:
             raise DomainError("constant polynomial has no roots")
         sf = squarefree_part(ints)
+        self._isolate(sf, sturm_chain(sf), lo, hi)
+
+    def _isolate(self, sf, chain, lo, hi):
+        """Set up the root in (lo, hi) of the primitive squarefree ``sf``,
+        whose Sturm chain is ``chain``."""
         den = math.lcm(lo.denominator, hi.denominator)
         ilo, ihi = (x.numerator * (den // x.denominator) for x in (lo, hi))
         if not (_sign_at(sf, ilo, den) and _sign_at(sf, ihi, den)):
             raise ValueError("interval endpoint is a root")
-        chain = sturm_chain(sf)
         n = _variations(chain, ilo, den) - _variations(chain, ihi, den)
         if n == 0:
             raise NoRootError("no root in (%s, %s)" % (lo, hi))
@@ -685,8 +689,15 @@ def smallest_positive_root(coeffs, window_hi=Fraction(1)):
     p, q = window_hi.numerator, window_hi.denominator
     if not (_sign_at(sf, 0) and _sign_at(sf, p, q)):
         raise DomainError("window endpoint is a root; shrink the window")
-    for a, b, den in _root_windows(sturm_chain(sf), 0, p, q):
-        return isolate_root(sf, (Fraction(a, den), Fraction(b, den)))
+    chain = sturm_chain(sf)
+    for a, b, den in _root_windows(chain, 0, p, q):
+        # The window's number reuses sf and its chain.
+        root = AlgebraicNumber.__new__(AlgebraicNumber)
+        try:
+            root._isolate(sf, chain, Fraction(a, den), Fraction(b, den))
+        except _RationalRoot as exc:
+            return exc.root
+        return root
     raise NoRootError("no root in (0, %s)" % (window_hi,))
 
 

@@ -133,14 +133,16 @@ def test_holes_violated_past_golden_ratio():
                          [(W2, 9891, 0), (LAM0, 18324, 270)],
                          ids=["omega2", "lambda0"])
 def test_classify_holes_tests_each_pair_once(lam, tests, violations, monkeypatch):
+    # Every (hole, region) pair the descent decides goes through _meets:
+    # the root's full test and each child's moved-coordinate test.
     tested = []
-    meets = attractor.hole_meets_region
+    meets = attractor._meets
 
-    def counted(hole, region):
+    def counted(hole, upper, region, moved):
         tested.append((hole.word, region.level, region.word))
-        return meets(hole, region)
+        return meets(hole, upper, region, moved)
 
-    monkeypatch.setattr(attractor, "hole_meets_region", counted)
+    monkeypatch.setattr(attractor, "_meets", counted)
     rep = classify_holes(lam, 2, 6)
     assert len(tested) == len(set(tested)) == tests
     pairs = [(h.word, r.word) for h, r in rep.violations]

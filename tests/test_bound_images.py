@@ -26,8 +26,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldengasket import attractor, geometry
-from goldengasket.attractor import build_level, classify_holes, estimate_area
-from goldengasket.errors import PrecisionExhausted
+from goldengasket.attractor import (
+    ConsistentUpTo,
+    Violation,
+    build_level,
+    check_total_self_similarity,
+    classify_holes,
+    estimate_area,
+)
+from goldengasket.errors import PrecisionExhausted, ResourceLimit
 from goldengasket.exact import (
     AlgebraicNumber,
     VectorFrame,
@@ -157,6 +164,19 @@ def test_lower_below_upper_agrees_with_exact(case):
     assert hole_meets_region(hole, region) == (compare(x, y) < 0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(pairs("gap"))
+def test_moved_bound_test_agrees_with_exact(case):
+    # The descent's per-child test decides L_b < U_b for the one bound b a
+    # child raised, on the cached image of its vector.
+    name, (a, x), (b, y) = case
+    frame = FRAMES[name][0]
+    hole = HoleRegion.view(frame, b, 1, (0,))
+    region = CornerRegion.view(frame, a, 1, (0,))
+    moved = (0, *_image(frame, a))
+    assert attractor._meets(hole, hole.image(), region, moved) == (compare(x, y) < 0)
+
+
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_images_decide_constants_and_ties_without_the_exact_path(name, monkeypatch):
     frame, powers = FRAMES[name]
@@ -165,13 +185,16 @@ def test_images_decide_constants_and_ties_without_the_exact_path(name, monkeypat
         raise AssertionError("an exact compare was reached")
 
     monkeypatch.setattr(geometry, "compare", no_exact)
+    monkeypatch.setattr(attractor, "compare", no_exact)
     for k in (-2, 0, 3):
         lo, hi = _image(frame, frame.vector(powers[0] * k))
         assert image_ceil(7 * lo, 7 * hi, frame.unit) == (7 * k, False)
     for n in (1, 5, 30):
         vec = frame.vector(powers[n])
         view = CornerRegion.view(frame, vec, 0, ())
-        assert not hole_meets_region(HoleRegion.view(frame, vec, 0, ()), view)
+        hole = HoleRegion.view(frame, vec, 0, ())
+        assert not hole_meets_region(hole, view)
+        assert not attractor._meets(hole, hole.image(), view, (0, *_image(frame, vec)))
 
 
 def test_integer_valued_vector_reaches_the_exact_path():
@@ -317,6 +340,58 @@ def test_level_loops_match_the_generic_scalar_reference(name, n_max):
         assert [(h.word, r.word) for h, r in report.violations] == violations
 
         assert estimate_area(base, 2, n, 64) == ref_area(lam, n, 64)
+
+
+@pytest.mark.parametrize("base", [BASES["omega2"], Fraction(3, 5)],
+                         ids=["omega2", "3/5"])
+def test_descent_matches_the_reference_in_three_dimensions(base):
+    # At d = 3 a child's last digit, the one bound the descent tests below
+    # the root, ranges over 0..3.
+    lam = as_scalar(base)
+    for n in range(4):
+        report = classify_holes(base, 3, n)
+        candidates, genuine, violations = ref_classify(lam, 3, n)
+        assert [h.word for h in report.candidates] == candidates
+        assert [h.word for h in report.genuine] == genuine
+        assert [(h.word, r.word) for h, r in report.violations] == violations
+
+
+SCAN_BASES = {
+    "lambda0": lambda: isolate_root([-1, 1, 1, 0, 1], (Fraction(1, 2), Fraction(2, 3))),
+    "lambda-star": lambda_star,
+    "omega2": lambda: multinacci(2),
+    "omega3": lambda: multinacci(3),
+    "omega4": lambda: multinacci(4),
+}
+
+
+@pytest.mark.parametrize("name", list(SCAN_BASES))
+def test_scan_on_one_tree_matches_per_level_classification(name):
+    # The scan classifies every level on one tree; classifying each level
+    # on its own build, as classify_holes does, must give the same first
+    # violation and leave lambda refined exactly as far.
+    n_max = 6
+    alone = SCAN_BASES[name]()
+    expected = ConsistentUpTo(n_max=n_max)
+    for n in range(n_max + 1):
+        report = classify_holes(alone, 2, n)
+        if report.violations:
+            expected = Violation(word=report.violations[0][0].word, level=n)
+            break
+    shared = SCAN_BASES[name]()
+    assert check_total_self_similarity(shared, 2, n_max) == expected
+    assert shared.generation == alone.generation
+    # The multinacci ratios are consistent; lambda0 and lambda* are not.
+    assert name.startswith("omega") == (expected == ConsistentUpTo(n_max=n_max))
+
+
+def test_scan_returns_an_early_violation_below_the_word_cap():
+    # Level 4 is within 3^5 words: the violation at n = 3 comes back
+    # although level 21 of n_max = 20 would be far over the cap.
+    verdict = check_total_self_similarity(Fraction(59, 100), 2, 20, max_words=3**5)
+    assert verdict == Violation(word=(0, 1, 1), level=3)
+    with pytest.raises(ResourceLimit, match="729 words at level 6 exceed the cap 243"):
+        check_total_self_similarity(multinacci(2), 2, 20, max_words=3**5)
 
 
 # Ratios p/q with q <= 70, and dyadic ones, at which r L_j is an integer

@@ -339,6 +339,44 @@ def test_smallest_positive_root_cases():
     assert type(r) is Fraction and r == Fraction(1, 2)
 
 
+def test_smallest_positive_root_builds_its_chain_once(monkeypatch):
+    calls = {"squarefree_part": 0, "sturm_chain": 0}
+
+    def counted(name):
+        fn = getattr(exact, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(exact, name, counted(name))
+    for m in range(2, 31):
+        tau(m)
+    assert calls == {"squarefree_part": 29, "sturm_chain": 29}
+
+
+@pytest.mark.parametrize("make,coeffs,window_hi", [
+    *((lambda m=m: tau(m), [1, -3] + [0] * (m - 1) + [3], 1) for m in (2, 3, 7, 30)),
+    (lambda: tau(4, 3), [1, -4, 0, 0, 0, 6], 1),
+    *((lambda m=m: sigma(m), [1, -3] + [0] * (m - 2) + [2], Fraction(15, 16))
+      for m in (3, 5, 30)),
+], ids=["tau2", "tau3", "tau7", "tau30", "tau4-d3", "sigma3", "sigma5", "sigma30"])
+def test_smallest_positive_root_is_the_isolated_window_root(make, coeffs, window_hi):
+    # The number built on the reused chain is the one isolate_root gives on
+    # the first Sturm window, down to its interval and generation.
+    sf = squarefree_part(coeffs)
+    hi = Fraction(window_hi)
+    a, b, den = next(exact._root_windows(exact.sturm_chain(sf), 0,
+                                         hi.numerator, hi.denominator))
+    expected = isolate_root(sf, (Fraction(a, den), Fraction(b, den)))
+    root = make()
+    assert root.poly == expected.poly
+    assert root.interval == expected.interval
+    assert root.generation == expected.generation
+
+
 def test_rational_roots_divided_out():
     # (x - 2)(x^2 - x - 1) around the golden ratio: the stored polynomial
     # loses the rational factor, so c^2 - c - 1 reduces to the zero vector.

@@ -7,7 +7,7 @@ per-layer metric.  Each test runs one traced job and checks its counts.
 
 from pathlib import Path
 
-from goldengasket import cli
+from goldengasket import attractor, cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -25,6 +25,20 @@ def traced_metrics(monkeypatch, capsys, argv, exit_code=cli.EXIT_OK):
     capsys.readouterr()
     assert code == exit_code
     return tracer.layer_metrics()
+
+
+def counted_pairs(monkeypatch):
+    """A list that collects each (hole, region) pair attractor._meets
+    decides from here on."""
+    pairs = []
+    meets = attractor._meets
+
+    def counted(hole, upper, region, moved):
+        pairs.append((hole.word, region.level, region.word))
+        return meets(hole, upper, region, moved)
+
+    monkeypatch.setattr(attractor, "_meets", counted)
+    return pairs
 
 
 def test_traced_area_job_counts_layers(monkeypatch, capsys):
@@ -49,20 +63,24 @@ def test_traced_rational_area_job_counts_every_word(monkeypatch, capsys):
 
 
 def test_traced_holes_job_counts_hole_tests(monkeypatch, capsys):
+    pairs = counted_pairs(monkeypatch)
     metrics = traced_metrics(
         monkeypatch, capsys, ["holes", "--lambda", "omega:2", "-n", "2"]
     )
-    assert metrics["geometry.hole_tests"] == 87
-    assert metrics["attractor.candidates"] == 9
+    # The hook sees each candidate's full test at the root; the
+    # moved-coordinate tests below it are the other pairs of _meets.
+    assert metrics["geometry.hole_tests"] == metrics["attractor.candidates"] == 9
+    assert len(pairs) == len(set(pairs)) == 87
 
 
 def test_traced_rational_holes_job_counts_hole_tests(monkeypatch, capsys):
+    pairs = counted_pairs(monkeypatch)
     metrics = traced_metrics(
         monkeypatch, capsys, ["holes", "--lambda", "rational:59/100", "-n", "3"],
         exit_code=cli.EXIT_VERDICT,
     )
-    assert metrics["geometry.hole_tests"] == 405
-    assert metrics["attractor.candidates"] == 27
+    assert metrics["geometry.hole_tests"] == metrics["attractor.candidates"] == 27
+    assert len(pairs) == len(set(pairs)) == 405
     assert metrics["attractor.violations"] == 6
 
 
