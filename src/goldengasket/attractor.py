@@ -6,12 +6,13 @@ hole; a candidate is genuine when it misses every region one level deeper.
 Area brackets and box counts ride on a barycentric grid whose cell tests
 reduce to integer comparisons once the region bounds have exact ceilings.
 
-Inside the loops a region bound is an integer vector of one
-``exact.VectorFrame`` per level set, so children are vector adds and
-deduplication hashes flat int tuples.  Hole tests and the grid's ceilings
-are decided on the bounds' certified integer images by the exact core's
-own deciders, and drop to the exact scalars only when an image straddles
-the answer; the grid's corner tests compare those ceilings.
+Inside the loops a region's bound vector is one packed int of one
+``exact.VectorFrame`` per level set, so a child is one int add, dedup
+hashes one int and a bound is read off its lane group by a shift and a
+mask.  Hole tests and the grid's ceilings are decided on the bounds'
+certified integer images, unpacked once per distinct lane group, by the
+exact core's own deciders, and drop to the exact scalars only when an
+image straddles the answer; the grid's corner tests compare the ceilings.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .exact import (
 from .geometry import (
     CornerRegion,
     HoleRegion,
+    _bound_below,
     hole_meets_region,
     hole_region,
     intersection_bounds,
@@ -102,32 +104,31 @@ def _levels(lam, d, depth, max_words=None):
     bound-identical regions are bound-identical, so dedup runs level by
     level.  The (d+1)^depth words are checked against ``max_words``.
 
-    The regions are views over one ``VectorFrame`` of all the levels: digit
-    j at position k of a word adds the vector of (1 - lam) lam^k to bound
-    j, and dedup hashes the flat int vectors.
+    The regions are views over one ``VectorFrame`` of all the levels, whose
+    lanes hold any sum of the steps (1 - lam) lam^k: digit j at position k
+    of a word adds the step's packed vector, less its bias, to the lane
+    group of bound j, and dedup hashes the packed ints.
     """
     _check_words(d, depth, max_words)
     steps = [(1 - lam) * lam**k for k in range(depth)]
     frame = VectorFrame(lam, steps)
-    deg = frame.deg
-    level = [CornerRegion.view(frame, (0,) * ((d + 1) * deg), 0, ())]
+    view = CornerRegion.view
+    zero = frame.pack((0,) * ((d + 1) * frame.deg))
+    level = [view(frame, zero, 0, ())]
     yield level, None
     for k, step in enumerate(map(frame.vector, steps)):
-        shifts = [
-            (0,) * (j * deg) + step + (0,) * ((d - j) * deg) for j in range(d + 1)
-        ]
-        seen = set()
-        kept = []
+        raw = frame.pack(step) - frame.pack((0,) * frame.deg)
+        shifts = [(raw << (j * frame.span), (j,)) for j in range(d + 1)]
+        kept = {}
         starts = [0]
         for reg in level:
-            for digit, shift in enumerate(shifts):
-                vec = tuple(map(add, reg.vec, shift))
-                if vec not in seen:
-                    seen.add(vec)
-                    word = reg.word + (digit,)
-                    kept.append(CornerRegion.view(frame, vec, k + 1, word))
+            vec, word = reg.vec, reg.word
+            for shift, digit in shifts:
+                child = vec + shift
+                if child not in kept:
+                    kept[child] = view(frame, child, k + 1, word + digit)
             starts.append(len(kept))
-        level = kept
+        level = list(kept.values())
         yield level, starts
 
 
@@ -190,17 +191,17 @@ def classify_holes(lam, d, n, max_words=None):
 
 
 def _moves(level):
-    """(regions, starts, moved) of a level of ``_levels``: moved[i] is (b, lo,
-    hi), shared per distinct bound, of the bound L_b region i raised."""
+    """(regions, starts, moved) of a level of ``_levels``: moved[i] is (b,
+    image), shared per distinct bound, of the bound L_b region i raised."""
     regions, starts = level
     frame = regions[0].frame
     known = {}
     moved = []
     for reg in regions if starts else ():
         b = reg.word[-1]
-        key = b, reg.vec[b * frame.deg:(b + 1) * frame.deg]
+        key = b, frame.lanes(reg.vec, b)
         if key not in known:
-            known[key] = (b, *frame.images(key[1])[0])
+            known[key] = b, frame.images(frame.unpack(key[1]))[0]
         moved.append(known[key])
     return regions, starts, moved
 
@@ -208,31 +209,27 @@ def _moves(level):
 def _meets(hole, upper, reg, moved):
     """Whether ``hole``, of images ``upper``, meets the level region
     ``reg``, given that it meets reg's maker, which passed L_j < U_j on
-    every j: only the bound ``moved`` is left.  It is decided on the images,
-    a tie on equal vectors fails, and only a straddle takes the exact
-    compare.  The root has no maker and takes ``hole_meets_region``."""
+    every j: only the bound ``moved`` is left, for ``_bound_below``.  The
+    root has no maker and takes ``hole_meets_region``."""
     if moved is None:
         return hole_meets_region(hole, reg)
-    b, lo, hi = moved
-    ulo, uhi = upper[b]
-    if hi < ulo or lo >= uhi:
-        return hi < ulo
-    part = slice(b * reg.frame.deg, (b + 1) * reg.frame.deg)
-    return (reg.vec[part] != hole.vec[part]
-            and compare(reg.bounds[b], hole.bounds[b]) < 0)
+    b, lower = moved
+    return _bound_below(hole, reg, b, lower, upper[b])
 
 
 def _classify(lam, d, n, tree):
     """The HoleReport of level n over ``tree``: ``_moves`` of levels 0..n+1."""
     holes = []
     if compare(lam, Fraction(d, d + 1)) < 0:
-        frame = tree[0][0][0].frame
-        width = frame.vector((1 - lam) * lam**n) * (d + 1)
-        holes = [HoleRegion.view(frame, tuple(map(add, reg.vec, width)), n, reg.word)
+        root = tree[0][0][0]
+        frame = root.frame
+        # (1 - lam) lam^n on every bound, less the bias of the packed zero root.
+        width = frame.pack(frame.vector((1 - lam) * lam**n) * (d + 1)) - root.vec
+        holes = [HoleRegion.view(frame, reg.vec + width, n, reg.word)
                  for reg in tree[n][0]]
     genuine, violations = [], []
     for hole in holes:
-        upper = hole.frame.images(hole.vec)
+        upper = hole.image()
         hits = []
         stack = [(0, 0)] if _meets(hole, upper, tree[0][0][0], None) else []
         while stack:
@@ -324,17 +321,18 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
 
 
 class _Coordinates(dict):
-    """(C, g < 0, E) of each distinct coordinate vector ``vec`` of r L,
-    made on first use; ``tail`` is the vector of lam^n."""
+    """(C, g < 0, E) of each distinct coordinate of r L, keyed by its lane
+    group and made on first use; ``tail`` is the vector of lam^n."""
 
     def __init__(self, frame, r, tail):
         super().__init__()
         self.frame, self.r, self.tail = frame, r, tail
 
-    def __missing__(self, vec):
+    def __missing__(self, group):
+        vec = self.frame.unpack(group)
         c, frac = self._ceil(vec, True)
         e, _ = self._ceil(tuple(map(add, vec, self.tail)), False)
-        self[vec] = known = c, frac, e - c
+        self[group] = known = c, frac, e - c
         return known
 
     def _ceil(self, vec, flag):
@@ -377,17 +375,18 @@ def _grid_counts(regions, r):
     lo_cells = bytearray(r * stride)
     hi_cells = bytearray(r * stride)
     frame = regions[0].frame
-    deg = frame.deg
+    deg, span = frame.deg, frame.span
+    mask = (1 << span) - 1
     # lam^n is 1 minus the bounds of any region of the level.
-    first = regions[0].vec
+    first = frame.unpack(regions[0].vec)
     tail = tuple(frame.den * (i == 0) - sum(first[i::deg]) for i in range(deg))
     coordinates = _Coordinates(frame, r, tail)
     stamps = {}
     for reg in regions:
         vec = reg.vec
-        a = coordinates[vec[:deg]]
-        b = coordinates[vec[deg:2 * deg]]
-        c = coordinates[vec[2 * deg:]]
+        a = coordinates[vec & mask]
+        b = coordinates[vec >> span & mask]
+        c = coordinates[vec >> 2 * span]
         t = r - a[0] - b[0] - c[0]
         # A corner cell with two deficient coordinates exists iff T >= -1.
         key = (

@@ -6,12 +6,14 @@ bisection doubles.  Derived quantities are integer (or rational)
 combinations of its powers.  Every kernel runs on integers and gives a
 bound as (lo, hi, unit), meaning lo <= unit * value <= hi: polynomial signs,
 Sturm chains by pseudo-remainders with positive multipliers, and interval
-Horner enclosures whose unit is a power of den.  A ``VectorFrame`` reads its
-images, of unit 2^(FIXED_BITS+1) * its denominator, off midpoint-radius
-fixed-point images of the base's powers.  Every sign, ceiling and float of a
-combination is settled in ``_settle``: first on a frame image, then on
-Horner enclosures of a shrinking interval.  The same deciders read any
-unit, and no float ever feeds back into a comparison.
+Horner enclosures whose unit is a power of den.  A ``VectorFrame`` packs
+integer vectors into one int of fixed-width lanes, so one int add moves
+every lane, and reads the images, of unit 2^(FIXED_BITS+1) * its
+denominator, off midpoint-radius fixed-point images of the base's powers.
+Every sign, ceiling and float of a combination is settled in ``_settle``:
+first on a frame image, then on Horner enclosures of a shrinking interval.
+The same deciders read any unit, and no float ever feeds back into a
+comparison.
 """
 
 from __future__ import annotations
@@ -470,23 +472,29 @@ class LinearCombination:
 
 
 class VectorFrame:
-    """Exact scalars on one base as integer vectors over one denominator.
+    """Exact scalars on one base as integer vectors over one denominator,
+    packed into one int.
 
     At a rational base a scalar is one integer numerator over ``den``.  At
     an algebraic base alpha of degree ``deg`` it is a vector c of ``deg``
-    ints with value sum(c_k alpha^k) / den.  A flat tuple holds several
-    scalars, ``deg`` entries each, so sums are vector adds and equality is
-    tuple equality.  Each scalar has one certified integer image
-    lo <= unit * value <= hi: exact at a rational base (``unit = den``),
-    and at an algebraic one the midpoint-radius dot product with the
-    fixed-point powers of alpha (``unit = 2^(FIXED_BITS+1) * den``).
+    ints with value sum(c_k alpha^k) / den.  A flat vector of several
+    scalars, ``deg`` entries each, packs into one int: entry i in lane i,
+    from bit i*width on, biased by 2^(width-1).  The width is set from the
+    largest sum the frame's ``values`` can reach, per lane the sum of their
+    entries' magnitudes, so adding a packed vector less its bias moves every
+    lane without a carry, and equal scalars have equal lane groups.  Each
+    scalar has one certified integer image lo <= unit * value <= hi: exact
+    at a rational base (``unit = den``), and at an algebraic one the
+    midpoint-radius dot product with the fixed-point powers of alpha
+    (``unit = 2^(FIXED_BITS+1) * den``).
     """
 
-    __slots__ = ("alg", "deg", "den", "unit", "_mid", "_rad", "_memo")
+    __slots__ = ("alg", "deg", "den", "unit", "width", "span", "_mid", "_rad", "_memo")
 
     def __init__(self, lam, values=()):
         """The frame of ``lam`` (a Fraction or a LinearCombination) whose
-        denominator clears every scalar in ``values``."""
+        denominator clears every scalar in ``values`` and whose lanes hold
+        any sum of them."""
         if isinstance(lam, LinearCombination):
             self.alg = lam.alg
             self._mid, self._rad = self.alg.power_images()
@@ -501,11 +509,35 @@ class VectorFrame:
             coeffs = values
         self.den = math.lcm(*(c.denominator for c in coeffs))
         self.unit = scale * self.den
+        reach = max((sum(map(abs, lane)) for lane in zip(*map(self.vector, values))),
+                    default=0)
+        self.width = reach.bit_length() + 1
+        self.span = self.deg * self.width
 
     def vector(self, x):
         """The vector of an exact scalar whose denominator ``den`` clears."""
         coeffs = (x,) if self.alg is None else x.coeffs
         return tuple(c.numerator * (self.den // c.denominator) for c in coeffs)
+
+    def pack(self, vec):
+        """The int of a flat vector, one biased lane per entry."""
+        width = self.width
+        bias = 1 << (width - 1)
+        if any(abs(c) >= bias for c in vec):
+            raise OverflowError("%r overflows lanes of %d bits" % (vec, width))
+        return sum((c + bias) << (i * width) for i, c in enumerate(vec))
+
+    def unpack(self, packed):
+        """The flat vector of a packed int.  Its top lane holds at least 1,
+        so the bit length gives the number of lanes."""
+        width = self.width
+        bias, mask = 1 << (width - 1), (1 << width) - 1
+        return tuple((packed >> i & mask) - bias
+                     for i in range(0, packed.bit_length(), width))
+
+    def lanes(self, packed, j):
+        """The lane group of scalar j of a packed vector, as one int."""
+        return packed >> (j * self.span) & ((1 << self.span) - 1)
 
     def scalar(self, vec):
         """The exact scalar of one vector: a Fraction or a LinearCombination."""

@@ -6,16 +6,16 @@ has the closed form lam^n * I + t * 1^T where the translation vector t
 depends only on which positions of w carry which digit.  Corner regions
 (images of the simplex) are cut out by lower bounds, candidate holes by
 strict upper bounds; everything here stays in exact scalars.  Every region
-is a view over integer bound vectors of an ``exact.VectorFrame`` (one per
-level set, or a region's own), and hole tests are settled on the frame's
-certified integer images of the bounds.
+is a view over one packed bound vector, an int, of an ``exact.VectorFrame``
+(one per level set, or a region's own), unpacked to exact bounds or to the
+frame's certified integer images only when asked; hole tests decide each
+bound on those images with one decider, ``_bound_below``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt
 
 from .errors import DomainError
 from .exact import VectorFrame, as_scalar, compare, scalar_sign
@@ -118,8 +118,9 @@ def apply_map(sim, point):
 
 
 class _Bounds:
-    """The bound vector of a region: a view over one flat integer vector of
-    a ``VectorFrame``, whose exact ``bounds`` are derived on first use."""
+    """The bound vector of a region: a view over one packed vector ``vec``
+    of a ``VectorFrame``, unpacked to exact ``bounds`` or to images on
+    first use."""
 
     __slots__ = ("_bounds", "level", "word", "frame", "vec", "_image")
 
@@ -133,13 +134,13 @@ class _Bounds:
     @property
     def bounds(self):
         if self._bounds is None:
-            self._bounds = self.frame.scalars(self.vec)
+            self._bounds = self.frame.scalars(self.frame.unpack(self.vec))
         return self._bounds
 
     def image(self):
         """The frame's (lo, hi) images of the bounds."""
         if self._image is None:
-            self._image = self.frame.images(self.vec)
+            self._image = self.frame.images(self.frame.unpack(self.vec))
         return self._image
 
 
@@ -202,7 +203,7 @@ class HoleRegion(_Bounds):
 
 def _view(cls, frame, bounds, level, word):
     """A ``cls`` view over exact bounds whose denominators ``frame`` clears."""
-    vec = tuple(c for x in bounds for c in frame.vector(x))
+    vec = frame.pack(tuple(c for x in bounds for c in frame.vector(x)))
     return cls.view(frame, vec, level, word)
 
 
@@ -243,27 +244,27 @@ def hole_meets_region(h, r):
     (sum <= 1) and the upper bounds must overshoot (sum > 1).  The maker of
     a hole knows whether it overshoots, a level region's bounds sum to
     1 - lam^k < 1 and ``_one_frame`` checks any other corner, so only
-    L_j < U_j is left.  At an algebraic base it is decided on the bound
-    images; equal vectors are a tie, and only images that straddle fall
-    back to the exact compare.
+    L_j < U_j is left, decided bound by bound by ``_bound_below``.
     """
+    if h.frame is not r.frame:
+        h, r = _one_frame(h, r)
+    return all(_bound_below(h, r, j, lower, upper)
+               for j, (lower, upper) in enumerate(zip(r.image(), h.image()))
+               ) and not h.is_empty()
+
+
+def _bound_below(h, r, j, lower, upper):
+    """Whether L_j < U_j, for bound j of the corner ``r``, of image
+    ``lower``, and of the hole ``h`` on the same frame, of image ``upper``.
+    The images decide first; equal lane groups are a tie, which fails, and
+    only images that straddle take the exact compare."""
+    if lower[1] < upper[0]:
+        return True
+    if lower[0] >= upper[1]:
+        return False
     frame = r.frame
-    if h.frame is not frame:
-        frame, h, r = _one_frame(h, r)
-    if frame.alg is None:
-        # Exact numerators: the image loop below agrees on them, but made
-        # `holes --lambda rational:40/61 -n 6` about 30% slower.
-        return all(map(lt, r.vec, h.vec)) and not h.is_empty()
-    deg = frame.deg
-    for j, ((rlo, rhi), (ulo, uhi)) in enumerate(zip(r.image(), h.image())):
-        if rhi < ulo:
-            continue
-        if rlo >= uhi:
-            return False
-        part = slice(j * deg, (j + 1) * deg)
-        if r.vec[part] == h.vec[part] or compare(r.bounds[j], h.bounds[j]) >= 0:
-            return False
-    return not h.is_empty()
+    return (frame.lanes(r.vec, j) != frame.lanes(h.vec, j)
+            and compare(r.bounds[j], h.bounds[j]) < 0)
 
 
 def _one_frame(h, r):
@@ -274,7 +275,7 @@ def _one_frame(h, r):
     frame = VectorFrame(r.bounds[0], h.bounds + r.bounds)
     hole = _view(HoleRegion, frame, h.bounds, h.level, h.word)
     hole._empty = h.is_empty() or compare(sum(r.bounds), 1) > 0
-    return frame, hole, _view(CornerRegion, frame, r.bounds, r.level, r.word)
+    return hole, _view(CornerRegion, frame, r.bounds, r.level, r.word)
 
 
 def region_feasible_point(a, b):

@@ -68,7 +68,9 @@ def _frame(name):
     powers = [lam**0]
     for _ in range(MAX_POWER):
         powers.append(powers[-1] * lam)
-    return VectorFrame(lam, powers), powers
+    # Lanes wide enough for the pairs below: two powers, an integer up to
+    # 4 and a random vector.
+    return VectorFrame(lam, powers * 2 + [powers[0] * 4]), powers
 
 
 FRAMES = {name: _frame(name) for name in BASES}
@@ -159,8 +161,8 @@ def test_lower_below_upper_agrees_with_exact(case):
     name, (a, x), (b, y) = case
     frame = FRAMES[name][0]
     # d = 0: one bound each, so the view test is exactly L < U.
-    hole = HoleRegion.view(frame, b, 0, ())
-    region = CornerRegion.view(frame, a, 0, ())
+    hole = HoleRegion.view(frame, frame.pack(b), 0, ())
+    region = CornerRegion.view(frame, frame.pack(a), 0, ())
     assert hole_meets_region(hole, region) == (compare(x, y) < 0)
 
 
@@ -171,9 +173,9 @@ def test_moved_bound_test_agrees_with_exact(case):
     # child raised, on the cached image of its vector.
     name, (a, x), (b, y) = case
     frame = FRAMES[name][0]
-    hole = HoleRegion.view(frame, b, 1, (0,))
-    region = CornerRegion.view(frame, a, 1, (0,))
-    moved = (0, *_image(frame, a))
+    hole = HoleRegion.view(frame, frame.pack(b), 1, (0,))
+    region = CornerRegion.view(frame, frame.pack(a), 1, (0,))
+    moved = (0, _image(frame, a))
     assert attractor._meets(hole, hole.image(), region, moved) == (compare(x, y) < 0)
 
 
@@ -191,10 +193,10 @@ def test_images_decide_constants_and_ties_without_the_exact_path(name, monkeypat
         assert image_ceil(7 * lo, 7 * hi, frame.unit) == (7 * k, False)
     for n in (1, 5, 30):
         vec = frame.vector(powers[n])
-        view = CornerRegion.view(frame, vec, 0, ())
-        hole = HoleRegion.view(frame, vec, 0, ())
+        view = CornerRegion.view(frame, frame.pack(vec), 0, ())
+        hole = HoleRegion.view(frame, frame.pack(vec), 0, ())
         assert not hole_meets_region(hole, view)
-        assert not attractor._meets(hole, hole.image(), view, (0, *_image(frame, vec)))
+        assert not attractor._meets(hole, hole.image(), view, (0, _image(frame, vec)))
 
 
 def test_integer_valued_vector_reaches_the_exact_path():
@@ -209,9 +211,9 @@ def test_integer_valued_vector_reaches_the_exact_path():
     assert image_ceil(lo, hi, frame.unit) is None
     with pytest.raises(PrecisionExhausted):
         scalar_ceil(frame.scalar(one))
-    hole = HoleRegion.view(frame, (1, 0, 0, 0), 0, ())
+    hole = HoleRegion.view(frame, frame.pack((1, 0, 0, 0)), 0, ())
     with pytest.raises(PrecisionExhausted):
-        hole_meets_region(hole, CornerRegion.view(frame, one, 0, ()))
+        hole_meets_region(hole, CornerRegion.view(frame, frame.pack(one), 0, ()))
 
 
 # ----------------------------------------------------------------------
@@ -467,8 +469,94 @@ def test_exact_corner_tie_is_not_below():
         values = [la, lb, 1 - tail - la - lb, tail]
         frame = VectorFrame(lam, values)
         coordinates = attractor._Coordinates(frame, r, frame.vector(tail))
-        a, b, c = (coordinates[frame.vector(x)] for x in values[:3])
+        a, b, c = (coordinates[frame.pack(frame.vector(x))] for x in values[:3])
         assert (a[:2], b[:2]) == ((1, True), (5, True))
         t = r - a[0] - b[0] - c[0]
         below = t + 1 < c[2]
         assert below == (compare(r * la + r * lb, a[0] + b[0] - 1) < 0) == (shift < 0)
+
+
+# ----------------------------------------------------------------------
+# packed lanes
+
+
+def _level_frame(base, depth):
+    """The frame ``_levels`` makes for ``depth`` levels, and its steps."""
+    lam = as_scalar(base)
+    steps = [(1 - lam) * lam**k for k in range(depth)]
+    return VectorFrame(lam, steps), steps
+
+
+LANE_BASES = {
+    "omega2": multinacci(2),
+    "omega3": multinacci(3),
+    "lambda-star": lambda_star(),
+    "1000003/1700021": Fraction(1000003, 1700021),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANE_BASES))
+@pytest.mark.parametrize("d,n", [(2, 0), (2, 6), (3, 5)])
+def test_pack_round_trips_at_the_extreme_lane_values(name, d, n):
+    # The hole of the word j^n has bound j = every step of positions
+    # 0..n-1 plus the hole width, the step of position n, and the width on
+    # every other bound: the largest sums a level frame's lanes take.
+    frame, steps = _level_frame(LANE_BASES[name], n + 1)
+    zero = frame.pack((0,) * ((d + 1) * frame.deg))
+    width = tuple(frame.vector(steps[n]))
+    total = tuple(frame.vector(sum(steps[1:], steps[0])))
+    for sign in (1, -1):
+        for j in range(d + 1):
+            bounds = [width] * (d + 1)
+            bounds[j] = total
+            vec = tuple(sign * c for b in bounds for c in b)
+            packed = frame.pack(vec)
+            assert frame.unpack(packed) == vec
+            for i in range(d + 1):
+                part = vec[i * frame.deg:(i + 1) * frame.deg]
+                assert frame.lanes(packed, i) == frame.pack(part)
+            # The same vector as the level loops make it: one add of a
+            # packed step, less its bias, per digit.
+            made = zero
+            for k, step in enumerate(steps):
+                raw = frame.pack(frame.vector(sign * step)) - frame.pack((0,) * frame.deg)
+                for i in range(d + 1) if k == n else (j,):
+                    made += raw << (i * frame.span)
+            assert made == packed
+            assert frame.images(frame.unpack(made)) == frame.images(vec)
+    # A lane holds magnitudes below 2^(width - 1) and no more.
+    top = 1 << (frame.width - 1)
+    assert max(map(abs, total)) < top
+    frame.pack((top - 1, 1 - top))
+    with pytest.raises(OverflowError):
+        frame.pack((0, top))
+
+
+LANE_CASES = [
+    ("omega2-d3", multinacci(2), 3, 5),
+    ("omega3-d3", multinacci(3), 3, 4),
+    ("omega3", multinacci(3), 2, 6),
+    ("lambda-star", lambda_star(), 2, 5),
+    ("1000003/1700021", Fraction(1000003, 1700021), 2, 5),
+]
+
+
+@pytest.mark.parametrize("name,base,d,n", LANE_CASES, ids=[c[0] for c in LANE_CASES])
+def test_packed_level_loops_match_the_reference_where_lanes_are_wide(name, base, d, n):
+    # Negative coefficients (omega_3, lambda*), a denominator above 1
+    # (lambda*), lanes of more than 80 bits (a rational with a seven-digit
+    # denominator) and four bounds a region (d = 3).
+    lam = as_scalar(base)
+    levels, _ = ref_levels(lam, d, n)
+    level = build_level(base, d, n)
+    assert [r.word for r in level.regions] == [w for _, w in levels[n]]
+    assert [r.bounds for r in level.regions] == [b for b, _ in levels[n]]
+    if name == "1000003/1700021":
+        assert level.regions[0].frame.width > 80
+    report = classify_holes(base, d, n - 1)
+    candidates, genuine, violations = ref_classify(lam, d, n - 1)
+    assert [h.word for h in report.candidates] == candidates
+    assert [h.word for h in report.genuine] == genuine
+    assert [(h.word, r.word) for h, r in report.violations] == violations
+    if d == 2:
+        assert estimate_area(base, 2, n, 64) == ref_area(lam, n, 64)

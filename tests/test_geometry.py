@@ -132,7 +132,7 @@ def _on_other_frame(region):
     clears 1/7: other integers, the same set."""
     frame = VectorFrame(region.bounds[0], region.bounds + (Fraction(1, 7),))
     assert frame.den != region.frame.den
-    vec = tuple(c for x in region.bounds for c in frame.vector(x))
+    vec = frame.pack(tuple(c for x in region.bounds for c in frame.vector(x)))
     view = type(region).view(frame, vec, 2, (9, 9))
     assert view.vec != region.vec
     return view
