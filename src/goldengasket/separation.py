@@ -17,12 +17,14 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import add
+from itertools import chain, compress
+from operator import itemgetter
 
 from .errors import DomainError, ResourceLimit
 from .exact import (
     AlgebraicNumber,
     LinearCombination,
+    VectorFrame,
     as_scalar,
     compare,
     compare_values,
@@ -189,14 +191,17 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     |P| - sum(remaining weights) clears the incumbent, and completes each
     surviving prefix from a table of the low-weight half: one entry per
     distinct exact vector of a digit patch, holding the patch the tie rule
-    prefers, sorted by float sum.  Entries within the float margin of the
-    incumbent are visited; a leaf (prefix plus entry vector) that is zero
-    is skipped, any other is settled by exact sign and comparison.  Ties go
-    to the least degree, then the lexicographically smallest coefficients,
-    signed so that the top one is positive.  Returns (float bound,
-    SignedPolyValue); raises ResourceLimit with the incumbent attached when
-    ``node_cap`` runs out: every branch node and every visited entry (one
-    distinct leaf vector) counts against it.
+    prefers, sorted by float sum.  Vectors are packed ints and each table
+    degree is one pass over whole columns.  When no two patches share a
+    vector, one table serves both kinds of prefix: the all-zero prefix
+    walks it past the patches led by -1, which are not visits.  Entries
+    within the float margin of the incumbent are visited; a leaf (prefix
+    plus entry vector) that is zero is skipped, any other is settled by
+    exact sign and comparison.  Ties go to the least degree, then the
+    lexicographically smallest coefficients, signed so that the top one is
+    positive.  Returns (float bound, SignedPolyValue); raises ResourceLimit
+    with the incumbent attached when ``node_cap`` runs out: every branch
+    node and every visited entry (one distinct leaf vector) counts.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError("n_max must be an integer >= 1")
@@ -206,16 +211,12 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     if isinstance(base, Fraction) and base == 1:
         raise DomainError("base 1 admits no nonzero minimum structure")
     search = _SignedSumSearch(base, n_max, node_cap)
-    search.descend(0, 0.0, search.zero, False)
+    search.descend(0, 0.0, 0, False)
     return search.best_abs_f, search.incumbent()
 
 
-def _vadd(u, v):
-    return tuple(map(add, u, v))
-
-
 def _pick(table, rows):
-    return tuple([column[i] for i in rows] for column in table)
+    return tuple(map(itemgetter(*rows), table))
 
 
 def _sorted(table, key):
@@ -224,10 +225,9 @@ def _sorted(table, key):
 
 def _first_per_vector(table):
     """The rows of a (sums, vectors, codes) table whose vector is new."""
-    first = {}
-    for i, vec in enumerate(table[1]):
-        first.setdefault(vec, i)
-    return table if len(first) == len(table[1]) else _pick(table, first.values())
+    vecs = table[1]
+    first = dict(zip(reversed(vecs), range(len(vecs) - 1, -1, -1)))
+    return table if len(first) == len(vecs) else _pick(table, sorted(first.values()))
 
 
 class _SignedSumSearch:
@@ -237,19 +237,23 @@ class _SignedSumSearch:
     recursive closure refers to itself through its cell, which would leave
     every call's powers and tables behind as cyclic garbage.
 
-    Vectors are exact: at a rational base p/q the int numerator over
-    q^n_max, at an algebraic base the coordinates, with only the powers that
-    occur added, so the fixed-point screen (int coordinates only) settles
-    the leaves it settles in the term-by-term sum.  A table has columns of
-    float sums, vectors and codes sum(d_i 3^i), whose balanced-ternary
-    digits are the patch's from the lowest table degree up.  Above one the
-    degrees 0..t-1 are enumerated lexicographically from d_0, -1 < 0 < 1.
+    A vector is one int of signed lanes from a ``VectorFrame`` over the
+    powers (at a rational base p/q the numerator over q^n_max), so zero is
+    0, a child is one int add and a dedup hashes ints; ``value`` unpacks a
+    leaf only to settle it.  A table has columns of float sums, vectors and
+    codes sum(d_i 3^i), whose balanced-ternary digits are the patch's from
+    the lowest table degree up.  Each degree maps the whole columns to the
+    rows' patches with digit -1, 0 and +1, interleaved, so above one the
+    degrees 0..t-1 are enumerated lexicographically from d_0.
     A nonzero prefix fixes the witness's degree, so the tie rule takes the
     first patch of a vector, and a later digit never reorders two partial
     patches with equal vectors: each stage keeps its first patch per vector.
     The all-zero prefix has a table of the patches whose top nonzero digit
     is +1, by top degree first.  Below one the table holds the top degrees,
     so both tables keep each vector's patch of least ``tie_key`` instead.
+    If no two of the 3^t patches share a vector, the +1-led ones are the
+    full table's rows of code > 0, with the same floats, and ``lead`` is
+    None: the all-zero prefix walks the full table past the other rows.
     """
 
     def __init__(self, base, n_max, node_cap):
@@ -266,29 +270,23 @@ class _SignedSumSearch:
         self.coeffs = [0] * (n_max + 1)
         self.best = self.best_val = self.best_abs_f = self.best_key = None
 
-        if isinstance(base, Fraction):
-            p, q = base.numerator, base.denominator
-            self.alg, self.denominator, self.zero, self.add = None, q**n_max, 0, add
-            self.vectors = [p**k * q ** (n_max - k) for k in range(n_max + 1)]
-            self.negated = [-c for c in self.vectors]
-        else:
-            self.alg, self.denominator, self.add = base.alg, None, _vadd
-            self.zero = (0,) * len(powers[0].coeffs)
-            self.vectors = [pw.coeffs for pw in powers]
-            self.negated = [(-pw).coeffs for pw in powers]
+        self.frame = frame = VectorFrame(base, powers)
+        self.alg, self.bias, self.powers = frame.alg, frame.pack((0,) * frame.deg), powers
+        self.vectors = [frame.pack(frame.vector(p)) - self.bias for p in powers]
 
         self.boundary = n_max + 1 - min(9, (n_max + 2) // 2)
         self.degrees = degrees = sorted(order[self.boundary:])
-        full, lead = ([0.0], [self.zero], [0]), ([], [], [])
+        full, ups = ([0.0], [0], [0]), []
         for j, k in enumerate(degrees):
-            w, col, ncol, unit = fweights[k], self.vectors[k], self.negated[k], 3**j
-            sums, vecs, codes = full
-            lead[0].extend([f + w for f in sums])
-            lead[1].extend([self.add(v, col) for v in vecs])
-            lead[2].extend([c + unit for c in codes])
-            full = ([x for f in sums for x in (f - w, f, f + w)],
-                    [x for v in vecs for x in (self.add(v, ncol), v, self.add(v, col))],
-                    [x for c in codes for x in (c - unit, c, c + unit)])
+            steps = (fweights[k], self.vectors[k], 3**j)
+            up = [[x + step for x in column] for step, column in zip(steps, full)]
+            ups.append(up)
+            stage = []
+            for step, column, column_up in zip(steps, full, up):
+                out = [None] * (3 * len(column))
+                out[0::3], out[1::3], out[2::3] = [x - step for x in column], column, column_up
+                stage.append(out)
+            full = stage
             if degrees[0] == 0:
                 full = _first_per_vector(full)
         if degrees[0] != 0:
@@ -297,28 +295,51 @@ class _SignedSumSearch:
             self.coeffs[0] = 1
             full = _first_per_vector(_sorted(full, lambda i: self.tie_key(full[2][i])))
             self.coeffs[0] = 0
-            lead = _sorted(lead, lambda i: self.tie_key(lead[2][i]))
-        lead = _first_per_vector(lead)
+        self.lead = None
+        if len(full[0]) < 3 ** len(degrees):
+            lead = tuple([*chain.from_iterable(column)] for column in zip(*ups))
+            if degrees[0] != 0:
+                lead = _sorted(lead, lambda i: self.tie_key(lead[2][i]))
+            lead = _first_per_vector(lead)
+            self.lead = _sorted(lead, lead[0].__getitem__)
         self.full = _sorted(full, full[0].__getitem__)
-        self.lead = _sorted(lead, lead[0].__getitem__)
 
     def incumbent(self):
         if self.best_key is None:
             return None
         return SignedPolyValue(coeffs=self.best_key[1], value=self.best_val)
 
-    def tie_key(self, code):
-        """Tie key (length, coefficients) of the current prefix completed by
-        the patch of ``code``, signed so that its top coefficient is +1."""
+    def leaf_coeffs(self, code):
+        """The current prefix completed by the patch of ``code``."""
         coeffs = list(self.coeffs)
         for k in self.degrees:
             d = (code + 1) % 3 - 1
             coeffs[k], code = d, (code - d) // 3
-        cand = poly_trim(coeffs)
+        return coeffs
+
+    def tie_key(self, code):
+        """Tie key (length, coefficients) of the current prefix completed by
+        the patch of ``code``, signed so that its top coefficient is +1."""
+        cand = poly_trim(self.leaf_coeffs(code))
         return len(cand), tuple(s if cand[-1] > 0 else -s for s in cand)
 
+    def value(self, leaf, code):
+        """The exact value of a packed leaf of the current prefix and the
+        patch of ``code``: at a rational base the int numerator over
+        ``frame.den``, at an algebraic one the combination whose coordinate
+        types are those of the term-by-term sum, so the fixed-point screen
+        (int coordinates only) settles the leaves it settles there."""
+        if self.alg is None:
+            return leaf
+        coords, den = self.frame.unpack(leaf + self.bias), self.frame.den
+        if den > 1:  # a Fraction where one of the leaf's powers has one
+            frac = {i for p in compress(self.powers, self.leaf_coeffs(code))
+                    for i, c in enumerate(p.coeffs) if type(c) is Fraction}
+            coords = [Fraction(c, den) if i in frac else c // den for i, c in enumerate(coords)]
+        return LinearCombination(self.alg, coords)
+
     def consider(self, leaf, code):
-        value = leaf if self.alg is None else LinearCombination(self.alg, leaf)
+        value = self.value(leaf, code)
         # finish passes nonzero vectors only, and those never settle to sign 0
         abs_val = value if scalar_sign(value) > 0 else -value
         if self.best is None:
@@ -329,8 +350,8 @@ class _SignedSumSearch:
             cmp = compare(abs_val, self.best)
         if cmp < 0:
             self.best = abs_val
-            self.best_val = (abs_val if self.denominator is None
-                             else Fraction(abs_val, self.denominator))
+            self.best_val = (abs_val if self.alg is not None
+                             else Fraction(abs_val, self.frame.den))
             self.best_abs_f = float(self.best_val)
             self.best_key = self.tie_key(code)
         elif cmp == 0:
@@ -344,12 +365,14 @@ class _SignedSumSearch:
             err.best = self.incumbent()
             raise err
 
-    def finish(self, partial, prefix, table):
+    def finish(self, partial, prefix, any_nonzero):
         # Walk table entries outward from -partial until the float distance
         # clears the incumbent plus margin; every visited entry is checked
         # exactly, so near-ties and true ties all reach consider().  Each
         # visited entry is charged to the node budget before its evaluation.
-        tsums, vectors, codes = table
+        # Without a lead table the zero prefix passes code <= 0 rows, uncharged.
+        skip = not any_nonzero and self.lead is None
+        tsums, vectors, codes = self.full if any_nonzero or skip else self.lead
         idx = bisect.bisect_left(tsums, -partial)
         left, right = idx - 1, idx
         while True:
@@ -363,15 +386,17 @@ class _SignedSumSearch:
                 pick, right, dist = right, right + 1, dr
             if self.best_abs_f is not None and dist > self.best_abs_f + self.margin:
                 return
+            if skip and codes[pick] <= 0:
+                continue
             self.check_budget()
-            leaf = self.add(prefix, vectors[pick])
-            if leaf != self.zero:
+            leaf = prefix + vectors[pick]
+            if leaf:
                 self.consider(leaf, codes[pick])
 
     def descend(self, pos, partial, prefix, any_nonzero):
         self.check_budget()
         if pos == self.boundary:
-            self.finish(partial, prefix, self.full if any_nonzero else self.lead)
+            self.finish(partial, prefix, any_nonzero)
             return
         if (self.best_abs_f is not None
                 and abs(partial) - self.tails[pos] > self.best_abs_f + self.margin):
@@ -381,9 +406,8 @@ class _SignedSumSearch:
         digits = (0, 1) if not any_nonzero else (-1, 0, 1)
         for s in sorted(digits, key=lambda s: abs(partial + s * w)):
             self.coeffs[k] = s
-            vec = prefix if s == 0 else self.add(
-                prefix, (self.vectors if s > 0 else self.negated)[k])
-            self.descend(pos + 1, partial + s * w, vec, any_nonzero or s != 0)
+            self.descend(pos + 1, partial + s * w, prefix + s * self.vectors[k],
+                         any_nonzero or s != 0)
         self.coeffs[k] = 0
 
 

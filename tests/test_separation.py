@@ -7,6 +7,7 @@ tuple.  The search must reproduce both the minimum and the witness.
 """
 
 import gc
+import operator
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -159,13 +160,39 @@ def balanced_ternary(code, length):
 
 def vector_of(search, base, digits):
     """The exact vector of sum(digits[k] base^k), added term by term: an
-    int numerator over search.denominator at a rational base."""
+    int numerator over search.frame.den at a rational base."""
     value = term_by_term(base, digits)
     if isinstance(base, Fraction):
-        numerator = value * search.denominator
+        numerator = value * search.frame.den
         assert numerator.denominator == 1
         return int(numerator)
     return value.coeffs
+
+
+def unpacked(search, packed, code):
+    """The vector of a packed leaf of the search's current prefix and the
+    patch of ``code``, read through the search's own unpacking: an int at a
+    rational base, the coordinate tuple at an algebraic one."""
+    value = search.value(packed, code)
+    return value if search.alg is None else value.coeffs
+
+
+def packed_prefix(search, digits):
+    """A prefix's packed vector, added one power at a time as the descent
+    adds it."""
+    vec = 0
+    for k in search.order:
+        vec += digits[k] * search.vectors[k]
+    return vec
+
+
+def lead_table(search):
+    """The table that completes the all-zero prefix: the lead table, or with
+    one table the full table's rows of code > 0."""
+    if search.lead is not None:
+        return search.lead
+    rows = [i for i, code in enumerate(search.full[2]) if code > 0]
+    return tuple([column[i] for i in rows] for column in search.full)
 
 
 def table_patch(search, code):
@@ -198,21 +225,24 @@ def test_integer_leaf_matches_term_by_term_sum(name, digits):
     prefix = [0 if k in search.degrees else d for k, d in enumerate(digits)]
     patch = [d if k in search.degrees else 0 for k, d in enumerate(digits)]
     _, vectors, codes = search.full
-    row = vectors.index(vector_of(search, base, patch))
+    row = [unpacked(search, v, c) for v, c in zip(vectors, codes)].index(
+        vector_of(search, base, patch))
     kept = table_patch(search, codes[row])
-    leaf = search.add(vector_of(search, base, prefix), vectors[row])
+    search.coeffs[:] = prefix
+    assert unpacked(search, packed_prefix(search, prefix), 0) == vector_of(search, base, prefix)
+    leaf = packed_prefix(search, prefix) + vectors[row]
+    value = search.value(leaf, codes[row])
     want = term_by_term(base, [a + b for a, b in zip(prefix, kept)])
     if isinstance(base, Fraction):
-        assert type(leaf) is int
-        assert Fraction(leaf, search.denominator) == want
-        value = leaf
+        assert type(value) is int
+        assert Fraction(value, search.frame.den) == want
     else:
-        assert leaf == want.coeffs
-        assert [type(c) for c in leaf] == [type(c) for c in want.coeffs]
-        value = LinearCombination(base.alg, leaf)
+        assert isinstance(value, LinearCombination)
+        assert value.coeffs == want.coeffs
+        assert [type(c) for c in value.coeffs] == [type(c) for c in want.coeffs]
     assert scalar_sign(value) == scalar_sign(term_by_term(base, digits))
     if (name, tuple(digits)) in LEAF_ZEROS:
-        assert leaf == search.zero
+        assert leaf == 0
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
@@ -231,7 +261,7 @@ def test_half_tables_keep_the_tie_rule_patch_of_each_vector(length):
         prefix = list(lead_prefix)
         prefix[search.order[search.boundary - 1]] = -1
         prefix[search.order[0]] = 1
-        for table, start in ((search.full, prefix), (search.lead, lead_prefix)):
+        for table, start in ((search.full, prefix), (lead_table(search), lead_prefix)):
             best = {}
             for digits in product((-1, 0, 1), repeat=length):
                 nonzero = [d for d in digits if d]
@@ -245,16 +275,126 @@ def test_half_tables_keep_the_tie_rule_patch_of_each_vector(length):
                 best[vec] = min(best.get(vec, key), key)
             _, vectors, codes = table
             assert len(vectors) == len(best), name
-            for vec, code in zip(vectors, codes):
+            for packed, code in zip(vectors, codes):
+                vec = unpacked(search, packed, code)
                 patch = table_patch(search, code)
                 assert vector_of(search, base, patch) == vec, name
                 assert tie_key([a + b for a, b in zip(start, patch)]) == best[vec], name
 
 
+def reference_tables(base, n_max):
+    """The (full, lead) half-tables as the search built them with a tuple
+    of coordinates per vector (the int numerator over q^n_max at a rational
+    base), one row at a time, always with a lead table."""
+    powers = [base * 0 + 1]
+    for _ in range(n_max):
+        powers.append(powers[-1] * base)
+    fweights = [float(p) for p in powers]
+    order = sorted(range(n_max + 1), key=lambda k: -fweights[k])
+    degrees = sorted(order[n_max + 1 - min(9, (n_max + 2) // 2):])
+    if isinstance(base, Fraction):
+        add, zero = operator.add, 0
+        vectors = [int(p * base.denominator**n_max) for p in powers]
+    else:
+        add, zero = (lambda u, v: tuple(map(operator.add, u, v))), (0,) * len(powers[0].coeffs)
+        vectors = [p.coeffs for p in powers]
+    negated = [-v if isinstance(base, Fraction) else (-p).coeffs
+               for v, p in zip(vectors, powers)]
+
+    def pick(table, rows):
+        return tuple([column[i] for i in rows] for column in table)
+
+    def first_per_vector(table):
+        first = {}
+        for i, vec in enumerate(table[1]):
+            first.setdefault(vec, i)
+        return pick(table, list(first.values()))
+
+    def by_tie_key(table, lead_digit):
+        def key(i):
+            coeffs = [lead_digit] + [0] * n_max
+            for k, d in zip(degrees, balanced_ternary(table[2][i], len(degrees))):
+                coeffs[k] = d
+            return tie_key(coeffs)
+        return pick(table, sorted(range(len(table[0])), key=key))
+
+    full, lead = ([0.0], [zero], [0]), ([], [], [])
+    for j, k in enumerate(degrees):
+        w, col, ncol, unit = fweights[k], vectors[k], negated[k], 3**j
+        sums, vecs, codes = full
+        lead[0].extend([f + w for f in sums])
+        lead[1].extend([add(v, col) for v in vecs])
+        lead[2].extend([c + unit for c in codes])
+        full = ([x for f in sums for x in (f - w, f, f + w)],
+                [x for v in vecs for x in (add(v, ncol), v, add(v, col))],
+                [x for c in codes for x in (c - unit, c, c + unit)])
+        if degrees[0] == 0:
+            full = first_per_vector(full)
+    if degrees[0] != 0:
+        full = first_per_vector(by_tie_key(full, 1))
+        lead = by_tie_key(lead, 0)
+    lead = first_per_vector(lead)
+    return tuple(pick(t, sorted(range(len(t[0])), key=t[0].__getitem__)) for t in (full, lead))
+
+
+def types_of(column):
+    """The type of every entry of a column, per coordinate for tuples."""
+    return [tuple(map(type, x)) if isinstance(x, tuple) else type(x) for x in column]
+
+
+TABLE_BASES = {
+    "golden": golden_ratio(),
+    **{"pisot%d" % i: pisot_number(i) for i in range(1, 5)},
+    "omega-inv3": multinacci_reciprocal(3),
+    "40/23": Fraction(40, 23),
+    "9/5": Fraction(9, 5),
+    "3/5": Fraction(3, 5),
+    "nonmonic": NONMONIC,
+    "2": Fraction(2),
+    "1/2": Fraction(1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_BASES))
+def test_packed_tables_match_the_reference_builder(name):
+    # Column by column after unpacking, coordinate types included: the
+    # packed whole-column build keeps every entry and its order, and a base
+    # with one table has as its code > 0 rows exactly the lead table.
+    base = as_scalar(TABLE_BASES[name])
+    for n_max in range(1, 21):
+        search = _SignedSumSearch(base, n_max, DEFAULT_NODE_CAP)
+        want_full, want_lead = reference_tables(base, n_max)
+        assert (search.lead is None) == (len(want_full[0]) == 3 ** len(search.degrees))
+        for got, want in ((search.full, want_full), (lead_table(search), want_lead)):
+            sums, vectors, codes = got
+            vecs = [unpacked(search, v, c) for v, c in zip(vectors, codes)]
+            for column, want_column in zip((sums, vecs, codes), want):
+                assert list(column) == want_column, (name, n_max)
+                assert types_of(column) == types_of(want_column), (name, n_max)
+
+
+@pytest.mark.parametrize("base,collides", [(Fraction(2), True), (Fraction(1, 2), True),
+                                           (Fraction(3, 2), False)], ids=["2", "1/2", "3/2"])
+def test_rational_bases_with_colliding_patches_match_brute_force(base, collides):
+    # At 2 and 1/2 distinct patches share a vector (1 + 0*2 = -1 + 1*2), so
+    # the all-zero prefix needs its own table; 3/2 is a control with one.
+    for n_max in range(1, 9):
+        search = _SignedSumSearch(base, n_max, DEFAULT_NODE_CAP)
+        assert (search.lead is not None) == (collides and len(search.degrees) > 1)
+        want_abs, want_coeffs = brute_min(base, n_max)
+        got_f, got = min_abs_signed_sum(base, n_max)
+        assert got.coeffs == want_coeffs
+        assert abs(got.value) == want_abs
+        assert got_f == float(want_abs)
+        if base < 1:
+            assert gap_property_holds(base, n_max) == (want_abs >= base ** (n_max + 1))
+
+
 def test_rational_search_memory_peak():
-    # The 3^9 entries of the table at degree 20 and the 3^8 + ... + 1 of the
-    # lead table are kept as columns of floats and ints, with no container
-    # object per entry.
+    # The 3^9 entries of the table at degree 20 are kept as columns of
+    # floats and ints, with no container object per entry, and serve the
+    # all-zero prefix too: 9/5 has no two patches of one vector.
+    assert _SignedSumSearch(Fraction(9, 5), 20, DEFAULT_NODE_CAP).lead is None
     tracemalloc.start()
     try:
         min_abs_signed_sum(Fraction(9, 5), 20)
@@ -262,6 +402,19 @@ def test_rational_search_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def test_algebraic_search_memory_peak():
+    # One packed int per table vector, not a tuple of coordinates: the
+    # search at pisot:3, degree 15 peaks near 1.0 MiB, against 1.5 MiB with
+    # tuple vectors.
+    tracemalloc.start()
+    try:
+        min_abs_signed_sum(pisot_number(3), 15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20
 
 
 def test_search_matches_brute_force_deeper_pisot():
