@@ -106,19 +106,17 @@ def _levels(lam, d, depth, max_words=None):
 
     The regions are views over one ``VectorFrame`` of all the levels, whose
     lanes hold any sum of the steps (1 - lam) lam^k: digit j at position k
-    of a word adds the step's packed vector, less its bias, to the lane
-    group of bound j, and dedup hashes the packed ints.
+    of a word adds the step's ``delta`` at bound j to its maker's int, and
+    dedup hashes the packed ints.
     """
     _check_words(d, depth, max_words)
     steps = [(1 - lam) * lam**k for k in range(depth)]
     frame = VectorFrame(lam, steps)
     view = CornerRegion.view
-    zero = frame.pack((0,) * ((d + 1) * frame.deg))
-    level = [view(frame, zero, 0, ())]
+    level = [view(frame, frame.pack((0,) * ((d + 1) * frame.deg)), 0, ())]
     yield level, None
     for k, step in enumerate(map(frame.vector, steps)):
-        raw = frame.pack(step) - frame.pack((0,) * frame.deg)
-        shifts = [(raw << (j * frame.span), (j,)) for j in range(d + 1)]
+        shifts = [(frame.delta(step, j), (j,)) for j in range(d + 1)]
         kept = {}
         starts = [0]
         for reg in level:
@@ -221,10 +219,8 @@ def _classify(lam, d, n, tree):
     """The HoleReport of level n over ``tree``: ``_moves`` of levels 0..n+1."""
     holes = []
     if compare(lam, Fraction(d, d + 1)) < 0:
-        root = tree[0][0][0]
-        frame = root.frame
-        # (1 - lam) lam^n on every bound, less the bias of the packed zero root.
-        width = frame.pack(frame.vector((1 - lam) * lam**n) * (d + 1)) - root.vec
+        frame = tree[0][0][0].frame
+        width = frame.delta(frame.vector((1 - lam) * lam**n) * (d + 1))
         holes = [HoleRegion.view(frame, reg.vec + width, n, reg.word)
                  for reg in tree[n][0]]
     genuine, violations = [], []
@@ -370,19 +366,17 @@ def _stamp(key, stride, lo_cells, hi_cells):
     return [(cells, a, b, b"\1" * (b - a)) for cells, a, b in runs]
 
 
-def _grid_counts(regions, r):
+def _grid_counts(level, r):
+    """(contained, meeting) cell counts of a planar ``LevelSet`` on the r-grid."""
     stride = 2 * r
     lo_cells = bytearray(r * stride)
     hi_cells = bytearray(r * stride)
-    frame = regions[0].frame
-    deg, span = frame.deg, frame.span
+    frame = level.regions[0].frame
+    span = frame.span
     mask = (1 << span) - 1
-    # lam^n is 1 minus the bounds of any region of the level.
-    first = frame.unpack(regions[0].vec)
-    tail = tuple(frame.den * (i == 0) - sum(first[i::deg]) for i in range(deg))
-    coordinates = _Coordinates(frame, r, tail)
+    coordinates = _Coordinates(frame, r, frame.vector(level.lam ** level.n))
     stamps = {}
-    for reg in regions:
+    for reg in level.regions:
         vec = reg.vec
         a = coordinates[vec & mask]
         b = coordinates[vec >> span & mask]
@@ -416,7 +410,7 @@ def estimate_area(lam, d=2, n=0, resolution=256, max_words=None):
     if not isinstance(resolution, int) or resolution < 64:
         raise DomainError("resolution must be an integer >= 64")
     level = build_level(lam, d, n, max_words)
-    lo_count, hi_count = _grid_counts(level.regions, resolution)
+    lo_count, hi_count = _grid_counts(level, resolution)
     cells = resolution * resolution
     return Fraction(lo_count, cells), Fraction(hi_count, cells)
 

@@ -7,13 +7,13 @@ combinations of its powers.  Every kernel runs on integers and gives a
 bound as (lo, hi, unit), meaning lo <= unit * value <= hi: polynomial signs,
 Sturm chains by pseudo-remainders with positive multipliers, and interval
 Horner enclosures whose unit is a power of den.  A ``VectorFrame`` packs
-integer vectors into one int of fixed-width lanes, so one int add moves
-every lane, and reads the images, of unit 2^(FIXED_BITS+1) * its
-denominator, off midpoint-radius fixed-point images of the base's powers.
-Every sign, ceiling and float of a combination is settled in ``_settle``:
-first on a frame image, then on Horner enclosures of a shrinking interval.
-The same deciders read any unit, and no float ever feeds back into a
-comparison.
+integer vectors into one int of biased lanes, so one int add of a
+``delta`` moves every lane, and reads the images, of unit 2^(FIXED_BITS+1)
+* its denominator, off midpoint-radius fixed-point images of the base's
+powers.  Every sign, ceiling and float of a combination is settled in
+``_settle``: first on the image of its numerators over their lcm, then on
+Horner enclosures of a shrinking interval.  The same deciders read any
+unit, and no float ever feeds back into a comparison.
 """
 
 from __future__ import annotations
@@ -481,8 +481,8 @@ class VectorFrame:
     scalars, ``deg`` entries each, packs into one int: entry i in lane i,
     from bit i*width on, biased by 2^(width-1).  The width is set from the
     largest sum the frame's ``values`` can reach, per lane the sum of their
-    entries' magnitudes, so adding a packed vector less its bias moves every
-    lane without a carry, and equal scalars have equal lane groups.  Each
+    entries' magnitudes, so adding the ``delta`` of a sum moves every lane
+    without a carry, and equal scalars have equal lane groups.  Each
     scalar has one certified integer image lo <= unit * value <= hi: exact
     at a rational base (``unit = den``), and at an algebraic one the
     midpoint-radius dot product with the fixed-point powers of alpha
@@ -526,6 +526,10 @@ class VectorFrame:
         if any(abs(c) >= bias for c in vec):
             raise OverflowError("%r overflows lanes of %d bits" % (vec, width))
         return sum((c + bias) << (i * width) for i, c in enumerate(vec))
+
+    def delta(self, vec, at=0):
+        """``pack(vec)`` less its lanes' bias, moved to scalar ``at`` on."""
+        return (self.pack(vec) - self.pack((0,) * len(vec))) << (at * self.span)
 
     def unpack(self, packed):
         """The flat vector of a packed int.  Its top lane holds at least 1,
@@ -579,15 +583,19 @@ def _settle(v, decide, what, screen=True):
     """``decide(lo, hi, unit)`` on the first bounds lo <= unit * v <= hi
     that settle it (it returns None while they are too wide).
 
-    With ``screen``, an int vector is first asked on the certified image a
-    frame of denominator 1 gives it.  Only when that has no answer do the
-    rounds run: each asks the interval Horner enclosure and, when
-    unsettled, bisects the isolating interval.  Nothing else refines for a
-    question about a combination.
+    With ``screen``, the vector is first asked on the certified image of
+    its integer numerators over their lcm den (unit den * 2^(FIXED_BITS+1)).
+    Only when that has no answer do the rounds run: each asks the interval
+    Horner enclosure and, when unsettled, bisects the isolating interval.
+    Nothing else refines for a question about a combination.
     """
-    if screen and all(type(c) is int for c in v.coeffs):
-        lo, hi = _dot_image(v.coeffs, *v.alg.power_images())
-        answer = decide(lo, hi, 2 << FIXED_BITS)
+    if screen:
+        coeffs, den = v.coeffs, 1
+        if not all(type(c) is int for c in coeffs):
+            den = math.lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        lo, hi = _dot_image(coeffs, *v.alg.power_images())
+        answer = decide(lo, hi, den << (FIXED_BITS + 1))
         if answer is not None:
             return answer
     for _ in range(MAX_REFINE_ROUNDS):

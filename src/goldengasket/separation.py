@@ -17,13 +17,12 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress
+from itertools import chain
 from operator import itemgetter
 
 from .errors import DomainError, ResourceLimit
 from .exact import (
     AlgebraicNumber,
-    LinearCombination,
     VectorFrame,
     as_scalar,
     compare,
@@ -211,7 +210,7 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     if isinstance(base, Fraction) and base == 1:
         raise DomainError("base 1 admits no nonzero minimum structure")
     search = _SignedSumSearch(base, n_max, node_cap)
-    search.descend(0, 0.0, 0, False)
+    search.descend(0, 0.0, search.origin, False)
     return search.best_abs_f, search.incumbent()
 
 
@@ -237,14 +236,16 @@ class _SignedSumSearch:
     recursive closure refers to itself through its cell, which would leave
     every call's powers and tables behind as cyclic garbage.
 
-    A vector is one int of signed lanes from a ``VectorFrame`` over the
-    powers (at a rational base p/q the numerator over q^n_max), so zero is
-    0, a child is one int add and a dedup hashes ints; ``value`` unpacks a
-    leaf only to settle it.  A table has columns of float sums, vectors and
-    codes sum(d_i 3^i), whose balanced-ternary digits are the patch's from
-    the lowest table degree up.  Each degree maps the whole columns to the
-    rows' patches with digit -1, 0 and +1, interleaved, so above one the
-    degrees 0..t-1 are enumerated lexicographically from d_0.
+    A vector is one packed int of a ``VectorFrame`` over the powers (at a
+    rational base p/q the numerator over q^n_max).  Prefixes start at the
+    packed zero ``origin``; powers and table entries are ``frame.delta``
+    displacements, so a child is one int add, a dedup hashes ints, a zero
+    leaf is ``origin`` and ``value`` unpacks a leaf only to settle it.  A
+    table has columns of float sums, displacements and codes sum(d_i 3^i),
+    whose balanced-ternary digits are the patch's from the lowest table
+    degree up.  Each degree maps the whole columns to the rows' patches with
+    digit -1, 0 and +1, interleaved, so above one the degrees 0..t-1 are
+    enumerated lexicographically from d_0.
     A nonzero prefix fixes the witness's degree, so the tie rule takes the
     first patch of a vector, and a later digit never reorders two partial
     patches with equal vectors: each stage keeps its first patch per vector.
@@ -271,8 +272,8 @@ class _SignedSumSearch:
         self.best = self.best_val = self.best_abs_f = self.best_key = None
 
         self.frame = frame = VectorFrame(base, powers)
-        self.alg, self.bias, self.powers = frame.alg, frame.pack((0,) * frame.deg), powers
-        self.vectors = [frame.pack(frame.vector(p)) - self.bias for p in powers]
+        self.alg, self.origin = frame.alg, frame.pack((0,) * frame.deg)
+        self.vectors = [frame.delta(frame.vector(p)) for p in powers]
 
         self.boundary = n_max + 1 - min(9, (n_max + 2) // 2)
         self.degrees = degrees = sorted(order[self.boundary:])
@@ -309,37 +310,23 @@ class _SignedSumSearch:
             return None
         return SignedPolyValue(coeffs=self.best_key[1], value=self.best_val)
 
-    def leaf_coeffs(self, code):
-        """The current prefix completed by the patch of ``code``."""
+    def tie_key(self, code):
+        """Tie key (length, coefficients) of the current prefix completed by
+        the patch of ``code``, signed so that its top coefficient is +1."""
         coeffs = list(self.coeffs)
         for k in self.degrees:
             d = (code + 1) % 3 - 1
             coeffs[k], code = d, (code - d) // 3
-        return coeffs
-
-    def tie_key(self, code):
-        """Tie key (length, coefficients) of the current prefix completed by
-        the patch of ``code``, signed so that its top coefficient is +1."""
-        cand = poly_trim(self.leaf_coeffs(code))
+        cand = poly_trim(coeffs)
         return len(cand), tuple(s if cand[-1] > 0 else -s for s in cand)
 
-    def value(self, leaf, code):
-        """The exact value of a packed leaf of the current prefix and the
-        patch of ``code``: at a rational base the int numerator over
-        ``frame.den``, at an algebraic one the combination whose coordinate
-        types are those of the term-by-term sum, so the fixed-point screen
-        (int coordinates only) settles the leaves it settles there."""
-        if self.alg is None:
-            return leaf
-        coords, den = self.frame.unpack(leaf + self.bias), self.frame.den
-        if den > 1:  # a Fraction where one of the leaf's powers has one
-            frac = {i for p in compress(self.powers, self.leaf_coeffs(code))
-                    for i, c in enumerate(p.coeffs) if type(c) is Fraction}
-            coords = [Fraction(c, den) if i in frac else c // den for i, c in enumerate(coords)]
-        return LinearCombination(self.alg, coords)
+    def value(self, leaf):
+        """The exact value of a packed leaf; at a rational base its numerator."""
+        vec = self.frame.unpack(leaf)
+        return vec[0] if self.alg is None else self.frame.scalar(vec)
 
     def consider(self, leaf, code):
-        value = self.value(leaf, code)
+        value = self.value(leaf)
         # finish passes nonzero vectors only, and those never settle to sign 0
         abs_val = value if scalar_sign(value) > 0 else -value
         if self.best is None:
@@ -390,7 +377,7 @@ class _SignedSumSearch:
                 continue
             self.check_budget()
             leaf = prefix + vectors[pick]
-            if leaf:
+            if leaf != self.origin:
                 self.consider(leaf, codes[pick])
 
     def descend(self, pos, partial, prefix, any_nonzero):

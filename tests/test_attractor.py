@@ -25,8 +25,9 @@ from goldengasket.attractor import (
     render_svg,
     RenderOptions,
 )
-from goldengasket.errors import DomainError, ResourceLimit
+from goldengasket.errors import DomainError, PrecisionExhausted, ResourceLimit
 from goldengasket.exact import (
+    AlgebraicNumber,
     as_scalar,
     compare,
     isolate_root,
@@ -108,6 +109,20 @@ def test_word_cap_limits_enumeration(monkeypatch):
     # the cap is a parameter only: the environment is never read
     monkeypatch.setenv("GASKET_MAX_WORDS", "100")
     assert len(build_level(W2, 2, 5)) == 162
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, PrecisionExhausted),
+                   reason="a base on a reducible polynomial keeps equal values apart "
+                          "(ROADMAP item 11)")
+def test_reducible_polynomial_gives_the_minimal_polynomial_verdicts():
+    # omega_2 isolated on (x^2 + x - 1)(x^2 - 3): equal values have
+    # different reduced coefficients, so dedup keeps them apart and the
+    # sign of a zero combination never settles.
+    w = AlgebraicNumber([3, -3, -4, 1, 1], Fraction(1, 2), Fraction(3, 4))
+    assert len(build_level(w, 2, 3)) == len(build_level(W2, 2, 3)) == 24
+    assert len(build_level(w, 2, 7)) == len(build_level(W2, 2, 7)) == 1053
+    got, want = classify_holes(w, 2, 3), classify_holes(W2, 2, 3)
+    assert [h.word for h in got.genuine] == [h.word for h in want.genuine]
 
 
 # ----------------------------------------------------------------------

@@ -516,12 +516,15 @@ def test_pack_round_trips_at_the_extreme_lane_values(name, d, n):
                 part = vec[i * frame.deg:(i + 1) * frame.deg]
                 assert frame.lanes(packed, i) == frame.pack(part)
             # The same vector as the level loops make it: one add of a
-            # packed step, less its bias, per digit.
+            # step's delta per digit, its packed vector less the bias of
+            # its lanes, shifted to the digit's bound.
             made = zero
             for k, step in enumerate(steps):
-                raw = frame.pack(frame.vector(sign * step)) - frame.pack((0,) * frame.deg)
+                step_vec = frame.vector(sign * step)
+                raw = frame.pack(step_vec) - frame.pack((0,) * frame.deg)
                 for i in range(d + 1) if k == n else (j,):
-                    made += raw << (i * frame.span)
+                    assert frame.delta(step_vec, i) == raw << (i * frame.span)
+                    made += frame.delta(step_vec, i)
             assert made == packed
             assert frame.images(frame.unpack(made)) == frame.images(vec)
     # A lane holds magnitudes below 2^(width - 1) and no more.

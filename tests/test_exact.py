@@ -446,23 +446,34 @@ def test_exact_sign_agrees_with_clear_floats(a, b):
 # the frame image that screens exact._settle against the interval rounds
 
 
-def _screen_pair(make, index):
+def _screen_pair(make, *args):
     """The base at its default isolating width and a deep-refined copy."""
-    deep = make(index)
+    deep = make(*args)
     deep.refine_to(Fraction(1, 10**60))
-    return make(index), deep
+    return make(*args), deep
 
 
 SCREEN_BASES = [_screen_pair(multinacci, m) for m in (2, 3, 4)] + [
     _screen_pair(pisot_number, i) for i in (1, 3)
+] + [
+    # The non-monic bases: lambda*, and the root of 2x^2 - 2x - 1, whose
+    # reduced powers carry Fraction coordinates.
+    _screen_pair(lambda_star),
+    _screen_pair(isolate_root, [-1, -2, 2], (Fraction(1), Fraction(3, 2))),
 ]
 
 
 def _screened(base, coeffs):
     """(sign, ceiling) that the screen alone gives at the base's current
-    interval, each None where it defers."""
-    frame = VectorFrame(base.as_scalar())
-    (lo, hi), = frame.images(LinearCombination(base, coeffs).coeffs)
+    interval, each None where it defers.  The screen is the first bound
+    ``_settle`` asks, and it is the image of a frame that clears the
+    vector: its integer numerators over their lcm."""
+    v = LinearCombination(base, coeffs)
+    asked = []
+    exact._settle(v, lambda *bound: asked.append(bound) or 0, "probe")
+    frame = VectorFrame(base.as_scalar(), [v])
+    (lo, hi), = frame.images(frame.vector(v))
+    assert asked == [(lo, hi, frame.unit)]
     ceil = image_ceil(lo, hi, frame.unit)
     return exact._sign_of(lo, hi, frame.unit), None if ceil is None else ceil[0]
 
@@ -486,6 +497,7 @@ def _check_screen(index, coeffs):
 screen_coeff = st.one_of(
     st.integers(min_value=-9, max_value=9),
     st.integers(min_value=-10**18, max_value=10**18),
+    st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6),
 )
 
 
@@ -510,23 +522,25 @@ def test_fixed_screen_defers_near_zero():
     """(F_(n-1), -F_n) is +-omega_2^n.  From n = 40 on, F_n times the
     1e-15 isolating width exceeds omega_2^n, so the screen must defer on
     the sign, and on the ceilings of k +- omega_2^n, which sit just off an
-    integer."""
+    integer.  The same holds for the pair over 3, screened on its
+    numerators, and for k +- omega_2^n / 3."""
     base, deep = SCREEN_BASES[0]
     w = deep.as_scalar()
     fib = [0, 1]
     while len(fib) < 82:
         fib.append(fib[-1] + fib[-2])
     for n in range(2, 81):
-        coeffs = (fib[n - 1], -fib[n])
-        assert LinearCombination(deep, coeffs) in (w**n, -(w**n))
-        sign, _ = _check_screen(0, coeffs)
-        if n >= 40:
-            assert sign is None
-        for k in (-3, 0, 1, 7):
-            for s in (1, -1):
-                _, ceil = _check_screen(0, (k + s * coeffs[0], s * coeffs[1]))
-                if n >= 40:
-                    assert ceil is None
+        pair = (fib[n - 1], -fib[n])
+        assert LinearCombination(deep, pair) in (w**n, -(w**n))
+        for coeffs in (pair, tuple(Fraction(c, 3) for c in pair)):
+            sign, _ = _check_screen(0, coeffs)
+            if n >= 40:
+                assert sign is None
+            for k in (-3, 0, 1, 7):
+                for s in (1, -1):
+                    _, ceil = _check_screen(0, (k + s * coeffs[0], s * coeffs[1]))
+                    if n >= 40:
+                        assert ceil is None
 
 
 @pytest.mark.parametrize("make,index", [(multinacci, 2), (pisot_number, 1)])

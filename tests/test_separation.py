@@ -91,7 +91,7 @@ def tie_key(coeffs):
 
 
 # The root (1 + sqrt 3)/2 of 2x^2 - 2x - 1: its reduced powers carry
-# Fraction coordinates, which the fixed-point screen declines.
+# Fraction coordinates, which the fixed-point screen reads over their lcm.
 NONMONIC = isolate_root([-1, -2, 2], (Fraction(1), Fraction(3, 2)))
 
 # The last two lie below one, where the table holds the top degrees.
@@ -169,18 +169,18 @@ def vector_of(search, base, digits):
     return value.coeffs
 
 
-def unpacked(search, packed, code):
-    """The vector of a packed leaf of the search's current prefix and the
-    patch of ``code``, read through the search's own unpacking: an int at a
-    rational base, the coordinate tuple at an algebraic one."""
-    value = search.value(packed, code)
+def unpacked(search, packed):
+    """The vector of a packed point, read through the search's own
+    unpacking: an int at a rational base, the coordinate tuple at an
+    algebraic one.  A table entry is a displacement, read at ``origin``."""
+    value = search.value(packed)
     return value if search.alg is None else value.coeffs
 
 
 def packed_prefix(search, digits):
-    """A prefix's packed vector, added one power at a time as the descent
-    adds it."""
-    vec = 0
+    """A prefix's packed point, added one power at a time from ``origin``
+    as the descent adds it."""
+    vec = search.origin
     for k in search.order:
         vec += digits[k] * search.vectors[k]
     return vec
@@ -214,10 +214,9 @@ def table_patch(search, code):
 @example(name="3/5", digits=[0, 0, 0])
 @example(name="nonmonic", digits=[1, -1, -1, -1, 0, 1])
 def test_integer_leaf_matches_term_by_term_sum(name, digits):
-    # The leaf of a prefix and a patch is the prefix's vector plus that of
-    # the table entry holding the patch's vector.  It must equal the
-    # term-by-term sum of the prefix with the entry's own patch, coordinate
-    # types included, so the fixed-point screen takes or declines it alike.
+    # The leaf of a prefix and a patch is the prefix's point plus the
+    # displacement of the table entry holding the patch's vector.  It must
+    # equal the term-by-term sum of the prefix with the entry's own patch.
     # The prefix is summed over the powers that occur only, as the search
     # sums it.
     base = as_scalar(LEAF_BASES[name])
@@ -225,13 +224,13 @@ def test_integer_leaf_matches_term_by_term_sum(name, digits):
     prefix = [0 if k in search.degrees else d for k, d in enumerate(digits)]
     patch = [d if k in search.degrees else 0 for k, d in enumerate(digits)]
     _, vectors, codes = search.full
-    row = [unpacked(search, v, c) for v, c in zip(vectors, codes)].index(
+    row = [unpacked(search, search.origin + v) for v in vectors].index(
         vector_of(search, base, patch))
     kept = table_patch(search, codes[row])
     search.coeffs[:] = prefix
-    assert unpacked(search, packed_prefix(search, prefix), 0) == vector_of(search, base, prefix)
+    assert unpacked(search, packed_prefix(search, prefix)) == vector_of(search, base, prefix)
     leaf = packed_prefix(search, prefix) + vectors[row]
-    value = search.value(leaf, codes[row])
+    value = search.value(leaf)
     want = term_by_term(base, [a + b for a, b in zip(prefix, kept)])
     if isinstance(base, Fraction):
         assert type(value) is int
@@ -239,10 +238,9 @@ def test_integer_leaf_matches_term_by_term_sum(name, digits):
     else:
         assert isinstance(value, LinearCombination)
         assert value.coeffs == want.coeffs
-        assert [type(c) for c in value.coeffs] == [type(c) for c in want.coeffs]
     assert scalar_sign(value) == scalar_sign(term_by_term(base, digits))
     if (name, tuple(digits)) in LEAF_ZEROS:
-        assert leaf == 0
+        assert leaf == search.origin
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
@@ -276,7 +274,7 @@ def test_half_tables_keep_the_tie_rule_patch_of_each_vector(length):
             _, vectors, codes = table
             assert len(vectors) == len(best), name
             for packed, code in zip(vectors, codes):
-                vec = unpacked(search, packed, code)
+                vec = unpacked(search, search.origin + packed)
                 patch = table_patch(search, code)
                 assert vector_of(search, base, patch) == vec, name
                 assert tie_key([a + b for a, b in zip(start, patch)]) == best[vec], name
@@ -357,7 +355,7 @@ TABLE_BASES = {
 
 @pytest.mark.parametrize("name", sorted(TABLE_BASES))
 def test_packed_tables_match_the_reference_builder(name):
-    # Column by column after unpacking, coordinate types included: the
+    # Column by column after unpacking, with their types: the
     # packed whole-column build keeps every entry and its order, and a base
     # with one table has as its code > 0 rows exactly the lead table.
     base = as_scalar(TABLE_BASES[name])
@@ -367,10 +365,14 @@ def test_packed_tables_match_the_reference_builder(name):
         assert (search.lead is None) == (len(want_full[0]) == 3 ** len(search.degrees))
         for got, want in ((search.full, want_full), (lead_table(search), want_lead)):
             sums, vectors, codes = got
-            vecs = [unpacked(search, v, c) for v, c in zip(vectors, codes)]
+            vecs = [unpacked(search, search.origin + v) for v in vectors]
             for column, want_column in zip((sums, vecs, codes), want):
                 assert list(column) == want_column, (name, n_max)
-                assert types_of(column) == types_of(want_column), (name, n_max)
+                # At the non-monic base an unpacked vector has Fraction
+                # coordinates over frame.den where the reference may have
+                # ints; the screen reads both alike.
+                if column is not vecs or name != "nonmonic":
+                    assert types_of(column) == types_of(want_column), (name, n_max)
 
 
 @pytest.mark.parametrize("base,collides", [(Fraction(2), True), (Fraction(1, 2), True),
