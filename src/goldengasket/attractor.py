@@ -6,18 +6,24 @@ hole; a candidate is genuine when it misses every region one level deeper.
 Area brackets and box counts ride on a barycentric grid whose cell tests
 reduce to integer comparisons once the region bounds have exact ceilings.
 
-Inside the loops a region's bound vector is one packed int of one
-``exact.VectorFrame`` per level set, so a child is one int add, dedup
+A level set is its regions' packed bound ints, one int per region of one
+``exact.VectorFrame`` per level set, with the maker chain that gives their
+words: ``_levels`` yields each level as the ints in word order, each
+child's maker offsets and its digit, so a child is one int add, dedup
 hashes one int and a bound is read off its lane group by a shift and a
-mask.  Hole tests and the grid's ceilings are decided on the bounds'
-certified integer images, unpacked once per distinct lane group, by the
-exact core's own deciders, and drop to the exact scalars only when an
-image straddles the answer; the grid's corner tests compare the ceilings.
+mask.  ``CornerRegion`` views are made only where regions are read: by
+``LevelSet.regions`` on first use and by the hole tree as it is built;
+area grids and box counts read the ints alone.  Hole tests and the
+grid's ceilings are decided on the bounds' certified integer images,
+unpacked once per distinct lane group, by the exact core's own deciders,
+and drop to the exact scalars only when an image straddles the answer;
+the grid's corner tests compare the ceilings.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -74,15 +80,60 @@ def _check_level(d, n):
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Deduplicated corner regions whose union is the level-n set."""
+    """Deduplicated corner regions whose union is the level-n set.
+
+    ``regions`` is a ``_Regions``: the packed bound ints and the maker
+    chain of ``_levels``, read as ``CornerRegion`` views only when indexed
+    or iterated.  ``len`` counts the ints.
+    """
 
     lam: object
     d: int
     n: int
-    regions: tuple
+    regions: Sequence
 
     def __len__(self):
         return len(self.regions)
+
+
+class _Regions(Sequence):
+    """The regions of a level as packed bound ints ``vecs`` of ``frame``,
+    in word order, and ``chain``, the ``(starts, digits)`` of levels 1..n
+    of ``_levels``.  The views, words from the maker chain, are made once,
+    on the first index, iteration or comparison."""
+
+    def __init__(self, frame, vecs, chain):
+        self.frame, self.vecs, self.chain = frame, vecs, chain
+        self._views = None
+
+    def __len__(self):
+        return len(self.vecs)
+
+    def __getitem__(self, i):
+        return self._made()[i]
+
+    def __iter__(self):
+        return iter(self._made())
+
+    def __eq__(self, other):
+        if not isinstance(other, _Regions):
+            return NotImplemented
+        return self._made() == other._made()
+
+    def __hash__(self):
+        return hash(self._made())
+
+    def _made(self):
+        if self._views is None:
+            words = [()]
+            for starts, digits in self.chain:
+                words = [word + (digits[c],)
+                         for word, a, b in zip(words, starts, starts[1:])
+                         for c in range(a, b)]
+            view, frame, n = CornerRegion.view, self.frame, len(self.chain)
+            self._views = tuple(view(frame, vec, n, word)
+                                for vec, word in zip(self.vecs, words))
+        return self._views
 
 
 def _check_words(d, depth, max_words):
@@ -96,38 +147,37 @@ def _check_words(d, depth, max_words):
 def _levels(lam, d, depth, max_words=None):
     """Yield each deduplicated level 0..depth as a tree under its makers.
 
-    Level k comes as ``(regions, starts)``: the regions in word order of
-    first appearance, and (``None`` at level 0) offsets such that region i
-    of level k-1 made ``regions[starts[i]:starts[i+1]]``.  A region's maker
-    is the parent whose child it was when first made.  A child raises one
-    lower bound of its maker, so it lies inside it, and children of
-    bound-identical regions are bound-identical, so dedup runs level by
-    level.  The (d+1)^depth words are checked against ``max_words``.
+    Level k comes as ``(frame, vecs, starts, digits)``: the packed bound
+    ints of its regions in word order of first appearance, and (``None``
+    at level 0) offsets such that region i of level k-1 made
+    ``vecs[starts[i]:starts[i+1]]``, and the digit each of those appended
+    to its maker's word.  A region's maker is the parent whose child it
+    was when first made.  A child raises one lower bound of its maker, so
+    it lies inside it, and children of bound-identical regions are
+    bound-identical, so dedup runs level by level.  The (d+1)^depth words
+    are checked against ``max_words``; no word or view is made here.
 
-    The regions are views over one ``VectorFrame`` of all the levels, whose
+    The ints are vectors of one ``VectorFrame`` of all the levels, whose
     lanes hold any sum of the steps (1 - lam) lam^k: digit j at position k
     of a word adds the step's ``delta`` at bound j to its maker's int, and
-    dedup hashes the packed ints.
+    dedup hashes the ints.
     """
     _check_words(d, depth, max_words)
     steps = [(1 - lam) * lam**k for k in range(depth)]
     frame = VectorFrame(lam, steps)
-    view = CornerRegion.view
-    level = [view(frame, frame.pack((0,) * ((d + 1) * frame.deg)), 0, ())]
-    yield level, None
-    for k, step in enumerate(map(frame.vector, steps)):
-        shifts = [(frame.delta(step, j), (j,)) for j in range(d + 1)]
+    vecs = [frame.pack((0,) * ((d + 1) * frame.deg))]
+    yield frame, vecs, None, None
+    for step in map(frame.vector, steps):
+        shifts = [(frame.delta(step, j), j) for j in range(d + 1)]
         kept = {}
+        keep = kept.setdefault
         starts = [0]
-        for reg in level:
-            vec, word = reg.vec, reg.word
+        for vec in vecs:
             for shift, digit in shifts:
-                child = vec + shift
-                if child not in kept:
-                    kept[child] = view(frame, child, k + 1, word + digit)
+                keep(vec + shift, digit)
             starts.append(len(kept))
-        level = list(kept.values())
-        yield level, starts
+        vecs = list(kept)
+        yield frame, vecs, starts, list(kept.values())
 
 
 def build_level(lam, d, n, max_words=None):
@@ -138,9 +188,10 @@ def build_level(lam, d, n, max_words=None):
     """
     _check_level(d, n)
     lam = _check_lam(lam)
-    for regions, _ in _levels(lam, d, n, max_words):
-        pass
-    return LevelSet(lam=lam, d=d, n=n, regions=tuple(regions))
+    chain = []
+    for frame, vecs, starts, digits in _levels(lam, d, n, max_words):
+        chain.append((starts, digits))
+    return LevelSet(lam=lam, d=d, n=n, regions=_Regions(frame, vecs, chain[1:]))
 
 
 @dataclass(frozen=True)
@@ -185,23 +236,40 @@ def classify_holes(lam, d, n, max_words=None):
     """
     _check_level(d, n)
     lam = _check_lam(lam)
-    return _classify(lam, d, n, list(map(_moves, _levels(lam, d, n + 1, max_words))))
+    tree = _grow([], _levels(lam, d, n + 1, max_words), n + 2)
+    return _classify(lam, d, n, tree)
 
 
-def _moves(level):
-    """(regions, starts, moved) of a level of ``_levels``: moved[i] is (b,
-    image), shared per distinct bound, of the bound L_b region i raised."""
-    regions, starts = level
-    frame = regions[0].frame
-    known = {}
-    moved = []
-    for reg in regions if starts else ():
-        b = reg.word[-1]
-        key = b, frame.lanes(reg.vec, b)
-        if key not in known:
-            known[key] = b, frame.images(frame.unpack(key[1]))[0]
-        moved.append(known[key])
-    return regions, starts, moved
+def _grow(tree, levels, size):
+    """``tree`` grown to ``size`` levels from ``levels``, an iterator of
+    ``_levels`` at the level after the tree's last: each level is
+    ``(regions, starts, moved)``, its regions made as ``CornerRegion``
+    views with the word of their maker plus their digit, and moved[i] the
+    (b, image), shared per distinct bound, of the bound L_b region i
+    raised over its maker."""
+    view = CornerRegion.view
+    while len(tree) < size:
+        frame, vecs, starts, digits = next(levels)
+        if starts is None:
+            tree.append(([view(frame, vecs[0], 0, ())], None, []))
+            continue
+        level = len(tree)
+        words = [maker.word for maker, a, b in zip(tree[-1][0], starts, starts[1:])
+                 for _ in range(a, b)]
+        regions = [view(frame, vec, level, word + (digit,))
+                   for vec, digit, word in zip(vecs, digits, words)]
+        span = frame.span
+        mask = (1 << span) - 1
+        known = {}
+        moved = []
+        for vec, digit in zip(vecs, digits):
+            key = digit, vec >> digit * span & mask
+            bound = known.get(key)
+            if bound is None:
+                bound = known[key] = digit, frame.images(frame.unpack(key[1]))[0]
+            moved.append(bound)
+        tree.append((regions, starts, moved))
+    return tree
 
 
 def _meets(hole, upper, reg, moved):
@@ -276,9 +344,7 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
     tree = []
     for n in range(n_max + 1):
         _check_words(d, n + 1, max_words)
-        while len(tree) < n + 2:
-            tree.append(_moves(next(levels)))
-        report = _classify(lam, d, n, tree)
+        report = _classify(lam, d, n, _grow(tree, levels, n + 2))
         if report.violations:
             hole, _ = report.violations[0]
             return Violation(word=hole.word, level=n)
@@ -367,17 +433,17 @@ def _stamp(key, stride, lo_cells, hi_cells):
 
 
 def _grid_counts(level, r):
-    """(contained, meeting) cell counts of a planar ``LevelSet`` on the r-grid."""
+    """(contained, meeting) cell counts of a planar ``LevelSet`` on the
+    r-grid, read off its packed bound ints and frame, no view made."""
     stride = 2 * r
     lo_cells = bytearray(r * stride)
     hi_cells = bytearray(r * stride)
-    frame = level.regions[0].frame
+    frame, vecs = level.regions.frame, level.regions.vecs
     span = frame.span
     mask = (1 << span) - 1
     coordinates = _Coordinates(frame, r, frame.vector(level.lam ** level.n))
     stamps = {}
-    for reg in level.regions:
-        vec = reg.vec
+    for vec in vecs:
         a = coordinates[vec & mask]
         b = coordinates[vec >> span & mask]
         c = coordinates[vec >> 2 * span]
@@ -444,7 +510,7 @@ def box_dimension_estimate(lam, d=2, n=8, delta_range=None, max_words=None):
         if not 1 <= k <= n:
             raise DomainError("scale %g falls outside lam^1 .. lam^n" % delta)
         ks.append(k)
-    counts = [len(regions) for regions, _ in _levels(lam, d, max(ks), max_words)]
+    counts = [len(vecs) for _, vecs, _, _ in _levels(lam, d, max(ks), max_words)]
     xs = [-k * math.log(lam_f) for k in ks]
     ys = [math.log(counts[k]) for k in ks]
     mean_x = sum(xs) / len(xs)

@@ -35,6 +35,7 @@ from goldengasket.exact import (
     multinacci,
     tau,
 )
+from goldengasket.geometry import CornerRegion
 from goldengasket.words import u_sequence
 
 W2 = multinacci(2)
@@ -73,17 +74,60 @@ def test_level_regions_dominate_parents():
                          ids=["omega2", "lambda0"])
 def test_levels_hang_each_region_under_its_maker(lam, depth):
     levels = list(attractor._levels(as_scalar(lam), 2, depth))
-    assert levels[0][1] is None
+    assert levels[0][2] is None and levels[0][3] is None
     merged = False
-    for (parents, _), (regions, starts) in zip(levels, levels[1:]):
+    for k, ((_, parents, _, _), (frame, vecs, starts, digits)) in enumerate(
+            zip(levels, levels[1:])):
         # The makers' ranges cover the level once, in order.
         assert len(starts) == len(parents) + 1
-        assert starts[0] == 0 and starts[-1] == len(regions)
-        for maker, a, b in zip(parents, starts, starts[1:]):
+        assert starts[0] == 0 and starts[-1] == len(vecs) == len(digits)
+        makers = build_level(lam, 2, k).regions
+        regions = build_level(lam, 2, k + 1).regions
+        assert [reg.bounds for reg in regions] == [
+            frame.scalars(frame.unpack(vec)) for vec in vecs]
+        for maker, a, b in zip(makers, starts, starts[1:]):
             assert a <= b
-            assert all(reg.word[:-1] == maker.word for reg in regions[a:b])
+            assert [reg.word for reg in regions[a:b]] == [
+                maker.word + (digit,) for digit in digits[a:b]]
             merged |= b - a < 3
     assert merged
+
+
+def counted_views(monkeypatch):
+    """A list that collects each CornerRegion view made from here on."""
+    made = []
+    view = CornerRegion.view
+
+    def counted(frame, vec, level, word):
+        made.append(word)
+        return view(frame, vec, level, word)
+
+    monkeypatch.setattr(CornerRegion, "view", counted)
+    return made
+
+
+def test_area_and_counts_make_no_views(monkeypatch):
+    made = counted_views(monkeypatch)
+    estimate_area(W2, 2, 8, 64)
+    box_dimension_estimate(W2, 2, 8)
+    level = build_level(W2, 2, 9)
+    assert len(level.regions) == len(level) == 6777
+    assert made == []
+
+
+def test_level_regions_are_made_once_on_first_read(monkeypatch):
+    made = counted_views(monkeypatch)
+    level = build_level(W2, 2, 6)
+    first = list(level.regions)
+    assert len(made) == len(level) == len(first)
+    assert list(level.regions) == first
+    assert all(a is b for a, b in zip(level.regions, first))
+    assert level.regions[-1] is first[-1] and len(made) == len(level)
+    assert [reg.level for reg in first] == [6] * len(level)
+    # Level sets compare and hash by their regions' exact bounds.
+    assert build_level(W2, 2, 3) == build_level(W2, 2, 3)
+    assert hash(build_level(W2, 2, 3)) == hash(build_level(W2, 2, 3))
+    assert build_level(W2, 2, 3) != build_level(Fraction(3, 5), 2, 3)
 
 
 def test_growth_ratio_tracks_reciprocal_root():
