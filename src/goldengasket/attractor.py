@@ -254,10 +254,9 @@ def _grow(tree, levels, size):
             tree.append(([view(frame, vecs[0], 0, ())], None, []))
             continue
         level = len(tree)
-        words = [maker.word for maker, a, b in zip(tree[-1][0], starts, starts[1:])
-                 for _ in range(a, b)]
-        regions = [view(frame, vec, level, word + (digit,))
-                   for vec, digit, word in zip(vecs, digits, words)]
+        regions = [view(frame, vecs[c], level, maker.word + (digits[c],))
+                   for maker, a, b in zip(tree[-1][0], starts, starts[1:])
+                   for c in range(a, b)]
         span = frame.span
         mask = (1 << span) - 1
         known = {}
