@@ -283,7 +283,8 @@ def _meets(hole, upper, reg, moved):
 
 
 def _classify(lam, d, n, tree):
-    """The HoleReport of level n over ``tree``: ``_moves`` of levels 0..n+1."""
+    """The HoleReport of level n over ``tree``, a ``_grow`` tree of levels
+    0..n+1."""
     holes = []
     if compare(lam, Fraction(d, d + 1)) < 0:
         frame = tree[0][0][0].frame

@@ -23,6 +23,7 @@ from operator import itemgetter
 from .errors import DomainError, ResourceLimit
 from .exact import (
     AlgebraicNumber,
+    LinearCombination,
     VectorFrame,
     as_scalar,
     compare,
@@ -132,7 +133,18 @@ def near_multinacci(lam):
 
 def is_multinacci_reciprocal(theta):
     """Is theta exactly (algebraic input) or nearly (rational input) some
-    1/omega_m?  Returns the matching m or None."""
+    1/omega_m?  Returns the matching m or None.
+
+    A ``LinearCombination`` equal to its base's generator reads as that
+    base number.  Any other combination raises DomainError: it may be a
+    multinacci reciprocal written on another basis (1 + omega_2 is the
+    golden ratio), which None would let the ceiling certify.
+    """
+    if isinstance(theta, LinearCombination):
+        if theta != theta.alg.as_scalar():
+            raise DomainError("multinacci test needs a rational, an AlgebraicNumber "
+                              "or the generator combination of one")
+        theta = theta.alg
     if isinstance(theta, AlgebraicNumber):
         m = len(theta.poly) - 1
         if 2 <= m <= MULTINACCI_MAX and theta.poly == (-1,) * m + (1,):
@@ -250,8 +262,12 @@ class _SignedSumSearch:
     first patch of a vector, and a later digit never reorders two partial
     patches with equal vectors: each stage keeps its first patch per vector.
     The all-zero prefix has a table of the patches whose top nonzero digit
-    is +1, by top degree first.  Below one the table holds the top degrees,
-    so both tables keep each vector's patch of least ``tie_key`` instead.
+    is +1, by top degree first: each stage's ``up`` rows, in turn.  Below
+    one the table holds the top degrees, so a nonzero prefix ranks a patch
+    by its top degree, then by its top digit with -1 first (the sign flip
+    turns the prefix's lowest digit from +1 into -1), then by its digits
+    from the lowest: its table is the zero row followed, degree by degree,
+    by the negated ``up`` rows and the ``up`` rows, first patch per vector.
     If no two of the 3^t patches share a vector, the +1-led ones are the
     full table's rows of code > 0, with the same floats, and ``lead`` is
     None: the all-zero prefix walks the full table past the other rows.
@@ -287,21 +303,15 @@ class _SignedSumSearch:
                 out = [None] * (3 * len(column))
                 out[0::3], out[1::3], out[2::3] = [x - step for x in column], column, column_up
                 stage.append(out)
-            full = stage
-            if degrees[0] == 0:
-                full = _first_per_vector(full)
+            full = _first_per_vector(stage)
         if degrees[0] != 0:
-            # Rank under the prefix 1: every nonzero prefix, whose lowest
-            # nonzero digit is +1, ranks the patches alike.
-            self.coeffs[0] = 1
-            full = _first_per_vector(_sorted(full, lambda i: self.tie_key(full[2][i])))
-            self.coeffs[0] = 0
+            # Below one: rebuilt from the up rows in tie-rule order.
+            full = _first_per_vector(tuple(
+                [zero, *chain.from_iterable(chain((-x for x in up), up) for up in column)]
+                for zero, column in zip((0.0, 0, 0), zip(*ups))))
         self.lead = None
         if len(full[0]) < 3 ** len(degrees):
-            lead = tuple([*chain.from_iterable(column)] for column in zip(*ups))
-            if degrees[0] != 0:
-                lead = _sorted(lead, lambda i: self.tie_key(lead[2][i]))
-            lead = _first_per_vector(lead)
+            lead = _first_per_vector(tuple([*chain.from_iterable(column)] for column in zip(*ups)))
             self.lead = _sorted(lead, lead[0].__getitem__)
         self.full = _sorted(full, full[0].__getitem__)
 

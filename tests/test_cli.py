@@ -1,6 +1,7 @@
 """Command-line surface: tokens, formats, exit codes, determinism."""
 
 import argparse
+import ast
 import hashlib
 import importlib
 import json
@@ -9,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -637,6 +639,35 @@ def test_readme_commands_parse(tmp_path, capsys, monkeypatch):
     for argv in commands:
         code, _, err = run(capsys, *argv, "--dry-run")
         assert code == EXIT_OK, (argv, err)
+
+
+def test_readme_library_example_runs():
+    # Each expression of the library example gives the repr its comment
+    # states, except the area, which is a bracket of two Fractions.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Library example", 1)[1].split("```python\n")[1]
+    block = block.split("```")[0]
+    lines = block.splitlines()
+    statements = ast.parse(block).body
+    namespace, results = {}, []
+    for stmt, after in zip(statements, statements[1:] + [None]):
+        code = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(code, namespace)
+            continue
+        stop = after.lineno - 1 if after else len(lines)
+        comment = next(line.partition("#")[2].strip()
+                       for line in lines[stmt.end_lineno - 1:stop] if "#" in line)
+        results.append((eval(code, namespace), comment))
+    *shown, (area, _) = results
+    assert [comment for _, comment in shown] == [
+        "ConsistentUpTo(n_max=6)",
+        "Violation(word=(0, 1, 1), level=3)",
+        "ConverseWitness(n=5, digits=(1, 1, 0, 0))",
+    ]
+    for value, comment in shown:
+        assert repr(value) == comment
+    assert len(area) == 2 and all(type(end) is Fraction for end in area)
 
 
 def test_domain_error_exits_one(capsys):

@@ -25,6 +25,7 @@ from goldengasket.exact import (
     compare,
     compare_values,
     isolate_root,
+    lambda_star,
     multinacci,
     scalar_sign,
 )
@@ -94,7 +95,9 @@ def tie_key(coeffs):
 # Fraction coordinates, which the fixed-point screen reads over their lcm.
 NONMONIC = isolate_root([-1, -2, 2], (Fraction(1), Fraction(3, 2)))
 
-# The last two lie below one, where the table holds the top degrees.
+# The last three lie below one, where the table holds the top degrees;
+# lambda*, the root of 2x^3 - 2x^2 + 2x - 1, is the non-monic one there,
+# so its negated rows carry Fraction coordinates.
 BASES = [
     ("golden", golden_ratio()),
     ("tribonacci", multinacci_reciprocal(3)),
@@ -103,6 +106,7 @@ BASES = [
     ("rational", Fraction(9, 5)),
     ("omega2", multinacci(2)),
     ("rational-below", Fraction(3, 5)),
+    ("lambda-star", lambda_star()),
 ]
 
 
@@ -278,6 +282,19 @@ def test_half_tables_keep_the_tie_rule_patch_of_each_vector(length):
                 patch = table_patch(search, code)
                 assert vector_of(search, base, patch) == vec, name
                 assert tie_key([a + b for a, b in zip(start, patch)]) == best[vec], name
+
+
+@pytest.mark.parametrize("base,n_max", [(Fraction(3, 5), 20), (multinacci(2), 16)],
+                         ids=["3/5", "omega2"])
+def test_tables_are_built_without_tie_key(base, n_max, monkeypatch):
+    # The build order carries the tie rule on both sides of one, so only
+    # ``consider`` ranks patches by ``tie_key``.
+    calls = []
+    rank = _SignedSumSearch.tie_key
+    monkeypatch.setattr(_SignedSumSearch, "tie_key",
+                        lambda self, code: calls.append(code) or rank(self, code))
+    _SignedSumSearch(as_scalar(base), n_max, DEFAULT_NODE_CAP)
+    assert len(calls) == 0
 
 
 def reference_tables(base, n_max):
@@ -524,10 +541,12 @@ def test_ell_upper_rejects_small_theta():
 # separation report
 
 def test_report_golden_flagged_uncertified():
-    rep = separation_bound_check(golden_ratio(), 12)
-    assert rep.multinacci_reciprocal == 2
-    assert not rep.certified
-    assert rep.witness.coeffs == (-1, 1)
+    # Golden as a number and as its generator combination.
+    for theta in (golden_ratio(), golden_ratio().as_scalar()):
+        rep = separation_bound_check(theta, 12)
+        assert rep.multinacci_reciprocal == 2
+        assert not rep.certified
+        assert rep.witness.coeffs == (-1, 1)
     d = rep.as_json_dict()
     assert set(d) == {
         "theta", "n_max", "min_abs", "witness_coeffs",
@@ -686,6 +705,14 @@ def test_is_multinacci_reciprocal():
     assert is_multinacci_reciprocal(multinacci_reciprocal(MULTINACCI_MAX + 1)) is None
     for index in range(1, 5):
         assert is_multinacci_reciprocal(pisot_number(index)) is None
+    # A combination reads as its base only when it is the generator.
+    for m in (2, 3, 5):
+        assert is_multinacci_reciprocal(multinacci_reciprocal(m).as_scalar()) == m
+    for index in range(1, 5):
+        assert is_multinacci_reciprocal(pisot_number(index).as_scalar()) is None
+    # 1 + omega_2 is the golden ratio on omega_2's basis.
+    with pytest.raises(DomainError):
+        is_multinacci_reciprocal(1 + multinacci(2).as_scalar())
 
 
 def test_pinch_needs_matching_digit_count():
