@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .attractor import (
     ConsistentUpTo,
@@ -171,28 +172,77 @@ def _json_text(obj, pad):
     """``json.dumps(obj, indent=2, sort_keys=True)`` for ``obj`` at indent ``pad``.
 
     The same bytes without the pure-Python encoder that ``indent`` selects:
-    containers are laid out here, an all-int list in one join, and keys and
-    every other scalar go through the C encoder, whose key encoder raises
-    TypeError on a key that is not a str.
+    containers are laid out here, and keys and every other scalar go through
+    the C encoder, whose key encoder raises TypeError on a key that is not a
+    str.  A list whose items all have one of two shapes is laid out a column
+    at a time, by one format string per item (``_items_text``):
+
+    - int rows: lists or tuples of one nonzero length k holding only ints
+      (``type(x) is int``, so no bool, float or IntEnum), each formatted by
+      one template of k ``%d`` fields;
+    - records: non-empty dicts with one key set, each key's values laid out
+      as a column in the same way, and each record formatted from its row of
+      the columns by one template with a ``%s`` per key (key texts
+      ``%``-escaped).
+
+    A list of such ints takes ``int.__repr__`` per item.  Any other list,
+    ragged rows and records with different key sets among them, takes one
+    ``_json_text`` call per item.
     """
     inner = pad + "  "
-    sep = ",\n" + inner
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         key_text = json.encoder.encode_basestring_ascii
-        body = sep.join([key_text(key) + ": " + _json_text(obj[key], inner)
-                         for key in sorted(obj)])
-        return "{\n" + inner + body + "\n" + pad + "}"
+        body = [key_text(key) + ": " + _json_text(obj[key], inner)
+                for key in sorted(obj)]
+        return _bracket("{", body, "}", pad)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(x) is int for x in obj):
-            body = sep.join(map(int.__repr__, obj))
-        else:
-            body = sep.join([_json_text(x, inner) for x in obj])
-        return "[\n" + inner + body + "\n" + pad + "]"
+        return _bracket("[", list(_items_text(obj, inner)), "]", pad)
     return json.dumps(obj)
+
+
+def _bracket(opening, body, closing, pad):
+    """The non-empty list of texts ``body``, one per line at indent
+    ``pad + "  "``, between brackets at indent ``pad``.
+
+    The brackets go onto the first and last texts, so that the one join
+    makes the only copy of a large body.
+    """
+    inner = pad + "  "
+    body[0] = opening + "\n" + inner + body[0]
+    body[-1] += "\n" + pad + closing
+    return (",\n" + inner).join(body)
+
+
+def _items_text(items, pad):
+    """The texts ``_json_text(x, pad)`` of a non-empty list's items, a column
+    at a time for the shapes ``_json_text`` lists.
+
+    The column shapes return lazy iterators, so the texts of a record column
+    are made as the records are formatted and dropped right after, not held
+    for the whole list.
+    """
+    types = set(map(type, items))
+    if types == {int}:
+        return map(int.__repr__, items)
+    first = items[0]
+    if (types <= {list, tuple} and first and len(set(map(len, items))) == 1
+            and set(map(type, chain.from_iterable(items))) == {int}):
+        template = _bracket("[", ["%d"] * len(first), "]", pad)
+        return map(template.__mod__, map(tuple, items))
+    if (types == {dict} and first
+            and all(map(first.keys().__eq__, map(dict.keys, items)))):
+        keys = sorted(first)
+        key_text = json.encoder.encode_basestring_ascii
+        fields = [key_text(key).replace("%", "%%") + ": %s" for key in keys]
+        template = _bracket("{", fields, "}", pad)
+        inner = pad + "  "
+        columns = [_items_text([d[key] for d in items], inner) for key in keys]
+        return map(template.__mod__, zip(*columns))
+    return [_json_text(x, pad) for x in items]
 
 
 def _emit_json(obj, path):

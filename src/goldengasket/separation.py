@@ -298,17 +298,18 @@ class _SignedSumSearch:
             steps = (fweights[k], self.vectors[k], 3**j)
             up = [[x + step for x in column] for step, column in zip(steps, full)]
             ups.append(up)
+            if degrees[0] != 0 and j == len(degrees) - 1:
+                # Below one: the last stage is the up rows in tie-rule order.
+                full = _first_per_vector(tuple(
+                    [zero, *chain.from_iterable(chain((-x for x in up), up) for up in column)]
+                    for zero, column in zip((0.0, 0, 0), zip(*ups))))
+                break
             stage = []
             for step, column, column_up in zip(steps, full, up):
                 out = [None] * (3 * len(column))
                 out[0::3], out[1::3], out[2::3] = [x - step for x in column], column, column_up
                 stage.append(out)
             full = _first_per_vector(stage)
-        if degrees[0] != 0:
-            # Below one: rebuilt from the up rows in tie-rule order.
-            full = _first_per_vector(tuple(
-                [zero, *chain.from_iterable(chain((-x for x in up), up) for up in column)]
-                for zero, column in zip((0.0, 0, 0), zip(*ups))))
         self.lead = None
         if len(full[0]) < 3 ** len(degrees):
             lead = _first_per_vector(tuple([*chain.from_iterable(column)] for column in zip(*ups)))

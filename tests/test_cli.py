@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import enum
 import hashlib
 import importlib
 import json
@@ -137,8 +138,8 @@ def test_ell_golden_json(capsys):
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# One command line per JSON shape: each prints exactly the re-encoding of
-# what it printed.
+# Every JSON subcommand, with each verdict it can give: each prints exactly
+# the re-encoding of what it printed.
 JSON_JOBS = [
     (("holes", "--lambda", "rational:59/100", "-n", "3"), EXIT_VERDICT),
     (("selfsim", "--lambda", "rational:59/100", "-n", "6"), EXIT_VERDICT),
@@ -149,6 +150,9 @@ JSON_JOBS = [
     (("witness", "--lambda", "rational:131/200", "-n", "12"), EXIT_VERDICT),
     (("expand", "--lambda", "omega:2", "-n", "8", "--tail"), EXIT_OK),
     (("holes", "--lambda", "lambda-star", "--dry-run"), EXIT_OK),
+    (("holes", "--lambda", "rational:40/61", "-n", "4"), EXIT_VERDICT),
+    (("holes", "--lambda", "omega:2", "-n", "4"), EXIT_OK),
+    (("ell", "--theta", "golden", "--degree", "10"), EXIT_OK),
 ]
 
 
@@ -512,6 +516,73 @@ def test_json_text_rejects_non_str_keys(key):
         cli._json_text({key: 1}, "")
     with pytest.raises(TypeError):
         cli._json_text([{"ok": {key: 1}}], "")
+
+
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+# Documents made of the shapes _items_text lays out a column at a time (int
+# rows, records with one key set), with near misses that must fall back.
+_spoilers = st.sampled_from([True, False, 0.5, -0.0, 3.0, _Small.ONE])
+_keys = st.sampled_from(["", "%", "%s", "%%d", "a\"b", "\u00e9", "k", "z"])
+
+
+def _cut(k, rows):
+    """Rows of three ints, each cut to length k and given as a tuple if flagged."""
+    return [tuple(row[:k]) if as_tuple else row[:k] for row, as_tuple in rows]
+
+
+_int_rows = st.builds(_cut, st.integers(1, 3), st.lists(
+    st.tuples(st.lists(st.integers(), min_size=3, max_size=3), st.booleans()),
+    min_size=1, max_size=3))
+
+
+def _spoil(rows, spoiler, at):
+    """``rows`` with the ``at``-th int (cyclically) replaced by ``spoiler``."""
+    i = at % len(rows)
+    row = list(rows[i])
+    row[at % len(row)] = spoiler
+    return rows[:i] + [type(rows[i])(row)] + rows[i + 1:]
+
+
+def _records(values):
+    """Lists of dicts on one key set, one to three keys."""
+    return st.builds(
+        lambda keys, rows: [dict(zip(keys, row)) for row in rows],
+        st.lists(_keys, min_size=1, max_size=3, unique=True),
+        st.lists(st.lists(values, min_size=3, max_size=3), min_size=1, max_size=3))
+
+
+_column_documents = st.recursive(
+    st.integers() | _spoilers | st.text(max_size=3)
+    | _int_rows | st.builds(_spoil, _int_rows, _spoilers, st.integers(0, 8))
+    | st.lists(st.lists(st.integers(), max_size=3), min_size=2, max_size=3),
+    lambda inner: (_records(inner)
+                   | st.lists(st.dictionaries(_keys, inner, max_size=3),
+                              min_size=2, max_size=3)
+                   | st.dictionaries(_keys, inner, min_size=1, max_size=3)
+                   | inner.map(lambda x: [x])),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_documents)
+def test_json_text_matches_indented_dumps_on_column_shapes(obj):
+    assert cli._json_text(obj, "") + "\n" == _pinned_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [{1: 2}, {1: 3}],
+    [{None: 0}, {None: 1}, {None: 2}],
+    [{True: 0}, {True: 1}],
+    [{"a": {(1, 2): 0}}, {"a": {(1, 2): 1}}],
+    [{"a": [{1.5: 0}]}, {"a": [{1.5: 1}]}],
+    {"x": [[{"a": 0, 1: 0}, {"a": 1, 1: 1}]]},
+], ids=repr)
+def test_json_text_rejects_non_str_keys_in_record_columns(obj):
+    with pytest.raises(TypeError):
+        cli._json_text(obj, "")
 
 
 # sha256 of the help text at COLUMNS=80, for `gasket -h` and `gasket <sub> -h`.
