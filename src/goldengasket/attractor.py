@@ -23,9 +23,12 @@ the grid's corner tests compare the ceilings.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import add
 
 from .errors import DomainError, ResourceLimit
@@ -356,9 +359,9 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
 #
 # Side split r gives r^2 cells: upward cells (i, j) with i + j <= r-1
 # (third index k = r-1-i-j) and downward cells with i + j <= r-2
-# (k = r-2-i-j).  Each bracket side is one bytearray of r rows of stride
-# 2r, with upward cell (i, j) at 2r i + 2j and downward cell (i, j) right
-# after it.  For a region with lower bounds L put C_j = ceil(r L_j), the gap
+# (k = r-2-i-j).  Each bracket side has r rows of stride 2r, with upward
+# cell (i, j) at 2r i + 2j and downward cell (i, j) right after it.  For a
+# region with lower bounds L put C_j = ceil(r L_j), the gap
 # g_j = r L_j - C_j in (-1, 0], and D_j = C_j - 1 when g_j < 0, else C_j.
 # A cell of either orientation is contained in the region iff idx >= C
 # componentwise; a downward cell meets the open region with positive area
@@ -373,13 +376,27 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
 #
 # So in row C_0 + m the contained cells are one run from 2 C_1 and the
 # meeting cells one run from 2 D_1, whose end cells are the corner cells.
-# Relative to the cell (C_0, C_1) the runs depend only on the key: T, the
-# three gap flags g_j < 0 and the three corner verdicts, so they are built
-# once per key and stamped by slice writes.  L_j depends only on where
-# digit j occurs, so C_j, its flag and E_j are kept once per distinct
-# coordinate vector.  Each ceiling and flag is read off the certified
-# integer image and goes to the exact scalars only when the image
-# straddles the answer.
+# Relative to the origin cell (C_0, C_1) the runs depend only on the key:
+# T, the three gap flags g_j < 0 and the three corner verdicts, so they are
+# built once per key, and every run stays inside its own row of the grid.
+# L_j depends only on where digit j occurs, so C_j, its flag and E_j are
+# kept once per distinct coordinate vector.  Each ceiling and flag is read
+# off the certified integer image and goes to the exact scalars only when
+# the image straddles the answer.
+#
+# The origins are gathered per key first, and then written one of two ways.
+# On the bit grid each side is one int, cell c at bit c + 2r + 2 (a run
+# starts at most one row and one column before its origin), and a key's
+# origins are one int of marks: a run of length L is the marks dilated by
+# L (shifts of 1, 2, 4, ... and a last partial one, taken in increasing L
+# across the key's runs) and shifted by its start, so each run costs a few
+# whole-grid int operations whatever the number of regions.  On the byte
+# grid each region writes its runs as slices, one byte a cell.  A level
+# takes the bit grid when its regions average at least r^2 / _DENSE per
+# key: on a shared 2-core x86-64 host (Python 3.11) at r = 256..2048, the
+# bit grid was the faster one wherever r^2 / mean was below about 2,900
+# and the slower one wherever it was above about 9,000.
+_DENSE = 4096
 
 
 class _Coordinates(dict):
@@ -410,10 +427,10 @@ class _Coordinates(dict):
         return decided
 
 
-def _stamp(key, stride, lo_cells, hi_cells):
-    """Runs (cells, start, stop, ones) of the contained cells in
-    ``lo_cells`` and of the meeting cells in ``hi_cells`` of a region with
-    stamp key ``key``, relative to its cell (C_0, C_1)."""
+def _stamp(key, stride):
+    """Runs (side, start, stop) of a region with stamp key ``key``,
+    relative to its origin cell (C_0, C_1): side 0 holds the contained
+    cells and side 1 the meeting cells."""
     t, f0, f1, f2, *verdicts = key
     corners = dict(zip(((0, 1), (0, 2), (1, 2)), verdicts))
 
@@ -422,27 +439,26 @@ def _stamp(key, stride, lo_cells, hi_cells):
         short = tuple(s for s, o in enumerate((m, p, t - 1 - m - p)) if o < 0)
         return len(short) != 2 or corners[short]
 
-    runs = [(lo_cells, m * stride, m * stride + 2 * (t - m) - 1) for m in range(t)]
+    runs = [(0, m * stride, m * stride + 2 * (t - m) - 1) for m in range(t)]
     for m in range(-f0, t + 2):
         first, last = -f1, t - 1 - m + f2
         start = 2 * first + (not meets(m, first))
         stop = 2 * last + 1 - (not meets(m, last))
         if start < stop:
-            runs.append((hi_cells, m * stride + start, m * stride + stop))
-    return [(cells, a, b, b"\1" * (b - a)) for cells, a, b in runs]
+            runs.append((1, m * stride + start, m * stride + stop))
+    return runs
 
 
-def _grid_counts(level, r):
-    """(contained, meeting) cell counts of a planar ``LevelSet`` on the
-    r-grid, read off its packed bound ints and frame, no view made."""
+def _stamp_origins(level, r):
+    """The origin C_0 * 2r + 2 C_1 of every region of a planar ``LevelSet``
+    on the r-grid, gathered per stamp key, read off its packed bound ints
+    and frame, no view made."""
     stride = 2 * r
-    lo_cells = bytearray(r * stride)
-    hi_cells = bytearray(r * stride)
     frame, vecs = level.regions.frame, level.regions.vecs
     span = frame.span
     mask = (1 << span) - 1
     coordinates = _Coordinates(frame, r, frame.vector(level.lam ** level.n))
-    stamps = {}
+    origins = defaultdict(partial(array, "q"))
     for vec in vecs:
         a = coordinates[vec & mask]
         b = coordinates[vec >> span & mask]
@@ -455,13 +471,49 @@ def _grid_counts(level, r):
             t >= -1 and a[1] and c[1] and t + 1 < b[2],
             t >= -1 and b[1] and c[1] and t + 1 < a[2],
         )
-        stamp = stamps.get(key)
-        if stamp is None:
-            stamp = stamps[key] = _stamp(key, stride, lo_cells, hi_cells)
-        origin = a[0] * stride + 2 * b[0]
-        for cells, start, stop, ones in stamp:
-            cells[origin + start:origin + stop] = ones
-    return lo_cells.count(1), hi_cells.count(1)
+        origins[key].append(a[0] * stride + 2 * b[0])
+    return origins
+
+
+def _grid_counts(level, r):
+    """(contained, meeting) cell counts of a planar ``LevelSet`` on the
+    r-grid, read off its packed bound ints and frame, no view made."""
+    keyed = _stamp_origins(level, r)
+    stamps = [(_stamp(key, 2 * r), origins) for key, origins in keyed.items()]
+    if len(level.regions.vecs) * _DENSE < len(keyed) * r * r:
+        return _cell_counts(stamps, r)
+    return _bit_counts(stamps, r)
+
+
+def _cell_counts(stamps, r):
+    """(contained, meeting) counts of the cells that the ``(runs,
+    origins)`` pairs of ``_grid_counts`` cover, one byte a cell."""
+    cells = bytearray(2 * r * r), bytearray(2 * r * r)
+    for runs, origins in stamps:
+        stamp = [(cells[side], start, stop, b"\1" * (stop - start))
+                 for side, start, stop in runs]
+        for origin in origins:
+            for grid, start, stop, ones in stamp:
+                grid[origin + start:origin + stop] = ones
+    return cells[0].count(1), cells[1].count(1)
+
+
+def _bit_counts(stamps, r):
+    """``_cell_counts`` on one int a side, one bit a cell."""
+    bias = 2 * r + 2
+    bits = [0, 0]
+    for runs, origins in stamps:
+        marks = bytearray(max(origins) // 8 + 1)
+        for origin in origins:
+            marks[origin >> 3] |= 1 << (origin & 7)
+        dilated, length = int.from_bytes(marks, "little"), 1
+        for side, start, stop in sorted(runs, key=lambda run: run[2] - run[1]):
+            while length < stop - start:
+                step = min(length, stop - start - length)
+                dilated |= dilated << step
+                length += step
+            bits[side] |= dilated << (start + bias)
+    return bits[0].bit_count(), bits[1].bit_count()
 
 
 def estimate_area(lam, d=2, n=0, resolution=256, max_words=None):

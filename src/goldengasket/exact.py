@@ -19,6 +19,7 @@ unit, and no float ever feeds back into a comparison.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -54,6 +55,10 @@ DEFAULT_TOL = Fraction(1, 10**15)
 # Fraction bits of the fixed-point images of a base number's powers, from
 # which every ``VectorFrame`` image is read.
 FIXED_BITS = 96
+
+# An int hashes modulo the Mersenne prime 2^_HASH_BITS - 1 (61 bits on
+# 64-bit builds).
+_HASH_BITS = sys.hash_info.modulus.bit_length()
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +487,9 @@ class VectorFrame:
     from bit i*width on, biased by 2^(width-1).  The width is set from the
     largest sum the frame's ``values`` can reach, per lane the sum of their
     entries' magnitudes, so adding the ``delta`` of a sum moves every lane
-    without a carry, and equal scalars have equal lane groups.  Each
+    without a carry, and equal scalars have equal lane groups; a width
+    that is a multiple of the bits of the int hash modulus gains one bit,
+    so that packed ints keep distinct hashes.  Each
     scalar has one certified integer image lo <= unit * value <= hi: exact
     at a rational base (``unit = den``), and at an algebraic one the
     midpoint-radius dot product with the fixed-point powers of alpha
@@ -511,7 +518,11 @@ class VectorFrame:
         self.unit = scale * self.den
         reach = max((sum(map(abs, lane)) for lane in zip(*map(self.vector, values))),
                     default=0)
-        self.width = reach.bit_length() + 1
+        width = reach.bit_length() + 1
+        # Modulo 2^_HASH_BITS - 1 a shift by a multiple of _HASH_BITS is the
+        # identity, so lanes of such a width would hash to their sum, which
+        # every region of a level shares (its bounds sum to 1 - lam^n).
+        self.width = width + (width % _HASH_BITS == 0)
         self.span = self.deg * self.width
 
     def vector(self, x):

@@ -14,7 +14,7 @@ regions as tuples of exact bounds, a DFS with exact compares for the holes,
 and the cell criterion of the barycentric grid with exact ceilings.  The
 stamped grid kernel of ``estimate_area`` is checked against its cell
 counts, and once more with every image decision forced to the exact
-fallback.
+fallback; its bit and byte grids are checked against each other.
 """
 
 from fractions import Fraction
@@ -476,6 +476,76 @@ def test_exact_corner_tie_is_not_below():
         assert below == (compare(r * la + r * lb, a[0] + b[0] - 1) < 0) == (shift < 0)
 
 
+def _stamps(level, r):
+    """The (runs, origins) pairs of a level on the r-grid, one per key."""
+    return [(attractor._stamp(key, 2 * r), origins)
+            for key, origins in attractor._stamp_origins(level, r).items()]
+
+
+LAYOUT_CASES = [
+    ("omega2", multinacci(2), 9, 248),
+    ("omega2", multinacci(2), 4, 97),
+    ("omega3", multinacci(3), 7, 263),
+    ("lambda-star", lambda_star(), 6, 64),
+    ("35/59", Fraction(35, 59), 8, 256),
+    ("1/2", Fraction(1, 2), 6, 64),
+    ("2/3", Fraction(2, 3), 5, 243),
+    ("1/3", Fraction(1, 3), 6, 300),
+    ("3/4", Fraction(3, 4), 4, 96),
+]
+
+
+@pytest.mark.parametrize("name,base,n,r", LAYOUT_CASES,
+                         ids=["%s-%d-%d" % (c[0], c[2], c[3]) for c in LAYOUT_CASES])
+def test_every_stamp_run_lies_in_its_own_row_of_the_grid(name, base, n, r):
+    # One int holds a side of the bit grid, so a run that spilled into the
+    # next row, or off either end, would be counted without a trace.
+    stride = 2 * r
+    runs = 0
+    for stamp, origins in _stamps(build_level(base, 2, n), r):
+        for side, start, stop in stamp:
+            # The bit grid's bias covers one row and one column before.
+            assert start >= -stride - 2
+            for origin in origins:
+                first, last = origin + start, origin + stop - 1
+                assert 0 <= first <= last < r * stride
+                assert first // stride == last // stride
+                runs += 1
+    assert runs > 0
+
+
+WRITER_CASES = [
+    ("omega2", multinacci(2), 9, 248),
+    ("omega3", multinacci(3), 7, 97),
+    ("lambda-star", lambda_star(), 6, 128),
+    ("35/59", Fraction(35, 59), 8, 256),
+    ("1/3", Fraction(1, 3), 6, 300),
+]
+
+
+@pytest.mark.parametrize("name,base,n_max,r", WRITER_CASES, ids=[c[0] for c in WRITER_CASES])
+def test_bit_and_byte_grids_count_the_same_cells(name, base, n_max, r):
+    for n in range(n_max + 1):
+        stamps = _stamps(build_level(base, 2, n), r)
+        assert attractor._bit_counts(stamps, r) == attractor._cell_counts(stamps, r)
+
+
+@pytest.mark.parametrize("r", [1021, 2048])
+@pytest.mark.parametrize("base", [multinacci(2), Fraction(3, 5)], ids=["omega2", "3/5"])
+def test_grids_match_the_reference_at_fine_resolutions(base, r):
+    # Runs here are up to 2r cells long, far beyond a machine word.  These
+    # levels are sparse, so estimate_area takes the byte grid; the bit grid
+    # spends a few whole-grid int operations a run, so at r = 2048 it is
+    # checked at level 0 only.
+    lam = as_scalar(base)
+    for n in range(4):
+        lo, hi = ref_area(lam, n, r)
+        assert estimate_area(base, 2, n, r) == (lo, hi)
+        if r < 2048 or n == 0:
+            stamps = _stamps(build_level(base, 2, n), r)
+            assert attractor._bit_counts(stamps, r) == (lo * r * r, hi * r * r)
+
+
 # ----------------------------------------------------------------------
 # packed lanes
 
@@ -563,3 +633,16 @@ def test_packed_level_loops_match_the_reference_where_lanes_are_wide(name, base,
     assert [(h.word, r.word) for h, r in report.violations] == violations
     if d == 2:
         assert estimate_area(base, 2, n, 64) == ref_area(lam, n, 64)
+
+
+@pytest.mark.parametrize("lam,depth", [(Fraction(40, 61), 10), (Fraction(16, 31), 12),
+                                       (Fraction(13, 24), 13)])
+def test_packed_vectors_of_a_level_hash_apart(lam, depth):
+    # These frames want 61-bit lanes.  An int hashes modulo 2^61 - 1 on
+    # 64-bit builds, where a 61-bit lane shift is the identity, so each
+    # vector would hash to its lanes' sum, which all regions of a level
+    # share, and the dedup dict in _levels would go quadratic.
+    for k, (frame, vecs, _, _) in enumerate(attractor._levels(lam, 2, depth)):
+        assert len(set(map(hash, vecs))) == len(vecs)
+        if k == 6:
+            break
