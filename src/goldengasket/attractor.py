@@ -384,19 +384,16 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
 # off the certified integer image and goes to the exact scalars only when
 # the image straddles the answer.
 #
-# The origins are gathered per key first, and then written one of two ways.
-# On the bit grid each side is one int, cell c at bit c + 2r + 2 (a run
-# starts at most one row and one column before its origin), and a key's
-# origins are one int of marks: a run of length L is the marks dilated by
-# L (shifts of 1, 2, 4, ... and a last partial one, taken in increasing L
-# across the key's runs) and shifted by its start, so each run costs a few
-# whole-grid int operations whatever the number of regions.  On the byte
-# grid each region writes its runs as slices, one byte a cell.  A level
-# takes the bit grid when its regions average at least r^2 / _DENSE per
-# key: on a shared 2-core x86-64 host (Python 3.11) at r = 256..2048, the
-# bit grid was the faster one wherever r^2 / mean was below about 2,900
-# and the slower one wherever it was above about 9,000.
-_DENSE = 4096
+# The origins are gathered per key first and written on a bit grid: each
+# side is one int, cell c at bit c + 2r + 2 (a run starts at most one row
+# and one column before its origin), and a key's origins are one int of
+# marks.  A run of length L is the marks dilated by L (shifts of 1, 2, 4,
+# ... and a last partial one, taken in increasing L across the key's runs)
+# and shifted by its start, so each run costs a few whole-grid int
+# operations whatever the number of regions, and a count is one
+# int.bit_count().  That wins where many regions share a key, as at deep
+# levels; a shallow level on a fine grid pays those operations for a few
+# regions with long stamps (about 3 s for omega_2 at n = 3, r = 2048).
 
 
 class _Coordinates(dict):
@@ -478,36 +475,15 @@ def _stamp_origins(level, r):
 def _grid_counts(level, r):
     """(contained, meeting) cell counts of a planar ``LevelSet`` on the
     r-grid, read off its packed bound ints and frame, no view made."""
-    keyed = _stamp_origins(level, r)
-    stamps = [(_stamp(key, 2 * r), origins) for key, origins in keyed.items()]
-    if len(level.regions.vecs) * _DENSE < len(keyed) * r * r:
-        return _cell_counts(stamps, r)
-    return _bit_counts(stamps, r)
-
-
-def _cell_counts(stamps, r):
-    """(contained, meeting) counts of the cells that the ``(runs,
-    origins)`` pairs of ``_grid_counts`` cover, one byte a cell."""
-    cells = bytearray(2 * r * r), bytearray(2 * r * r)
-    for runs, origins in stamps:
-        stamp = [(cells[side], start, stop, b"\1" * (stop - start))
-                 for side, start, stop in runs]
-        for origin in origins:
-            for grid, start, stop, ones in stamp:
-                grid[origin + start:origin + stop] = ones
-    return cells[0].count(1), cells[1].count(1)
-
-
-def _bit_counts(stamps, r):
-    """``_cell_counts`` on one int a side, one bit a cell."""
     bias = 2 * r + 2
     bits = [0, 0]
-    for runs, origins in stamps:
+    for key, origins in _stamp_origins(level, r).items():
         marks = bytearray(max(origins) // 8 + 1)
         for origin in origins:
             marks[origin >> 3] |= 1 << (origin & 7)
         dilated, length = int.from_bytes(marks, "little"), 1
-        for side, start, stop in sorted(runs, key=lambda run: run[2] - run[1]):
+        runs = sorted(_stamp(key, 2 * r), key=lambda run: run[2] - run[1])
+        for side, start, stop in runs:
             while length < stop - start:
                 step = min(length, stop - start - length)
                 dilated |= dilated << step

@@ -14,7 +14,7 @@ regions as tuples of exact bounds, a DFS with exact compares for the holes,
 and the cell criterion of the barycentric grid with exact ceilings.  The
 stamped grid kernel of ``estimate_area`` is checked against its cell
 counts, and once more with every image decision forced to the exact
-fallback; its bit and byte grids are checked against each other.
+fallback, and its bit grid against slice writes of the same runs.
 """
 
 from fractions import Fraction
@@ -523,27 +523,35 @@ WRITER_CASES = [
 ]
 
 
+def _slice_counts(stamps, r):
+    """(contained, meeting) counts of the cells that the ``(runs,
+    origins)`` pairs cover, each region's runs written as slices into one
+    byte a cell."""
+    cells = bytearray(2 * r * r), bytearray(2 * r * r)
+    for runs, origins in stamps:
+        for origin in origins:
+            for side, start, stop in runs:
+                cells[side][origin + start:origin + stop] = b"\1" * (stop - start)
+    return cells[0].count(1), cells[1].count(1)
+
+
 @pytest.mark.parametrize("name,base,n_max,r", WRITER_CASES, ids=[c[0] for c in WRITER_CASES])
-def test_bit_and_byte_grids_count_the_same_cells(name, base, n_max, r):
+def test_bit_grid_counts_the_cells_its_runs_cover(name, base, n_max, r):
     for n in range(n_max + 1):
-        stamps = _stamps(build_level(base, 2, n), r)
-        assert attractor._bit_counts(stamps, r) == attractor._cell_counts(stamps, r)
+        level = build_level(base, 2, n)
+        assert attractor._grid_counts(level, r) == _slice_counts(_stamps(level, r), r)
 
 
-@pytest.mark.parametrize("r", [1021, 2048])
+@pytest.mark.parametrize("r,n_max", [(1021, 3), (2048, 1)])
 @pytest.mark.parametrize("base", [multinacci(2), Fraction(3, 5)], ids=["omega2", "3/5"])
-def test_grids_match_the_reference_at_fine_resolutions(base, r):
-    # Runs here are up to 2r cells long, far beyond a machine word.  These
-    # levels are sparse, so estimate_area takes the byte grid; the bit grid
-    # spends a few whole-grid int operations a run, so at r = 2048 it is
-    # checked at level 0 only.
+def test_grid_matches_the_reference_at_fine_resolutions(base, r, n_max):
+    # Runs here are up to 2r cells long, far beyond a machine word.  Each
+    # run is a few whole-grid int operations, about 0.1 ms apiece at
+    # r = 2048, and the shallow levels have a thousand runs or more per
+    # key, so r = 2048 stops at level 1.
     lam = as_scalar(base)
-    for n in range(4):
-        lo, hi = ref_area(lam, n, r)
-        assert estimate_area(base, 2, n, r) == (lo, hi)
-        if r < 2048 or n == 0:
-            stamps = _stamps(build_level(base, 2, n), r)
-            assert attractor._bit_counts(stamps, r) == (lo * r * r, hi * r * r)
+    for n in range(n_max + 1):
+        assert estimate_area(base, 2, n, r) == ref_area(lam, n, r)
 
 
 # ----------------------------------------------------------------------
