@@ -3,8 +3,8 @@
 The level-n set is a union of deduplicated corner regions f_w(simplex) over
 words of length n.  Candidate holes are the images f_w(H_0) of the central
 hole; a candidate is genuine when it misses every region one level deeper.
-Area brackets and box counts ride on a barycentric grid whose cell tests
-reduce to integer comparisons once the region bounds have exact ceilings.
+Area brackets ride on a barycentric grid whose cell tests are integer
+comparisons of exact ceilings; box counts count each level's regions.
 
 A level set is its regions' packed bound ints, one int per region of one
 ``exact.VectorFrame`` per level set, with the maker chain that gives their
@@ -229,13 +229,13 @@ class HoleReport:
 def classify_holes(lam, d, n, max_words=None):
     """Classify the candidate holes f_w(H_0), |w| = n, against level n+1.
 
-    Candidates are deduplicated by their exact bound vectors.  Each one is
-    pushed down the region tree of ``_levels``, pruning subtrees that miss
-    the hole: a region lies inside its maker, so one that meets the hole is
-    reached, and tested, exactly once; below the root only the bound a
-    region's last digit raised is tested (``_meets``).  The bounds of a
-    candidate sum to 1 + lam^n (d - (d+1) lam), so at ratios >= d/(d+1) the
-    central hole is empty and there are no candidates at all.
+    Candidates are deduplicated by their exact bound vectors and go down
+    the region tree of ``_levels`` together, a level at a time, pruning
+    subtrees that miss each hole: a region lies inside its maker, so a
+    meeting pair is reached, and tested, once; below the root only the
+    bound a region's last digit raised is tested (``_meets``).  The bounds
+    of a candidate sum to 1 + lam^n (d - (d+1) lam), so at ratios >=
+    d/(d+1) the central hole is empty and there are no candidates at all.
     """
     _check_level(d, n)
     lam = _check_lam(lam)
@@ -287,32 +287,26 @@ def _meets(hole, upper, reg, moved):
 
 def _classify(lam, d, n, tree):
     """The HoleReport of level n over ``tree``, a ``_grow`` tree of levels
-    0..n+1."""
+    0..n+1, swept a level at a time over the (hole, region) pairs that
+    meet.  A level lists its regions in word order, each maker's children
+    a range after its predecessor's, so the pairs stay sorted by hole, then
+    region word, and those left at level n+1 are the violations."""
+    root = tree[0][0][0]
     holes = []
     if compare(lam, Fraction(d, d + 1)) < 0:
-        frame = tree[0][0][0].frame
+        frame = root.frame
         width = frame.delta(frame.vector((1 - lam) * lam**n) * (d + 1))
         holes = [HoleRegion.view(frame, reg.vec + width, n, reg.word)
                  for reg in tree[n][0]]
-    genuine, violations = [], []
-    for hole in holes:
-        upper = hole.image()
-        hits = []
-        stack = [(0, 0)] if _meets(hole, upper, tree[0][0][0], None) else []
-        while stack:
-            level, at = stack.pop()
-            if level > n:
-                hits.append(tree[level][0][at])
-                continue
-            level += 1
-            regions, made, moved = tree[level]
-            for c in range(made[at], made[at + 1]):
-                if _meets(hole, upper, regions[c], moved[c]):
-                    stack.append((level, c))
-        hits.sort(key=lambda reg: reg.word)
-        violations.extend((hole, reg) for reg in hits)
-        if not hits:
-            genuine.append(hole)
+    uppers = [hole.image() for hole in holes]
+    pairs = [(h, 0) for h, hole in enumerate(holes) if _meets(hole, uppers[h], root, None)]
+    for regions, made, moved in tree[1:n + 2]:
+        pairs = [(h, c) for h, at in pairs for c in range(made[at], made[at + 1])
+                 if _meets(holes[h], uppers[h], regions[c], moved[c])]
+    regions = tree[n + 1][0]
+    violations = [(holes[h], regions[c]) for h, c in pairs]
+    hit = {h for h, _ in pairs}
+    genuine = [hole for h, hole in enumerate(holes) if h not in hit]
     return HoleReport(n=n, candidates=tuple(holes), genuine=tuple(genuine),
                       violations=tuple(violations))
 

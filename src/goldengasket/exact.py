@@ -242,7 +242,7 @@ class AlgebraicNumber:
         den = math.lcm(lo.denominator, hi.denominator)
         ilo, ihi = (x.numerator * (den // x.denominator) for x in (lo, hi))
         if not (_sign_at(sf, ilo, den) and _sign_at(sf, ihi, den)):
-            raise ValueError("interval endpoint is a root")
+            raise DomainError("interval endpoint is a root")
         n = _variations(chain, ilo, den) - _variations(chain, ihi, den)
         if n == 0:
             raise NoRootError("no root in (%s, %s)" % (lo, hi))

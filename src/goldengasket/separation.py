@@ -14,6 +14,7 @@ ratios come from the greedy expansion of 1.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -285,7 +286,8 @@ class _SignedSumSearch:
         self.margin = prune_margin(tails[0], n_max)
         self.node_cap, self.nodes = node_cap, 0
         self.coeffs = [0] * (n_max + 1)
-        self.best = self.best_val = self.best_abs_f = self.best_key = None
+        self.best = self.best_val = self.best_key = None
+        self.best_abs_f = math.inf
 
         self.frame = frame = VectorFrame(base, powers)
         self.alg, self.origin = frame.alg, frame.pack((0,) * frame.deg)
@@ -358,10 +360,8 @@ class _SignedSumSearch:
     def check_budget(self):
         self.nodes += 1
         if self.nodes > self.node_cap:
-            err = ResourceLimit("signed-sum search exceeded %d nodes"
-                                % self.node_cap)
-            err.best = self.incumbent()
-            raise err
+            raise ResourceLimit("signed-sum search exceeded %d nodes" % self.node_cap,
+                                best=self.incumbent())
 
     def finish(self, partial, prefix, any_nonzero):
         # Walk table entries outward from -partial until the float distance
@@ -382,7 +382,7 @@ class _SignedSumSearch:
                 pick, left, dist = left, left - 1, dl
             else:
                 pick, right, dist = right, right + 1, dr
-            if self.best_abs_f is not None and dist > self.best_abs_f + self.margin:
+            if dist > self.best_abs_f + self.margin:
                 return
             if skip and codes[pick] <= 0:
                 continue
@@ -396,8 +396,7 @@ class _SignedSumSearch:
         if pos == self.boundary:
             self.finish(partial, prefix, any_nonzero)
             return
-        if (self.best_abs_f is not None
-                and abs(partial) - self.tails[pos] > self.best_abs_f + self.margin):
+        if abs(partial) - self.tails[pos] > self.best_abs_f + self.margin:
             return
         k = self.order[pos]
         w = self.fweights[k]

@@ -93,6 +93,17 @@ def test_levels_hang_each_region_under_its_maker(lam, depth):
     assert merged
 
 
+@pytest.mark.parametrize("lam,d,depth", [
+    (W2, 2, 7), (LAM0, 2, 6), (lambda_star(), 2, 6), (Fraction(3, 5), 2, 5), (W2, 3, 4),
+], ids=["omega2", "lambda0", "lambda-star", "0.60", "omega2-d3"])
+def test_levels_list_their_regions_in_word_order(lam, d, depth):
+    # classify_holes sweeps the tree a level at a time and reports each
+    # candidate's violations in the order level n+1 lists its regions.
+    for k in range(depth + 1):
+        words = [reg.word for reg in build_level(lam, d, k).regions]
+        assert words == sorted(words)
+
+
 def counted_views(monkeypatch):
     """A list that collects each CornerRegion view made from here on."""
     made = []
@@ -206,6 +217,17 @@ def test_classify_holes_tests_each_pair_once(lam, tests, violations, monkeypatch
     assert len(tested) == len(set(tested)) == tests
     pairs = [(h.word, r.word) for h, r in rep.violations]
     assert len(pairs) == len(set(pairs)) == violations
+
+
+@pytest.mark.parametrize("lam,n", [(LAM0, 6), (Fraction(40, 61), 5), (Fraction(59, 100), 4)],
+                         ids=["lambda0", "40-61", "0.59"])
+def test_hole_report_lists_pairs_in_word_order(lam, n):
+    rep = classify_holes(lam, 2, n)
+    pairs = [(h.word, r.word) for h, r in rep.violations]
+    assert pairs and pairs == sorted(pairs)
+    violating = set(rep.violating_holes())
+    assert [h for h in rep.candidates if h not in violating] == list(rep.genuine)
+    assert [h for h in rep.candidates if h in violating] == list(rep.violating_holes())
 
 
 @pytest.mark.parametrize("lam,d,n", [
@@ -357,6 +379,18 @@ def test_box_dimension_validation():
     with pytest.raises(DomainError):
         # both scales round to the same cylinder level
         box_dimension_estimate(W2, n=8, delta_range=[0.23, 0.24])
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: box_dimension_estimate(W2, n=8, delta_range=[0.5, 1.5]),
+     "scales must lie in"),
+    (lambda: render_svg(W2, d=3, n=2, path="unwritten.svg"), "planar case"),
+], ids=["scale-above-one", "render-d3"])
+def test_box_and_render_refusals(call, match, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DomainError, match=match):
+        call()
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

@@ -632,6 +632,12 @@ def test_rational_token_rejects_zero_denominator(capsys):
     assert err == "error: rational token needs a nonzero denominator\n"
 
 
+def test_rational_token_needs_a_slash(capsys):
+    code, out, err = run(capsys, "holes", "--lambda", "rational:3", "-n", "1")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: rational token needs <p>/<q>\n"
+
+
 def test_real_tokens_are_exact_decimals(capsys):
     # real:<decimal> is the Fraction the decimal spells, for both options
     code, out, _ = run(capsys, "holes", "--lambda", "real:0.6", "--dry-run")

@@ -415,6 +415,24 @@ def test_rational_root_rejected():
         AlgebraicNumber([-1, 2], 0, 1)
 
 
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: AlgebraicNumber([-2, -1, 1], 2, 3), DomainError, "endpoint is a root"),
+    (lambda: isolate_root([-2, -1, 1], (Fraction(3, 2), 2)), DomainError,
+     "endpoint is a root"),
+    (lambda: AlgebraicNumber([-2, 0, 1], 2, 1), DomainError, "empty isolating interval"),
+    (lambda: AlgebraicNumber([5], 0, 1), DomainError, "constant polynomial"),
+    (lambda: AlgebraicNumber([-2, 0, 1], 2, 3), NoRootError, "no root"),
+    (lambda: smallest_positive_root([-1, 1]), DomainError, "window endpoint is a root"),
+    (lambda: tau(1), DomainError, "m must be"),
+    (lambda: tau(2, 1), DomainError, "d must be"),
+    (lambda: sigma(1), DomainError, "m must be"),
+], ids=["endpoint-root", "isolate-endpoint-root", "empty-interval", "constant",
+        "no-root", "window-endpoint-root", "tau-m", "tau-d", "sigma-m"])
+def test_root_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 small_coeffs = st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=3)
 
 

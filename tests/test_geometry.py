@@ -203,6 +203,17 @@ def test_validate_word_rejects_bad_digits():
         validate_word((0, "1"), 2)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: generator_matrix(3, Fraction(1, 2)), "generator index 3 outside"),
+    (lambda: apply_map(compose_word((0,), Fraction(1, 2)), (1, 0)), "point dimension"),
+    (lambda: feasible_point(hole_region((0,), Fraction(3, 5)),
+                            image_region((1, 1, 1), Fraction(3, 5))), "do not intersect"),
+], ids=["generator-index", "point-dimension", "disjoint-hole"])
+def test_map_and_point_refusals(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def _random_pairs(rng, count, max_len=5):
     for _ in range(count):
         wa = tuple(rng.randrange(3) for _ in range(rng.randrange(max_len + 1)))

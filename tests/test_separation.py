@@ -677,6 +677,20 @@ def test_converse_rejects_floats_and_window():
         converse_witness(Fraction(59, 100), 1)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: min_abs_signed_sum(golden_ratio(), 0), "n_max must be an integer >= 1"),
+    (lambda: min_abs_signed_sum(Fraction(-3, 2), 4), "base must be positive"),
+    (lambda: min_abs_signed_sum(Fraction(1), 4), "base 1 admits no nonzero minimum"),
+    (lambda: gap_property_holds(Fraction(3, 2), 4), "ratio must lie in"),
+    (lambda: multinacci_reciprocal(1), "multinacci index"),
+    (lambda: converse_witness(multinacci(2).as_scalar(), 5), "needs a rational ratio"),
+], ids=["n-max", "negative-base", "base-one", "gap-ratio", "multinacci-index",
+        "converse-algebraic"])
+def test_search_refusals(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def test_converse_regime_edges_follow_exact_order():
     # Just outside omega_2's cached interval on either side, the n = 2
     # witness is taken exactly when lam > omega_2 by the exact compare.

@@ -310,6 +310,15 @@ def test_sequence_domain_errors():
         count_unique_addresses(2, 0)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: h_sequence(3, -1), "k_max must be >= 0"),
+    (lambda: p_sequence(1, 3), "m must be >= 2"),
+], ids=["h-negative-k", "p-small-m"])
+def test_sequence_refusals(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def test_vertices_are_unit_masses():
     for i in range(3):
         v = vertex(i)
