@@ -12,12 +12,11 @@ words: ``_levels`` yields each level as the ints in word order, each
 child's maker offsets and its digit, so a child is one int add, dedup
 hashes one int and a bound is read off its lane group by a shift and a
 mask.  ``CornerRegion`` views are made only where regions are read: by
-``LevelSet.regions`` on first use and by the hole tree as it is built;
-area grids and box counts read the ints alone.  Hole tests and the
-grid's ceilings are decided on the bounds' certified integer images,
-unpacked once per distinct lane group, by the exact core's own deciders,
-and drop to the exact scalars only when an image straddles the answer;
-the grid's corner tests compare the ceilings.
+``LevelSet.regions`` on first use and for the hole sweep's candidates and
+violating regions.  Bounds are decided on their certified integer images,
+one per distinct lane group, by the exact core's deciders, and drop to the
+exact scalars only on a straddle: the hole sweep ranks the bounds it reads
+once, so a pair is an int compare, and the grid compares ceilings.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cmp_to_key, partial
+from itertools import chain
 from operator import add
 
 from .errors import DomainError, ResourceLimit
@@ -130,9 +130,7 @@ class _Regions(Sequence):
         if self._views is None:
             words = [()]
             for starts, digits in self.chain:
-                words = [word + (digits[c],)
-                         for word, a, b in zip(words, starts, starts[1:])
-                         for c in range(a, b)]
+                words = _words(words, starts, digits)
             view, frame, n = CornerRegion.view, self.frame, len(self.chain)
             self._views = tuple(view(frame, vec, n, word)
                                 for vec, word in zip(self.vecs, words))
@@ -233,82 +231,92 @@ def classify_holes(lam, d, n, max_words=None):
     the region tree of ``_levels`` together, a level at a time, pruning
     subtrees that miss each hole: a region lies inside its maker, so a
     meeting pair is reached, and tested, once; below the root only the
-    bound a region's last digit raised is tested (``_meets``).  The bounds
-    of a candidate sum to 1 + lam^n (d - (d+1) lam), so at ratios >=
-    d/(d+1) the central hole is empty and there are no candidates at all.
+    bound a region's last digit raised is tested, by ranks (``_rank``).
+    The bounds of a candidate sum to 1 + lam^n (d - (d+1) lam), so at ratios
+    >= d/(d+1) the central hole is empty and there are no candidates at all.
     """
     _check_level(d, n)
     lam = _check_lam(lam)
-    tree = _grow([], _levels(lam, d, n + 1, max_words), n + 2)
-    return _classify(lam, d, n, tree)
+    tree = []
+    frame = _grow(tree, _levels(lam, d, n + 1, max_words), n + 2)
+    return _classify(lam, d, n, frame, tree)
+
+
+def _words(words, starts, digits):
+    """A level's words: each maker's of ``words`` with its children's digits."""
+    return [word + (digits[c],) for word, a, b in zip(words, starts, starts[1:])
+            for c in range(a, b)]
 
 
 def _grow(tree, levels, size):
-    """``tree`` grown to ``size`` levels from ``levels``, an iterator of
-    ``_levels`` at the level after the tree's last: each level is
-    ``(regions, starts, moved)``, its regions made as ``CornerRegion``
-    views with the word of their maker plus their digit, and moved[i] the
-    (b, image), shared per distinct bound, of the bound L_b region i
-    raised over its maker."""
-    view = CornerRegion.view
+    """Grow ``tree`` to ``size`` levels (vecs, starts, digits, words) of the
+    ``_levels`` iterator ``levels``, and return their frame."""
     while len(tree) < size:
         frame, vecs, starts, digits = next(levels)
-        if starts is None:
-            tree.append(([view(frame, vecs[0], 0, ())], None, []))
-            continue
-        level = len(tree)
-        regions = [view(frame, vecs[c], level, maker.word + (digits[c],))
-                   for maker, a, b in zip(tree[-1][0], starts, starts[1:])
-                   for c in range(a, b)]
-        span = frame.span
-        mask = (1 << span) - 1
-        known = {}
-        moved = []
-        for vec, digit in zip(vecs, digits):
-            key = digit, vec >> digit * span & mask
-            bound = known.get(key)
-            if bound is None:
-                bound = known[key] = digit, frame.images(frame.unpack(key[1]))[0]
-            moved.append(bound)
-        tree.append((regions, starts, moved))
-    return tree
+        words = [()] if starts is None else _words(tree[-1][3], starts, digits)
+        tree.append((vecs, starts, digits, words))
+    return frame
 
 
-def _meets(hole, upper, reg, moved):
-    """Whether ``hole``, of images ``upper``, meets the level region
-    ``reg``, given that it meets reg's maker, which passed L_j < U_j on
-    every j: only the bound ``moved`` is left, for ``_bound_below``.  The
-    root has no maker and takes ``hole_meets_region``."""
-    if moved is None:
-        return hole_meets_region(hole, reg)
-    b, lower = moved
-    return _bound_below(hole, reg, b, lower, upper[b])
+def _rank(frame, groups):
+    """The images of the distinct lane groups ``groups`` of ``frame`` and
+    their ranks, in the order of their scalars, equal for equal scalars;
+    lane groups are biased alike at every bound.  The hole test's decider
+    orders them, so an exact compare runs only on a straddle.  Presorted by
+    image, they are in order but where images overlap: the sort (by x < y
+    only) checks each neighbour once and moves only those."""
+    images = {group: frame.images(frame.unpack(group))[0] for group in set(groups)}
+
+    def below(x, y):
+        return _bound_below(frame, x, y, 0, images[x], images[y])
+
+    order = sorted(sorted(images, key=images.get),
+                   key=cmp_to_key(lambda x, y: -below(x, y)))
+    ranks = dict.fromkeys(order[:1], 0)
+    for x, y in zip(order, order[1:]):
+        ranks[y] = ranks[x] + below(x, y)
+    return images, ranks
 
 
-def _classify(lam, d, n, tree):
+def _descend(pairs, made, low, side, ups):
+    """The pairs (h, c) of a level that meet, from ``pairs`` a level up:
+    child c meets hole h when its raised bound side[c] ranks below h's."""
+    return [(h, c) for h, at in pairs for up in (ups[h],)
+            for c in range(made[at], made[at + 1]) if low[c] < up[side[c]]]
+
+
+def _classify(lam, d, n, frame, tree):
     """The HoleReport of level n over ``tree``, a ``_grow`` tree of levels
-    0..n+1, swept a level at a time over the (hole, region) pairs that
-    meet.  A level lists its regions in word order, each maker's children
-    a range after its predecessor's, so the pairs stay sorted by hole, then
-    region word, and those left at level n+1 are the violations."""
-    root = tree[0][0][0]
-    holes = []
-    if compare(lam, Fraction(d, d + 1)) < 0:
-        frame = root.frame
-        width = frame.delta(frame.vector((1 - lam) * lam**n) * (d + 1))
-        holes = [HoleRegion.view(frame, reg.vec + width, n, reg.word)
-                 for reg in tree[n][0]]
-    uppers = [hole.image() for hole in holes]
-    pairs = [(h, 0) for h, hole in enumerate(holes) if _meets(hole, uppers[h], root, None)]
-    for regions, made, moved in tree[1:n + 2]:
-        pairs = [(h, c) for h, at in pairs for c in range(made[at], made[at + 1])
-                 if _meets(holes[h], uppers[h], regions[c], moved[c])]
-    regions = tree[n + 1][0]
-    violations = [(holes[h], regions[c]) for h, c in pairs]
+    0..n+1 on ``frame``, swept a level at a time over the (hole, region)
+    pairs that meet, below the root by ranks of the bounds children raised
+    and of the holes'.  A level lists its regions in word order, each
+    maker's children a range after its predecessor's, so the pairs stay
+    sorted by hole, then region word; those at level n+1 are violations."""
+    if compare(lam, Fraction(d, d + 1)) >= 0:
+        return HoleReport(n=n, candidates=(), genuine=(), violations=())
+    span, mask = frame.span, (1 << frame.span) - 1
+    width = frame.delta(frame.vector((1 - lam) * lam**n) * (d + 1))
+    tops = [vec + width for vec in tree[n][0]]
+    uppers = [tuple(top >> j * span & mask for j in range(d + 1)) for top in tops]
+    levels = tree[1:n + 2]
+    raised = (vec >> b * span & mask
+              for vecs, _, digits, _ in levels for vec, b in zip(vecs, digits))
+    images, ranks = _rank(frame, chain(*uppers, raised))
+    holes = [HoleRegion.view(frame, top, n, word, tuple(map(images.get, groups)))
+             for top, word, groups in zip(tops, tree[n][3], uppers)]
+    root = CornerRegion.view(frame, tree[0][0][0], 0, ())
+    ups = [tuple(map(ranks.get, groups)) for groups in uppers]
+    pairs = [(h, 0) for h, hole in enumerate(holes) if hole_meets_region(hole, root)]
+    for vecs, made, digits, _ in levels:
+        low = [ranks[vec >> b * span & mask] for vec, b in zip(vecs, digits)]
+        pairs = _descend(pairs, made, low, digits, ups)
+    vecs, _, _, words = tree[n + 1]
+    views = {c: CornerRegion.view(frame, vecs[c], n + 1, words[c])
+             for c in {c for _, c in pairs}}
     hit = {h for h, _ in pairs}
-    genuine = [hole for h, hole in enumerate(holes) if h not in hit]
-    return HoleReport(n=n, candidates=tuple(holes), genuine=tuple(genuine),
-                      violations=tuple(violations))
+    return HoleReport(n=n, candidates=tuple(holes),
+                      genuine=tuple(hole for h, hole in enumerate(holes) if h not in hit),
+                      violations=tuple((holes[h], views[c]) for h, c in pairs))
 
 
 @dataclass(frozen=True)
@@ -341,7 +349,7 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
     tree = []
     for n in range(n_max + 1):
         _check_words(d, n + 1, max_words)
-        report = _classify(lam, d, n, _grow(tree, levels, n + 2))
+        report = _classify(lam, d, n, _grow(tree, levels, n + 2), tree)
         if report.violations:
             hole, _ = report.violations[0]
             return Violation(word=hole.word, level=n)

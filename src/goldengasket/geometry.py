@@ -8,8 +8,9 @@ depends only on which positions of w carry which digit.  Corner regions
 strict upper bounds; everything here stays in exact scalars.  Every region
 is a view over one packed bound vector, an int, of an ``exact.VectorFrame``
 (one per level set, or a region's own), unpacked to exact bounds or to the
-frame's certified integer images only when asked; hole tests decide each
-bound on those images with one decider, ``_bound_below``.
+frame's certified integer images only when asked; hole tests, and the
+ranking of bounds in the hole sweep, decide each bound on those images
+with one decider, ``_bound_below``.
 """
 
 from __future__ import annotations
@@ -120,15 +121,17 @@ def apply_map(sim, point):
 class _Bounds:
     """The bound vector of a region: a view over one packed vector ``vec``
     of a ``VectorFrame``, unpacked to exact ``bounds`` or to images on
-    first use."""
+    first use, unless its maker knows the images.  The hash of the exact
+    bounds is kept once taken."""
 
-    __slots__ = ("_bounds", "level", "word", "frame", "vec", "_image")
+    __slots__ = ("_bounds", "level", "word", "frame", "vec", "_image", "_hash")
 
     @classmethod
-    def view(cls, frame, vec, level, word):
+    def view(cls, frame, vec, level, word, image=None):
         self = cls.__new__(cls)
-        self._bounds = self._image = None
+        self._bounds = self._hash = None
         self.frame, self.vec, self.level, self.word = frame, vec, level, word
+        self._image = image
         return self
 
     @property
@@ -160,7 +163,9 @@ class CornerRegion(_Bounds):
         return self.bounds == other.bounds
 
     def __hash__(self):
-        return hash(self.bounds)
+        if self._hash is None:
+            self._hash = hash(self.bounds)
+        return self._hash
 
     def __repr__(self):
         return "CornerRegion(bounds=%r, level=%r, word=%r)" % (
@@ -178,9 +183,9 @@ class HoleRegion(_Bounds):
     __slots__ = ("_empty",)
 
     @classmethod
-    def view(cls, frame, vec, level, word):
+    def view(cls, frame, vec, level, word, image=None):
         """A view of a hole its maker knows to be non-empty."""
-        self = super().view(frame, vec, level, word)
+        self = super().view(frame, vec, level, word, image)
         self._empty = False
         return self
 
@@ -194,7 +199,9 @@ class HoleRegion(_Bounds):
         return empty == other._empty and (empty or self.bounds == other.bounds)
 
     def __hash__(self):
-        return hash("empty-hole") if self._empty else hash(self.bounds)
+        if self._hash is None:
+            self._hash = hash("empty-hole") if self._empty else hash(self.bounds)
+        return self._hash
 
     def __repr__(self):
         tag = " empty" if self.is_empty() else ""
@@ -248,23 +255,24 @@ def hole_meets_region(h, r):
     """
     if h.frame is not r.frame:
         h, r = _one_frame(h, r)
-    return all(_bound_below(h, r, j, lower, upper)
+    frame = r.frame
+    return all(_bound_below(frame, r.vec, h.vec, j, lower, upper)
                for j, (lower, upper) in enumerate(zip(r.image(), h.image()))
                ) and not h.is_empty()
 
 
-def _bound_below(h, r, j, lower, upper):
-    """Whether L_j < U_j, for bound j of the corner ``r``, of image
-    ``lower``, and of the hole ``h`` on the same frame, of image ``upper``.
-    The images decide first; equal lane groups are a tie, which fails, and
+def _bound_below(frame, x, y, j, lower, upper):
+    """Whether scalar j of the packed vector ``x``, of image ``lower``, lies
+    below scalar j of ``y``, of image ``upper``, both on ``frame``.  The
+    images decide first; equal lane groups are a tie, which fails, and
     only images that straddle take the exact compare."""
     if lower[1] < upper[0]:
         return True
     if lower[0] >= upper[1]:
         return False
-    frame = r.frame
-    return (frame.lanes(r.vec, j) != frame.lanes(h.vec, j)
-            and compare(r.bounds[j], h.bounds[j]) < 0)
+    x, y = frame.lanes(x, j), frame.lanes(y, j)
+    return x != y and compare(frame.scalar(frame.unpack(x)),
+                              frame.scalar(frame.unpack(y))) < 0
 
 
 def _one_frame(h, r):

@@ -202,19 +202,11 @@ def test_holes_violated_past_golden_ratio():
 @pytest.mark.parametrize("lam,tests,violations",
                          [(W2, 9891, 0), (LAM0, 18324, 270)],
                          ids=["omega2", "lambda0"])
-def test_classify_holes_tests_each_pair_once(lam, tests, violations, monkeypatch):
-    # Every (hole, region) pair the descent decides goes through _meets:
-    # the root's full test and each child's moved-coordinate test.
-    tested = []
-    meets = attractor._meets
-
-    def counted(hole, upper, region, moved):
-        tested.append((hole.word, region.level, region.word))
-        return meets(hole, upper, region, moved)
-
-    monkeypatch.setattr(attractor, "_meets", counted)
+def test_classify_holes_tests_each_pair_once(lam, tests, violations, swept_pairs):
+    # Every (hole, region) pair the sweep decides is decided once: the
+    # root's full test, then each child's rank compare in _descend.
     rep = classify_holes(lam, 2, 6)
-    assert len(tested) == len(set(tested)) == tests
+    assert len(swept_pairs) == len(set(swept_pairs)) == tests
     pairs = [(h.word, r.word) for h, r in rep.violations]
     assert len(pairs) == len(set(pairs)) == violations
 
@@ -228,6 +220,17 @@ def test_hole_report_lists_pairs_in_word_order(lam, n):
     violating = set(rep.violating_holes())
     assert [h for h in rep.candidates if h not in violating] == list(rep.genuine)
     assert [h for h in rep.candidates if h in violating] == list(rep.violating_holes())
+
+
+def test_hole_sweep_makes_views_only_for_its_report(monkeypatch):
+    made = counted_views(monkeypatch)
+    rep = classify_holes(Fraction(40, 61), 2, 6)
+    regions = [r for _, r in rep.violations]
+    # The root's view, then one per violating region, which its pairs share.
+    assert len(regions) == 2982
+    assert made[0] == () and len(made) - 1 == len({id(r) for r in regions}) == 1566
+    assert len({r.word for r in regions}) == 1566
+    assert len(rep.violating_holes()) == 726
 
 
 @pytest.mark.parametrize("lam,d,n", [

@@ -19,6 +19,7 @@ fallback, and its bit grid against slice writes of the same runs.
 
 from fractions import Fraction
 from operator import add
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,14 +170,13 @@ def test_lower_below_upper_agrees_with_exact(case):
 @settings(max_examples=300, deadline=None)
 @given(pairs("gap"))
 def test_moved_bound_test_agrees_with_exact(case):
-    # The descent's per-child test decides L_b < U_b for the one bound b a
-    # child raised, on the cached image of its vector.
+    # Below the root the sweep decides L_b < U_b for the one bound b a
+    # child raised as a compare of the two lane groups' ranks.
     name, (a, x), (b, y) = case
     frame = FRAMES[name][0]
-    hole = HoleRegion.view(frame, frame.pack(b), 1, (0,))
-    region = CornerRegion.view(frame, frame.pack(a), 1, (0,))
-    moved = (0, _image(frame, a))
-    assert attractor._meets(hole, hole.image(), region, moved) == (compare(x, y) < 0)
+    lower, upper = frame.pack(a), frame.pack(b)
+    _, ranks = attractor._rank(frame, [lower, upper])
+    assert (ranks[lower] < ranks[upper]) == (compare(x, y) < 0)
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
@@ -196,7 +196,71 @@ def test_images_decide_constants_and_ties_without_the_exact_path(name, monkeypat
         view = CornerRegion.view(frame, frame.pack(vec), 0, ())
         hole = HoleRegion.view(frame, frame.pack(vec), 0, ())
         assert not hole_meets_region(hole, view)
-        assert not attractor._meets(hole, hole.image(), view, (0, _image(frame, vec)))
+    # In increasing order, each value twice: a tie is one lane group.
+    values = [powers[0] * -2, powers[0] * 0, powers[30], powers[5], powers[1], powers[0] * 3]
+    groups = [frame.pack(frame.vector(x)) for x in values]
+    _, ranks = attractor._rank(frame, groups[::-1] + groups)
+    assert [ranks[g] for g in groups] == list(range(len(values)))
+
+
+RANKED = ["omega2", "omega3", "lambda0", "lambda-star", "59/100", "13/20"]
+
+
+@st.composite
+def value_sets(draw):
+    """Values of one frame: zero, and per drawn scalar x also x itself
+    again and x +- lam^k, whose images straddle x's for large k."""
+    name = draw(st.sampled_from(RANKED))
+    powers = FRAMES[name][1]
+    values = [powers[0] * 0]
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(scalars(name))[1]
+        step = powers[draw(st.integers(0, MAX_POWER))]
+        values += [x, x + step, x - step, x]
+    return name, values
+
+
+def _rank_checked(name, values):
+    """``_rank`` of the values' lane groups, checked against the exact
+    order; returns how many exact compares it took, each on a straddle."""
+    frame = FRAMES[name][0]
+    groups = [frame.pack(frame.vector(x)) for x in values]
+    straddles = []
+
+    def straddle(x, y):
+        (xlo, xhi), (ylo, yhi) = _image(frame, frame.vector(x)), _image(frame, frame.vector(y))
+        assert xhi >= ylo and xlo < yhi and frame.vector(x) != frame.vector(y)
+        straddles.append((x, y))
+        return compare(x, y)
+
+    with mock.patch.object(geometry, "compare", straddle):
+        images, ranks = attractor._rank(frame, groups)
+    assert set(ranks) == set(groups) and all(images[g] == _image(frame, frame.unpack(g))
+                                              for g in groups)
+    for g, x in zip(groups, values):
+        for h, y in zip(groups, values):
+            assert (ranks[g] > ranks[h]) - (ranks[g] < ranks[h]) == compare(x, y)
+    return len(straddles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value_sets())
+def test_ranks_follow_the_exact_order(case):
+    _rank_checked(*case)
+
+
+@pytest.mark.parametrize("name,straddles", [
+    ("omega2", True), ("omega3", True), ("lambda0", True),
+    ("lambda-star", False), ("59/100", False), ("13/20", False),
+])
+def test_ranks_compare_only_straddling_images(name, straddles):
+    # At omega_m and lambda0 the vector of lam^80 is large, so its image
+    # straddles 0 and 1 - lam^80's straddles 1.  At lambda-star the powers'
+    # vectors stay small and the images separate; a rational's are exact.
+    powers = FRAMES[name][1]
+    one, tiny = powers[0], powers[MAX_POWER]
+    compares = _rank_checked(name, [one * 0, tiny, -tiny, one, one - tiny, one + tiny, tiny])
+    assert (compares > 0) == straddles
 
 
 def test_integer_valued_vector_reaches_the_exact_path():

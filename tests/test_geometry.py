@@ -270,6 +270,8 @@ def test_corner_region_equality_is_by_bounds():
     a = image_region((0, 1), lam)
     b = _on_other_frame(a)  # word is a label
     assert a == b and hash(a) == hash(b)
+    # The hash is kept once taken, and stays the exact bounds' hash.
+    assert hash(a) == hash(a) == hash(a.bounds)
 
 
 def reference_meets(h, r):

@@ -7,7 +7,7 @@ per-layer metric.  Each test runs one traced job and checks its counts.
 
 from pathlib import Path
 
-from goldengasket import attractor, cli
+from goldengasket import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -25,20 +25,6 @@ def traced_metrics(monkeypatch, capsys, argv, exit_code=cli.EXIT_OK):
     capsys.readouterr()
     assert code == exit_code
     return tracer.layer_metrics()
-
-
-def counted_pairs(monkeypatch):
-    """A list that collects each (hole, region) pair attractor._meets
-    decides from here on."""
-    pairs = []
-    meets = attractor._meets
-
-    def counted(hole, upper, region, moved):
-        pairs.append((hole.word, region.level, region.word))
-        return meets(hole, upper, region, moved)
-
-    monkeypatch.setattr(attractor, "_meets", counted)
-    return pairs
 
 
 def test_traced_area_job_counts_layers(monkeypatch, capsys):
@@ -62,25 +48,23 @@ def test_traced_rational_area_job_counts_every_word(monkeypatch, capsys):
     assert metrics["exact.ceil_calls"] == 0
 
 
-def test_traced_holes_job_counts_hole_tests(monkeypatch, capsys):
-    pairs = counted_pairs(monkeypatch)
+def test_traced_holes_job_counts_hole_tests(monkeypatch, capsys, swept_pairs):
     metrics = traced_metrics(
         monkeypatch, capsys, ["holes", "--lambda", "omega:2", "-n", "2"]
     )
-    # The hook sees each candidate's full test at the root; the
-    # moved-coordinate tests below it are the other pairs of _meets.
+    # The hook sees each candidate's full test at the root; the rank
+    # compares below it are the other pairs of the sweep.
     assert metrics["geometry.hole_tests"] == metrics["attractor.candidates"] == 9
-    assert len(pairs) == len(set(pairs)) == 87
+    assert len(swept_pairs) == len(set(swept_pairs)) == 87
 
 
-def test_traced_rational_holes_job_counts_hole_tests(monkeypatch, capsys):
-    pairs = counted_pairs(monkeypatch)
+def test_traced_rational_holes_job_counts_hole_tests(monkeypatch, capsys, swept_pairs):
     metrics = traced_metrics(
         monkeypatch, capsys, ["holes", "--lambda", "rational:59/100", "-n", "3"],
         exit_code=cli.EXIT_VERDICT,
     )
     assert metrics["geometry.hole_tests"] == metrics["attractor.candidates"] == 27
-    assert len(pairs) == len(set(pairs)) == 405
+    assert len(swept_pairs) == len(set(swept_pairs)) == 405
     assert metrics["attractor.violations"] == 6
 
 
