@@ -11,12 +11,14 @@ A level set is its regions' packed bound ints, one int per region of one
 words: ``_levels`` yields each level as the ints in word order, each
 child's maker offsets and its digit, so a child is one int add, dedup
 hashes one int and a bound is read off its lane group by a shift and a
-mask.  ``CornerRegion`` views are made only where regions are read: by
-``LevelSet.regions`` on first use and for the hole sweep's candidates and
-violating regions.  Bounds are decided on their certified integer images,
-one per distinct lane group, by the exact core's deciders, and drop to the
-exact scalars only on a straddle: the hole sweep ranks the bounds it reads
-once, so a pair is an int compare, and the grid compares ceilings.
+mask.  ``CornerRegion`` views, and their words, are made only where
+regions are read: by ``LevelSet.regions`` on first use and for the hole
+sweep's candidates and violating regions.  Bounds are decided on their
+certified integer images, one per distinct lane group, by the exact core's
+deciders, and drop to the exact scalars only on a straddle: the hole sweep
+ranks the bounds it reads once, by sorted position, since distinct lane
+groups hold distinct scalars, so a pair is an int compare; the grid
+compares ceilings.
 """
 
 from __future__ import annotations
@@ -128,12 +130,9 @@ class _Regions(Sequence):
 
     def _made(self):
         if self._views is None:
-            words = [()]
-            for starts, digits in self.chain:
-                words = _words(words, starts, digits)
             view, frame, n = CornerRegion.view, self.frame, len(self.chain)
             self._views = tuple(view(frame, vec, n, word)
-                                for vec, word in zip(self.vecs, words))
+                                for vec, word in zip(self.vecs, _words(self.chain)))
         return self._views
 
 
@@ -181,6 +180,15 @@ def _levels(lam, d, depth, max_words=None):
         yield frame, vecs, starts, list(kept.values())
 
 
+def _words(chain, words=((),)):
+    """``words`` folded over the ``(starts, digits)`` of the levels in
+    ``chain``: each maker's word with the digit of each child it made."""
+    for starts, digits in chain:
+        words = [word + (digits[c],) for word, a, b in zip(words, starts, starts[1:])
+                 for c in range(a, b)]
+    return words
+
+
 def build_level(lam, d, n, max_words=None):
     """The level-n set as deduplicated corner regions.
 
@@ -209,7 +217,8 @@ class HoleReport:
     violations: tuple
 
     def violating_holes(self):
-        return tuple(dict.fromkeys(h for h, _ in self.violations))
+        """The holes of ``violations`` in order: one view per hole, shared by its pairs."""
+        return tuple({id(h): h for h, _ in self.violations}.values())
 
     def as_json_dict(self, lam_value):
         return {
@@ -232,39 +241,27 @@ def classify_holes(lam, d, n, max_words=None):
     subtrees that miss each hole: a region lies inside its maker, so a
     meeting pair is reached, and tested, once; below the root only the
     bound a region's last digit raised is tested, by ranks (``_rank``).
+    Words are made for level n, and for level n+1 only for violations.
     The bounds of a candidate sum to 1 + lam^n (d - (d+1) lam), so at ratios
-    >= d/(d+1) the central hole is empty and there are no candidates at all.
+    >= d/(d+1) the central hole is empty and no level is built.
     """
     _check_level(d, n)
     lam = _check_lam(lam)
-    tree = []
-    frame = _grow(tree, _levels(lam, d, n + 1, max_words), n + 2)
-    return _classify(lam, d, n, frame, tree)
-
-
-def _words(words, starts, digits):
-    """A level's words: each maker's of ``words`` with its children's digits."""
-    return [word + (digits[c],) for word, a, b in zip(words, starts, starts[1:])
-            for c in range(a, b)]
-
-
-def _grow(tree, levels, size):
-    """Grow ``tree`` to ``size`` levels (vecs, starts, digits, words) of the
-    ``_levels`` iterator ``levels``, and return their frame."""
-    while len(tree) < size:
-        frame, vecs, starts, digits = next(levels)
-        words = [()] if starts is None else _words(tree[-1][3], starts, digits)
-        tree.append((vecs, starts, digits, words))
-    return frame
+    _check_words(d, n + 1, max_words)
+    if compare(lam, Fraction(d, d + 1)) >= 0:
+        return HoleReport(n=n, candidates=(), genuine=(), violations=())
+    tree = list(_levels(lam, d, n + 1, max_words))
+    return _classify(lam, d, n, tree, _words(level[2:] for level in tree[1:n + 1]))
 
 
 def _rank(frame, groups):
-    """The images of the distinct lane groups ``groups`` of ``frame`` and
-    their ranks, in the order of their scalars, equal for equal scalars;
-    lane groups are biased alike at every bound.  The hole test's decider
-    orders them, so an exact compare runs only on a straddle.  Presorted by
-    image, they are in order but where images overlap: the sort (by x < y
-    only) checks each neighbour once and moves only those."""
+    """Images and ranks of the distinct lane groups ``groups`` of ``frame``
+    (lane groups are biased alike at every bound).  A rank is a position in
+    the order of the scalars, which differ for distinct lane groups of one
+    frame, as dedup in ``_levels`` assumes.  The hole test's decider orders
+    them, so an exact compare runs only on a straddle.  Presorted by image,
+    they are in order but where images overlap: the sort (by x < y only)
+    checks each neighbour once and moves only those."""
     images = {group: frame.images(frame.unpack(group))[0] for group in set(groups)}
 
     def below(x, y):
@@ -272,10 +269,7 @@ def _rank(frame, groups):
 
     order = sorted(sorted(images, key=images.get),
                    key=cmp_to_key(lambda x, y: -below(x, y)))
-    ranks = dict.fromkeys(order[:1], 0)
-    for x, y in zip(order, order[1:]):
-        ranks[y] = ranks[x] + below(x, y)
-    return images, ranks
+    return images, dict(zip(order, range(len(order))))
 
 
 def _descend(pairs, made, low, side, ups):
@@ -285,33 +279,33 @@ def _descend(pairs, made, low, side, ups):
             for c in range(made[at], made[at + 1]) if low[c] < up[side[c]]]
 
 
-def _classify(lam, d, n, frame, tree):
-    """The HoleReport of level n over ``tree``, a ``_grow`` tree of levels
-    0..n+1 on ``frame``, swept a level at a time over the (hole, region)
-    pairs that meet, below the root by ranks of the bounds children raised
-    and of the holes'.  A level lists its regions in word order, each
-    maker's children a range after its predecessor's, so the pairs stay
-    sorted by hole, then region word; those at level n+1 are violations."""
-    if compare(lam, Fraction(d, d + 1)) >= 0:
-        return HoleReport(n=n, candidates=(), genuine=(), violations=())
+def _classify(lam, d, n, tree, words):
+    """The HoleReport of level n over ``tree``, the levels 0..n+1 of
+    ``_levels``, and ``words``, level n's, swept a level at a time over the
+    (hole, region) pairs that meet, below the root by ranks of the bounds
+    children raised and of the holes'.  A level lists its regions in word
+    order, each maker's children a range after its predecessor's, so the
+    pairs stay sorted by hole, then region word; those at level n+1 are
+    violations, and only they need level n+1's words."""
+    frame = tree[0][0]
     span, mask = frame.span, (1 << frame.span) - 1
     width = frame.delta(frame.vector((1 - lam) * lam**n) * (d + 1))
-    tops = [vec + width for vec in tree[n][0]]
+    tops = [vec + width for vec in tree[n][1]]
     uppers = [tuple(top >> j * span & mask for j in range(d + 1)) for top in tops]
     levels = tree[1:n + 2]
     raised = (vec >> b * span & mask
-              for vecs, _, digits, _ in levels for vec, b in zip(vecs, digits))
+              for _, vecs, _, digits in levels for vec, b in zip(vecs, digits))
     images, ranks = _rank(frame, chain(*uppers, raised))
     holes = [HoleRegion.view(frame, top, n, word, tuple(map(images.get, groups)))
-             for top, word, groups in zip(tops, tree[n][3], uppers)]
-    root = CornerRegion.view(frame, tree[0][0][0], 0, ())
+             for top, word, groups in zip(tops, words, uppers)]
+    root = CornerRegion.view(frame, tree[0][1][0], 0, ())
     ups = [tuple(map(ranks.get, groups)) for groups in uppers]
     pairs = [(h, 0) for h, hole in enumerate(holes) if hole_meets_region(hole, root)]
-    for vecs, made, digits, _ in levels:
+    for _, vecs, made, digits in levels:
         low = [ranks[vec >> b * span & mask] for vec, b in zip(vecs, digits)]
         pairs = _descend(pairs, made, low, digits, ups)
-    vecs, _, _, words = tree[n + 1]
-    views = {c: CornerRegion.view(frame, vecs[c], n + 1, words[c])
+    deeper = _words([tree[n + 1][2:]], words) if pairs else ()
+    views = {c: CornerRegion.view(frame, tree[n + 1][1][c], n + 1, deeper[c])
              for c in {c for _, c in pairs}}
     hit = {h for h, _ in pairs}
     return HoleReport(n=n, candidates=tuple(holes),
@@ -337,7 +331,9 @@ class Violation:
 def check_total_self_similarity(lam, d, n_max, max_words=None):
     """First hole violation in levels 0..n_max, or consistency up to n_max
     (evidence, not a proof), each level classified as ``classify_holes`` does
-    on one tree grown a level at a time; level n+1's cap is checked at n."""
+    on one tree that grows a level at a time.  The first level whose next
+    exceeds the word cap is refused after those below it are classified;
+    with d = 1 every hole is empty and no level is built."""
     _check_level(d, n_max)
     lam = _check_lam(lam)
     if compare(lam, Fraction(1, 2)) <= 0 or compare(lam, Fraction(2, 3)) >= 0:
@@ -345,14 +341,17 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
     # The deepest level the scan reaches: n_max + 1, or the last within the cap.
     cap = DEFAULT_WORD_CAP if max_words is None else max_words
     depth = next(k for k in range(n_max + 2) if k > n_max or (d + 1) ** (k + 1) > cap)
-    levels = _levels(lam, d, depth, max_words)
-    tree = []
-    for n in range(n_max + 1):
-        _check_words(d, n + 1, max_words)
-        report = _classify(lam, d, n, _grow(tree, levels, n + 2), tree)
-        if report.violations:
-            hole, _ = report.violations[0]
-            return Violation(word=hole.word, level=n)
+    if compare(lam, Fraction(d, d + 1)) < 0:
+        levels = _levels(lam, d, depth, max_words)
+        tree, words = [next(levels)], [()]
+        for n in range(depth):
+            tree.append(next(levels))
+            words = _words([tree[n][2:]] if n else (), words)
+            report = _classify(lam, d, n, tree, words)
+            if report.violations:
+                hole, _ = report.violations[0]
+                return Violation(word=hole.word, level=n)
+    _check_words(d, min(depth, n_max) + 1, max_words)
     return ConsistentUpTo(n_max=n_max)
 
 

@@ -106,8 +106,9 @@ def pisot_number(index):
 # multinacci proximity checks
 
 # Largest multinacci index the proximity checks look for.  It caps the work
-# (a first ``near_multinacci`` call just above 1/2 builds 29 bases, ~0.3 s),
-# not resolution: omega_30 is 2.3e-10 above 1/2, its interval 8.9e-16 wide.
+# (a first ``near_multinacci`` call just above 1/2 builds 29 bases, about
+# 0.02 s with Python 3.11 on a shared 2-core host), not resolution: omega_30
+# is 2.3e-10 above 1/2, its interval 8.9e-16 wide.
 MULTINACCI_MAX = 30
 
 

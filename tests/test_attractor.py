@@ -246,9 +246,21 @@ def test_candidates_are_nonempty_holes(lam, d, n):
         assert compare(sum(h.bounds), 1) > 0
 
 
-def test_holes_empty_past_two_thirds():
-    rep = classify_holes(Fraction(7, 10), 2, 2)
+def test_holes_empty_past_two_thirds(monkeypatch):
+    # At lam >= d/(d+1) the central hole is empty, which one compare
+    # decides before any level is built; in the scan's window that is
+    # d = 1.  The word cap is still checked first.
+    def no_levels(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(attractor, "_levels", no_levels)
+    rep = classify_holes(Fraction(7, 10), 2, 11)
     assert rep.candidates == () and rep.genuine == () and rep.violations == ()
+    assert check_total_self_similarity(Fraction(3, 5), 1, 18) == ConsistentUpTo(n_max=18)
+    with pytest.raises(ResourceLimit, match="^10460353203 words at level 21 exceed the cap 4782969$"):
+        classify_holes(Fraction(7, 10), 2, 20)
+    with pytest.raises(ResourceLimit, match="^1024 words at level 10 exceed the cap 1000$"):
+        check_total_self_similarity(Fraction(3, 5), 1, 18, max_words=1000)
 
 
 def test_hole_report_json_shape():

@@ -237,6 +237,8 @@ def _rank_checked(name, values):
         images, ranks = attractor._rank(frame, groups)
     assert set(ranks) == set(groups) and all(images[g] == _image(frame, frame.unpack(g))
                                               for g in groups)
+    # Ranks are the sorted positions of the distinct lane groups.
+    assert sorted(ranks.values()) == list(range(len(set(groups))))
     for g, x in zip(groups, values):
         for h, y in zip(groups, values):
             assert (ranks[g] > ranks[h]) - (ranks[g] < ranks[h]) == compare(x, y)
