@@ -137,7 +137,10 @@ class _Regions(Sequence):
 
 
 def _check_words(d, depth, max_words):
-    """Refuse a level whose (d+1)^depth words exceed the word cap."""
+    """Refuse a word cap below 1, and a level whose (d+1)^depth words
+    exceed the word cap."""
+    if max_words is not None and max_words < 1:
+        raise DomainError("max_words must be >= 1")
     cap = DEFAULT_WORD_CAP if max_words is None else max_words
     if (d + 1) ** depth > cap:
         raise ResourceLimit("%d words at level %d exceed the cap %d"

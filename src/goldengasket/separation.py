@@ -4,8 +4,9 @@ The central quantity is the smallest nonzero modulus of sum(s_k theta^k)
 over coefficient vectors s in {0, +-1}, found by branch and bound over the
 coefficients in order of decreasing weight.  Floats steer the pruning with
 a margin that covers their rounding; every surviving candidate is an exact
-integer vector, and each distinct one is settled by exact sign and compare,
-so the reported minimum and witness are exact for the given degree bound.
+integer vector, and each distinct one is settled by exact sign and compare
+unless it is the incumbent's vector up to sign, which ties with it, so the
+reported minimum and witness are exact for the given degree bound.
 The same search runs the small-difference gap check at ratios below one.
 Converse witnesses for the failure of the hole pattern at non-multinacci
 ratios come from the greedy expansion of 1.
@@ -209,15 +210,18 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     vector, one table serves both kinds of prefix: the all-zero prefix
     walks it past the patches led by -1, which are not visits.  Entries
     within the float margin of the incumbent are visited; a leaf (prefix
-    plus entry vector) that is zero is skipped, any other is settled by
-    exact sign and comparison.  Ties go to the least degree, then the
-    lexicographically smallest coefficients, signed so that the top one is
-    positive.  Returns (float bound, SignedPolyValue); raises ResourceLimit
-    with the incumbent attached when ``node_cap`` runs out: every branch
-    node and every visited entry (one distinct leaf vector) counts.
+    plus entry vector) is evaluated exactly unless it is zero, which is
+    skipped, or the incumbent's vector up to sign, which ties with it.
+    Ties go to the least degree, then the lexicographically smallest
+    coefficients, signed so that the top one is positive.  Returns (float
+    bound, SignedPolyValue); raises ResourceLimit with the incumbent
+    attached when ``node_cap`` (at least 1) runs out: every branch node and
+    every visited entry (one distinct leaf vector) counts.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError("n_max must be an integer >= 1")
+    if node_cap < 1:
+        raise DomainError("node_cap must be >= 1")
     base = as_scalar(base)
     if scalar_sign(base) <= 0:
         raise DomainError("base must be positive")
@@ -254,12 +258,13 @@ class _SignedSumSearch:
     rational base p/q the numerator over q^n_max).  Prefixes start at the
     packed zero ``origin``; powers and table entries are ``frame.delta``
     displacements, so a child is one int add, a dedup hashes ints, a zero
-    leaf is ``origin`` and ``value`` unpacks a leaf only to settle it.  A
-    table has columns of float sums, displacements and codes sum(d_i 3^i),
-    whose balanced-ternary digits are the patch's from the lowest table
-    degree up.  Each degree maps the whole columns to the rows' patches with
-    digit -1, 0 and +1, interleaved, so above one the degrees 0..t-1 are
-    enumerated lexicographically from d_0.
+    leaf is ``origin``, the incumbent's vector and its negation
+    ``2 * origin - leaf`` are its ties, and ``value`` unpacks a leaf only to
+    settle any other.  A table has columns of float sums, displacements and
+    codes sum(d_i 3^i), whose balanced-ternary digits are the patch's from
+    the lowest table degree up.  Each degree maps the whole columns to the
+    rows' patches with digit -1, 0 and +1, interleaved, so above one the
+    degrees 0..t-1 are enumerated lexicographically from d_0.
     A nonzero prefix fixes the witness's degree, so the tie rule takes the
     first patch of a vector, and a later digit never reorders two partial
     patches with equal vectors: each stage keeps its first patch per vector.
@@ -288,6 +293,7 @@ class _SignedSumSearch:
         self.node_cap, self.nodes = node_cap, 0
         self.coeffs = [0] * (n_max + 1)
         self.best = self.best_val = self.best_key = None
+        self.best_leaves = ()
         self.best_abs_f = math.inf
 
         self.frame = frame = VectorFrame(base, powers)
@@ -340,17 +346,17 @@ class _SignedSumSearch:
         return vec[0] if self.alg is None else self.frame.scalar(vec)
 
     def consider(self, leaf, code):
+        # The incumbent's vector or its negation has the incumbent's modulus.
+        if leaf in self.best_leaves:
+            self.best_key = min(self.best_key, self.tie_key(code))
+            return
         value = self.value(leaf)
         # finish passes nonzero vectors only, and those never settle to sign 0
         abs_val = value if scalar_sign(value) > 0 else -value
-        if self.best is None:
-            cmp = -1
-        elif abs_val == self.best:  # equal vectors, so equal values
-            cmp = 0
-        else:
-            cmp = compare(abs_val, self.best)
+        cmp = -1 if self.best is None else compare(abs_val, self.best)
         if cmp < 0:
             self.best = abs_val
+            self.best_leaves = (leaf, 2 * self.origin - leaf)
             self.best_val = (abs_val if self.alg is not None
                              else Fraction(abs_val, self.frame.den))
             self.best_abs_f = float(self.best_val)
@@ -401,8 +407,16 @@ class _SignedSumSearch:
             return
         k = self.order[pos]
         w = self.fweights[k]
-        digits = (0, 1) if not any_nonzero else (-1, 0, 1)
-        for s in sorted(digits, key=lambda s: abs(partial + s * w)):
+        if any_nonzero:
+            # The digits by |partial + s*w|, ties in digit order (-1, 0, 1).
+            low, mid, high = abs(partial - w), abs(partial), abs(partial + w)
+            if mid < low:
+                digits = (1, 0, -1) if high < mid else (0, 1, -1) if high < low else (0, -1, 1)
+            else:
+                digits = (1, -1, 0) if high < low else (-1, 1, 0) if high < mid else (-1, 0, 1)
+        else:
+            digits = (0, 1)  # partial is 0.0 and w >= 0, so 0 comes first
+        for s in digits:
             self.coeffs[k] = s
             self.descend(pos + 1, partial + s * w, prefix + s * self.vectors[k],
                          any_nonzero or s != 0)

@@ -166,6 +166,22 @@ def test_word_cap_limits_enumeration(monkeypatch):
     assert len(build_level(W2, 2, 5)) == 162
 
 
+@pytest.mark.parametrize("call", [
+    lambda cap: build_level(Fraction(3, 5), 2, 2, max_words=cap),
+    lambda cap: classify_holes(Fraction(3, 5), 2, 2, max_words=cap),
+    lambda cap: check_total_self_similarity(Fraction(3, 5), 2, 2, max_words=cap),
+    lambda cap: check_total_self_similarity(Fraction(3, 5), 1, 2, max_words=cap),
+    lambda cap: estimate_area(Fraction(3, 5), n=2, max_words=cap),
+    lambda cap: box_dimension_estimate(Fraction(3, 5), n=4, max_words=cap),
+], ids=["level", "holes", "selfsim", "selfsim-d1", "area", "boxdim"])
+def test_word_cap_below_one_is_refused_as_a_domain_error(call):
+    # The CLI rejects --max-words below 1 as a usage error; the library
+    # refuses the same caps as bad input, not as a level too large.
+    for cap in (0, -5):
+        with pytest.raises(DomainError, match="max_words must be >= 1"):
+            call(cap)
+
+
 @pytest.mark.xfail(strict=True, raises=(AssertionError, PrecisionExhausted),
                    reason="a base on a reducible polynomial keeps equal values apart "
                           "(ROADMAP item 11)")

@@ -516,6 +516,84 @@ def test_node_cap_counts_leaf_evaluations():
         min_abs_signed_sum(base, 12, node_cap=400)
 
 
+class ReferenceSearch(_SignedSumSearch):
+    """The search with every leaf's sign settled exactly: a value equal to
+    the incumbent's is a tie, any other is compared.  A node orders its
+    digits by a stable sort."""
+
+    def consider(self, leaf, code):
+        value = self.value(leaf)
+        abs_val = value if scalar_sign(value) > 0 else -value
+        if self.best is None:
+            cmp = -1
+        elif abs_val == self.best:
+            cmp = 0
+        else:
+            cmp = compare(abs_val, self.best)
+        if cmp < 0:
+            self.best = abs_val
+            self.best_val = (abs_val if self.alg is not None
+                             else Fraction(abs_val, self.frame.den))
+            self.best_abs_f = float(self.best_val)
+            self.best_key = self.tie_key(code)
+        elif cmp == 0:
+            self.best_key = min(self.best_key, self.tie_key(code))
+
+    def descend(self, pos, partial, prefix, any_nonzero):
+        self.check_budget()
+        if pos == self.boundary:
+            self.finish(partial, prefix, any_nonzero)
+            return
+        if abs(partial) - self.tails[pos] > self.best_abs_f + self.margin:
+            return
+        k = self.order[pos]
+        w = self.fweights[k]
+        digits = (0, 1) if not any_nonzero else (-1, 0, 1)
+        for s in sorted(digits, key=lambda s: abs(partial + s * w)):
+            self.coeffs[k] = s
+            self.descend(pos + 1, partial + s * w, prefix + s * self.vectors[k],
+                         any_nonzero or s != 0)
+        self.coeffs[k] = 0
+
+
+def finished_search(search_class, make_base, n_max):
+    """The search's final state, and its base's refinement generation."""
+    base = as_scalar(make_base())
+    search = search_class(base, n_max, DEFAULT_NODE_CAP)
+    search.descend(0, 0.0, search.origin, False)
+    if isinstance(base, Fraction):
+        value, generation = search.best_val, None
+    else:  # combinations over distinct base objects compare by coefficients
+        value, generation = search.best_val.coeffs, base.alg.generation
+    return search.best_key, value, search.best_abs_f, search.nodes, generation
+
+
+# Fresh bases for each search, so that each starts from the same interval.
+DIFFERENTIAL_BASES = {
+    "golden": golden_ratio,
+    **{"pisot%d" % i: (lambda i=i: pisot_number(i)) for i in range(1, 5)},
+    "tribonacci": lambda: multinacci_reciprocal(3),
+    "nonmonic": lambda: isolate_root([-1, -2, 2], (Fraction(1), Fraction(3, 2))),
+    "omega2": lambda: multinacci(2),
+    "3/5": lambda: Fraction(3, 5),
+    "40/23": lambda: Fraction(40, 23),
+    # Both reach nodes with 0 < partial < w/2, whose digits go (0, 1, -1):
+    # there the order sets the node count, from degree 12 and 13 on.
+    "lambda-star": lambda_star,
+    "11/7": lambda: Fraction(11, 7),
+}
+
+
+@pytest.mark.parametrize("make_base", DIFFERENTIAL_BASES.values(),
+                         ids=DIFFERENTIAL_BASES.keys())
+def test_search_matches_the_reference_search(make_base):
+    # Same witness, value, float bound and node count, and the base refined
+    # exactly as far as the reference refines it.
+    for n_max in range(1, 15):
+        want = finished_search(ReferenceSearch, make_base, n_max)
+        assert finished_search(_SignedSumSearch, make_base, n_max) == want, n_max
+
+
 @pytest.mark.parametrize("base", [pisot_number(1), Fraction(9, 5), multinacci(2)],
                          ids=["pisot1", "rational", "omega2"])
 def test_search_leaves_no_cyclic_garbage(base):
@@ -701,8 +779,12 @@ def test_converse_rejects_floats_and_window():
     (lambda: gap_property_holds(Fraction(3, 2), 4), "ratio must lie in"),
     (lambda: multinacci_reciprocal(1), "multinacci index"),
     (lambda: converse_witness(multinacci(2).as_scalar(), 5), "needs a rational ratio"),
+    # The CLI rejects --node-cap below 1 as a usage error; the search
+    # refuses it as bad input, not as a budget run out.
+    (lambda: min_abs_signed_sum(golden_ratio(), 4, node_cap=0), "node_cap must be >= 1"),
+    (lambda: ell_upper(Fraction(9, 5), 4, node_cap=-3), "node_cap must be >= 1"),
 ], ids=["n-max", "negative-base", "base-one", "gap-ratio", "multinacci-index",
-        "converse-algebraic"])
+        "converse-algebraic", "node-cap-zero", "node-cap-negative"])
 def test_search_refusals(call, match):
     with pytest.raises(DomainError, match=match):
         call()

@@ -72,7 +72,9 @@ def test_traced_ell_job_counts_leaves(monkeypatch, capsys):
     metrics = traced_metrics(
         monkeypatch, capsys, ["ell", "--theta", "golden", "--degree", "8"]
     )
-    # One sign per distinct nonzero leaf vector the walk reaches, and one
-    # compare per new value: a tie with the incumbent's own vector needs none.
-    assert metrics["separation.leaf_evals"] == 19
+    # One sign per distinct nonzero leaf vector the walk reaches other than
+    # the incumbent's up to sign, and one compare per value after the first:
+    # a leaf equal to the incumbent's vector or its negation is a tie
+    # decided by the tie rule alone.
+    assert metrics["separation.leaf_evals"] == 2
     assert metrics["separation.leaf_compares"] == 1
