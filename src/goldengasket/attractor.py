@@ -24,12 +24,11 @@ compares ceilings.
 from __future__ import annotations
 
 import math
-from array import array
-from collections import defaultdict
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, partial
+from functools import cmp_to_key
 from itertools import chain
 from operator import add
 
@@ -384,20 +383,32 @@ def check_total_self_similarity(lam, d, n_max, max_words=None):
 # T, the three gap flags g_j < 0 and the three corner verdicts, so they are
 # built once per key, and every run stays inside its own row of the grid.
 # L_j depends only on where digit j occurs, so C_j, its flag and E_j are
-# kept once per distinct coordinate vector.  Each ceiling and flag is read
-# off the certified integer image and goes to the exact scalars only when
-# the image straddles the answer.
+# kept once per distinct lane group.  Each ceiling and flag is read off the
+# certified integer image and goes to the exact scalars only when the image
+# straddles the answer.
 #
-# The origins are gathered per key first and written on a bit grid: each
-# side is one int, cell c at bit c + 2r + 2 (a run starts at most one row
-# and one column before its origin), and a key's origins are one int of
-# marks.  A run of length L is the marks dilated by L (shifts of 1, 2, 4,
-# ... and a last partial one, taken in increasing L across the key's runs)
-# and shifted by its start, so each run costs a few whole-grid int
+# The regions are gathered by key as one int code each, the sum of its
+# three bounds' codes, each made once per lane group: from the low end, the
+# bound's share of the origin C_0 * 2r + 2 C_1 (2r C_0, 2 C_1 or 0), then
+# 2 E_j + (g_j < 0) in bound j's own field, and C_j in a sum field at the
+# top.  The fields are sized from r so that none carries into the next:
+# the origin is at most 2r^2 + 2r, E_j at most r + 1 and C_j at most r.
+# The codes are sorted once, so a run of equal high fields is the regions
+# of one key, read once (T = r less the sum field), and its low fields are
+# their origins in ascending order.  Regions of one key may differ in an
+# E_j whose corner verdict is settled either way, and then the key comes
+# in more than one run.
+#
+# Each run is written on a bit grid: each side is one int, cell c at bit
+# c + 2r + 2 (a run starts at most one row and one column before its
+# origin), and a run's origins are one int of marks.  A stamp run of
+# length L is the marks dilated by L (shifts of 1, 2, 4, ... and a last
+# partial one, taken in increasing L across the key's stamp runs) and
+# shifted by its start, so each stamp run costs a few whole-grid int
 # operations whatever the number of regions, and a count is one
 # int.bit_count().  That wins where many regions share a key, as at deep
 # levels; a shallow level on a fine grid pays those operations for a few
-# regions with long stamps (about 3 s for omega_2 at n = 3, r = 2048).
+# regions with long stamps (about 3.3 s for omega_2 at n = 3, r = 2048).
 
 
 class _Coordinates(dict):
@@ -428,6 +439,24 @@ class _Coordinates(dict):
         return decided
 
 
+class _Codes(dict):
+    """Bound j's code of each lane group, made on first use from its
+    ``_Coordinates`` entry (C, g < 0, E): C * ``share`` in the origin
+    field, 2 E + (g < 0) in bound j's field at ``shift`` and C in the sum
+    field at ``top``."""
+
+    def __init__(self, coordinates, share, shift, top):
+        super().__init__()
+        self.coordinates, self.share = coordinates, share
+        self.shift, self.top = shift, top
+
+    def __missing__(self, group):
+        c, frac, e = self.coordinates[group]
+        code = (c << self.top) + ((e << 1 | frac) << self.shift) + c * self.share
+        self[group] = code
+        return code
+
+
 def _stamp(key, stride):
     """Runs (side, start, stop) of a region with stamp key ``key``,
     relative to its origin cell (C_0, C_1): side 0 holds the contained
@@ -451,39 +480,51 @@ def _stamp(key, stride):
 
 
 def _stamp_origins(level, r):
-    """The origin C_0 * 2r + 2 C_1 of every region of a planar ``LevelSet``
-    on the r-grid, gathered per stamp key, read off its packed bound ints
-    and frame, no view made."""
-    stride = 2 * r
+    """Yield (key, base, codes) per run of a planar ``LevelSet``'s sorted
+    codes on the r-grid, read off its packed bound ints and frame, no view
+    made: the run's stamp key, its high fields as ``base`` and its codes,
+    whose origins C_0 * 2r + 2 C_1 are ``code - base`` in ascending order.
+    One key may come in more than one run."""
     frame, vecs = level.regions.frame, level.regions.vecs
     span = frame.span
-    mask = (1 << span) - 1
+    mask, span2 = (1 << span) - 1, 2 * span
     coordinates = _Coordinates(frame, r, frame.vector(level.lam ** level.n))
-    origins = defaultdict(partial(array, "q"))
-    for vec in vecs:
-        a = coordinates[vec & mask]
-        b = coordinates[vec >> span & mask]
-        c = coordinates[vec >> 2 * span]
-        t = r - a[0] - b[0] - c[0]
+    low = (2 * r * r + 2 * r).bit_length()
+    width = (2 * r + 3).bit_length()
+    a, b, c = (_Codes(coordinates, share, low + j * width, low + 3 * width)
+               for j, share in enumerate((2 * r, 2, 0)))
+    codes = [a[vec & mask] + b[vec >> span & mask] + c[vec >> span2] for vec in vecs]
+    codes.sort()
+    field = (1 << width) - 1
+    i = 0
+    while i < len(codes):
+        high = codes[i] >> low
+        j = bisect_left(codes, (high + 1) << low, i)
+        t = r - (high >> 3 * width)
+        (e0, f0), (e1, f1), (e2, f2) = (divmod(high >> k * width & field, 2)
+                                        for k in range(3))
         # A corner cell with two deficient coordinates exists iff T >= -1.
         key = (
-            t, a[1], b[1], c[1],
-            t >= -1 and a[1] and b[1] and t + 1 < c[2],
-            t >= -1 and a[1] and c[1] and t + 1 < b[2],
-            t >= -1 and b[1] and c[1] and t + 1 < a[2],
+            t, f0, f1, f2,
+            t >= -1 and f0 and f1 and t + 1 < e2,
+            t >= -1 and f0 and f2 and t + 1 < e1,
+            t >= -1 and f1 and f2 and t + 1 < e0,
         )
-        origins[key].append(a[0] * stride + 2 * b[0])
-    return origins
+        yield key, high << low, codes[i:j]
+        i = j
 
 
 def _grid_counts(level, r):
     """(contained, meeting) cell counts of a planar ``LevelSet`` on the
-    r-grid, read off its packed bound ints and frame, no view made."""
+    r-grid, read off its packed bound ints and frame, no view made: the
+    origins of each run of ``_stamp_origins`` become one int of marks, and
+    each stamp run of its key a dilation of the marks on the bit grid."""
     bias = 2 * r + 2
     bits = [0, 0]
-    for key, origins in _stamp_origins(level, r).items():
-        marks = bytearray(max(origins) // 8 + 1)
-        for origin in origins:
+    for key, base, codes in _stamp_origins(level, r):
+        marks = bytearray((codes[-1] - base) // 8 + 1)
+        for code in codes:
+            origin = code - base
             marks[origin >> 3] |= 1 << (origin & 7)
         dilated, length = int.from_bytes(marks, "little"), 1
         runs = sorted(_stamp(key, 2 * r), key=lambda run: run[2] - run[1])

@@ -8,6 +8,7 @@ and must land inside the grid brackets.
 """
 
 import math
+import tracemalloc
 import xml.dom.minidom
 from fractions import Fraction
 
@@ -378,6 +379,20 @@ def test_area_full_simplex_without_holes():
     assert estimate_area(Fraction(7, 10), 2, 3, 64) == (1, 1)
     lo, hi = estimate_area(Fraction(2, 3), 2, 2, 96)
     assert hi == 1 and lo >= Fraction(766, 768)
+
+
+def test_area_grid_memory_peak():
+    # The grid holds one int code per region, sorted in place, and one run's
+    # codes at a time: a warm call peaks near 2.5 MB here, against 2.24 MB
+    # with origins gathered into one int array per key.
+    estimate_area(W2, 2, 10, 256)
+    tracemalloc.start()
+    try:
+        estimate_area(W2, 2, 10, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.8 * 10**6
 
 
 def test_area_validation():

@@ -17,6 +17,7 @@ counts, and once more with every image decision forced to the exact
 fallback, and its bit grid against slice writes of the same runs.
 """
 
+from collections import Counter, defaultdict
 from fractions import Fraction
 from operator import add
 from unittest import mock
@@ -543,9 +544,34 @@ def test_exact_corner_tie_is_not_below():
 
 
 def _stamps(level, r):
-    """The (runs, origins) pairs of a level on the r-grid, one per key."""
-    return [(attractor._stamp(key, 2 * r), origins)
-            for key, origins in attractor._stamp_origins(level, r).items()]
+    """The (runs, origins) pairs of a level on the r-grid, one per run of
+    its sorted codes."""
+    return [(attractor._stamp(key, 2 * r), [code - base for code in codes])
+            for key, base, codes in attractor._stamp_origins(level, r)]
+
+
+def _tuple_key_origins(level, r):
+    """The origin C_0 * 2r + 2 C_1 of every region per stamp key, gathered
+    region by region under a tuple key: the reference for the summed
+    codes of ``_stamp_origins``."""
+    frame, vecs = level.regions.frame, level.regions.vecs
+    span = frame.span
+    mask = (1 << span) - 1
+    coordinates = attractor._Coordinates(frame, r, frame.vector(level.lam ** level.n))
+    origins = defaultdict(list)
+    for vec in vecs:
+        a = coordinates[vec & mask]
+        b = coordinates[vec >> span & mask]
+        c = coordinates[vec >> 2 * span]
+        t = r - a[0] - b[0] - c[0]
+        key = (
+            t, a[1], b[1], c[1],
+            t >= -1 and a[1] and b[1] and t + 1 < c[2],
+            t >= -1 and a[1] and c[1] and t + 1 < b[2],
+            t >= -1 and b[1] and c[1] and t + 1 < a[2],
+        )
+        origins[key].append(a[0] * 2 * r + 2 * b[0])
+    return origins
 
 
 LAYOUT_CASES = [
@@ -578,6 +604,36 @@ def test_every_stamp_run_lies_in_its_own_row_of_the_grid(name, base, n, r):
                 assert first // stride == last // stride
                 runs += 1
     assert runs > 0
+
+
+# Shallow levels on the coarsest grid and a fine one reach the widest
+# fields: at n = 0 every E_j = r, which needs every bit of its field, and
+# T = r.  With 1/2 a level-7 region at r = 64 has C_0 = r, so its origin
+# 2r^2 needs every bit of the origin field; 1/3 at n = 6, r = 300 has T < 0.
+GATHER_CASES = LAYOUT_CASES + [
+    (name, base, n, r)
+    for name, base in [("1/2", Fraction(1, 2)), ("2/3", Fraction(2, 3)),
+                       ("3/4", Fraction(3, 4)), ("9/10", Fraction(9, 10)),
+                       ("omega3", multinacci(3)), ("lambda-star", lambda_star())]
+    for n in (0, 1) for r in (64, 2048)
+] + [("1/2", Fraction(1, 2), 7, 64)]
+
+
+@pytest.mark.parametrize("name,base,n,r", GATHER_CASES,
+                         ids=["%s-%d-%d" % (c[0], c[2], c[3]) for c in GATHER_CASES])
+def test_summed_codes_gather_the_origins_of_the_tuple_keys(name, base, n, r):
+    # A field too narrow carries into the next one up: a region lands on a
+    # wrong key, or its origin is read off short.
+    level = build_level(base, 2, n)
+    gathered = defaultdict(Counter)
+    for key, offset, codes in attractor._stamp_origins(level, r):
+        origins = [code - offset for code in codes]
+        assert origins == sorted(origins)
+        gathered[key].update(origins)
+    want = _tuple_key_origins(level, r)
+    assert gathered.keys() == want.keys()
+    for key, origins in want.items():
+        assert gathered[key] == Counter(origins), key
 
 
 WRITER_CASES = [
