@@ -129,8 +129,8 @@ class _Regions(Sequence):
 
     def _made(self):
         if self._views is None:
-            view, frame, n = CornerRegion.view, self.frame, len(self.chain)
-            self._views = tuple(view(frame, vec, n, word)
+            frame, n = self.frame, len(self.chain)
+            self._views = tuple(CornerRegion(frame, vec, n, word)
                                 for vec, word in zip(self.vecs, _words(self.chain)))
         return self._views
 
@@ -298,16 +298,16 @@ def _classify(lam, d, n, tree, words):
     raised = (vec >> b * span & mask
               for _, vecs, _, digits in levels for vec, b in zip(vecs, digits))
     images, ranks = _rank(frame, chain(*uppers, raised))
-    holes = [HoleRegion.view(frame, top, n, word, tuple(map(images.get, groups)))
+    holes = [HoleRegion(frame, top, n, word, tuple(map(images.get, groups)))
              for top, word, groups in zip(tops, words, uppers)]
-    root = CornerRegion.view(frame, tree[0][1][0], 0, ())
+    root = CornerRegion(frame, tree[0][1][0], 0, ())
     ups = [tuple(map(ranks.get, groups)) for groups in uppers]
     pairs = [(h, 0) for h, hole in enumerate(holes) if hole_meets_region(hole, root)]
     for _, vecs, made, digits in levels:
         low = [ranks[vec >> b * span & mask] for vec, b in zip(vecs, digits)]
         pairs = _descend(pairs, made, low, digits, ups)
     deeper = _words([tree[n + 1][2:]], words) if pairs else ()
-    views = {c: CornerRegion.view(frame, tree[n + 1][1][c], n + 1, deeper[c])
+    views = {c: CornerRegion(frame, tree[n + 1][1][c], n + 1, deeper[c])
              for c in {c for _, c in pairs}}
     hit = {h for h, _ in pairs}
     return HoleReport(n=n, candidates=tuple(holes),

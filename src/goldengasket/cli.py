@@ -313,19 +313,13 @@ def cmd_selfsim(args):
     verdict = check_total_self_similarity(args.lam, args.dimension, args.depth,
                                           max_words=args.max_words)
     if isinstance(verdict, ConsistentUpTo):
-        _emit_json(
-            {"lambda": float(args.lam), "consistent_up_to": verdict.n_max},
-            args.output,
-        )
-        return EXIT_OK
-    _emit_json(
-        {
-            "lambda": float(args.lam),
-            "violation": {"word": list(verdict.word), "level": verdict.level},
-        },
-        args.output,
-    )
-    return EXIT_VERDICT
+        doc, code = {"consistent_up_to": verdict.n_max}, EXIT_OK
+    else:
+        doc = {"violation": {"word": list(verdict.word), "level": verdict.level}}
+        code = EXIT_VERDICT
+    doc["lambda"] = float(args.lam)
+    _emit_json(doc, args.output)
+    return code
 
 
 def cmd_area(args):
@@ -363,17 +357,9 @@ def cmd_ell(args):
         report = separation_bound_check(theta, args.degree, node_cap=args.node_cap)
     else:
         # Outside (3/2, 2) the ceiling does not apply: report the raw minimum.
-        min_abs, witness = ell_upper(theta, args.degree, node_cap=args.node_cap)
-        m = is_multinacci_reciprocal(theta)
-        report = SeparationReport(
-            theta_float=float(theta),
-            n_max=args.degree,
-            min_abs=min_abs,
-            witness=witness,
-            bound=2.0 / (2.0 + float(theta)),
-            certified=False,
-            multinacci_reciprocal=m if m is not None else 0,
-        )
+        found = ell_upper(theta, args.degree, node_cap=args.node_cap)
+        report = SeparationReport.of(theta, args.degree, found,
+                                     is_multinacci_reciprocal(theta))
     _emit_json(report.as_json_dict(), args.output)
     return EXIT_OK
 
@@ -381,16 +367,12 @@ def cmd_ell(args):
 def cmd_witness(args):
     result = converse_witness(args.lam, args.depth)
     if isinstance(result, NotFound):
-        _emit_json(
-            {"lambda": float(args.lam), "not_found": result.reason},
-            args.output,
-        )
-        return EXIT_VERDICT
-    _emit_json(
-        {"lambda": float(args.lam), "n": result.n, "digits": list(result.digits)},
-        args.output,
-    )
-    return EXIT_OK
+        doc, code = {"not_found": result.reason}, EXIT_VERDICT
+    else:
+        doc, code = {"n": result.n, "digits": list(result.digits)}, EXIT_OK
+    doc["lambda"] = float(args.lam)
+    _emit_json(doc, args.output)
+    return code
 
 
 def cmd_uniq(args):

@@ -496,7 +496,7 @@ class VectorFrame:
     (``unit = 2^(FIXED_BITS+1) * den``).
     """
 
-    __slots__ = ("alg", "deg", "den", "unit", "width", "span", "_mid", "_rad", "_memo")
+    __slots__ = ("alg", "deg", "den", "unit", "width", "span", "_mid", "_rad")
 
     def __init__(self, lam, values=()):
         """The frame of ``lam`` (a Fraction or a LinearCombination) whose
@@ -506,7 +506,6 @@ class VectorFrame:
             self.alg = lam.alg
             self._mid, self._rad = self.alg.power_images()
             self.deg = len(self._mid)
-            self._memo = {}
             scale = 2 << FIXED_BITS
             coeffs = [c for v in values for c in v.coeffs]
         else:
@@ -570,17 +569,8 @@ class VectorFrame:
         """The (lo, hi) image of every scalar of a flat vector."""
         if self.alg is None:
             return tuple(zip(vec, vec))
-        # Region bounds repeat across a level set (54 distinct vectors in
-        # the 5,187 bounds of levels 0..7 at omega_2), so images are kept
-        # once per distinct vector and shared.
-        deg = self.deg
-        return tuple(self._image(vec[i:i + deg]) for i in range(0, len(vec), deg))
-
-    def _image(self, c):
-        image = self._memo.get(c)
-        if image is None:
-            image = self._memo[c] = _dot_image(c, self._mid, self._rad)
-        return image
+        deg, mid, rad = self.deg, self._mid, self._rad
+        return tuple(_dot_image(vec[i:i + deg], mid, rad) for i in range(0, len(vec), deg))
 
 
 def _dot_image(c, mid, rad):

@@ -121,18 +121,14 @@ def apply_map(sim, point):
 class _Bounds:
     """The bound vector of a region: a view over one packed vector ``vec``
     of a ``VectorFrame``, unpacked to exact ``bounds`` or to images on
-    first use, unless its maker knows the images.  The hash of the exact
-    bounds is kept once taken."""
+    first use, unless its maker knows the images."""
 
-    __slots__ = ("_bounds", "level", "word", "frame", "vec", "_image", "_hash")
+    __slots__ = ("_bounds", "level", "word", "frame", "vec", "_image")
 
-    @classmethod
-    def view(cls, frame, vec, level, word, image=None):
-        self = cls.__new__(cls)
-        self._bounds = self._hash = None
+    def __init__(self, frame, vec, level, word, image=None):
+        self._bounds = None
         self.frame, self.vec, self.level, self.word = frame, vec, level, word
         self._image = image
-        return self
 
     @property
     def bounds(self):
@@ -163,9 +159,7 @@ class CornerRegion(_Bounds):
         return self.bounds == other.bounds
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.bounds)
-        return self._hash
+        return hash(self.bounds)
 
     def __repr__(self):
         return "CornerRegion(bounds=%r, level=%r, word=%r)" % (
@@ -177,17 +171,14 @@ class HoleRegion(_Bounds):
 
     Infeasible bound vectors (sum(U) <= 1) are all the same empty set and
     compare equal regardless of their bounds.  Whoever makes a hole knows
-    whether it is empty.
+    whether it is empty, and says so with ``empty``.
     """
 
     __slots__ = ("_empty",)
 
-    @classmethod
-    def view(cls, frame, vec, level, word, image=None):
-        """A view of a hole its maker knows to be non-empty."""
-        self = super().view(frame, vec, level, word, image)
-        self._empty = False
-        return self
+    def __init__(self, frame, vec, level, word, image=None, empty=False):
+        super().__init__(frame, vec, level, word, image)
+        self._empty = empty
 
     def is_empty(self):
         return self._empty
@@ -199,26 +190,24 @@ class HoleRegion(_Bounds):
         return empty == other._empty and (empty or self.bounds == other.bounds)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash("empty-hole") if self._empty else hash(self.bounds)
-        return self._hash
+        return hash("empty-hole") if self._empty else hash(self.bounds)
 
     def __repr__(self):
         tag = " empty" if self.is_empty() else ""
         return "HoleRegion(level=%r%s)" % (self.level, tag)
 
 
-def _view(cls, frame, bounds, level, word):
-    """A ``cls`` view over exact bounds whose denominators ``frame`` clears."""
-    vec = frame.pack(tuple(c for x in bounds for c in frame.vector(x)))
-    return cls.view(frame, vec, level, word)
+def _packed(frame, bounds):
+    """The packed vector of exact bounds whose denominators ``frame`` clears."""
+    return frame.pack(tuple(c for x in bounds for c in frame.vector(x)))
 
 
 def image_region(word, lam, d=2):
     """f_w(simplex) as lower bounds; the empty word gives the full simplex."""
     word, lam = validate_word(word, d), as_scalar(lam)
     t, _ = translation_vector(word, lam, d)
-    return _view(CornerRegion, VectorFrame(lam, t), t, len(word), word)
+    frame = VectorFrame(lam, t)
+    return CornerRegion(frame, _packed(frame, t), len(word), word)
 
 
 def hole_region(word, lam, d=2):
@@ -228,9 +217,9 @@ def hole_region(word, lam, d=2):
     t, lam_n = translation_vector(word, lam, d)
     width = (1 - lam) * lam_n
     bounds = tuple(x + width for x in t)
-    hole = _view(HoleRegion, VectorFrame(lam, bounds), bounds, len(word), word)
-    hole._empty = compare(sum(bounds), 1) <= 0
-    return hole
+    frame = VectorFrame(lam, bounds)
+    return HoleRegion(frame, _packed(frame, bounds), len(word), word,
+                      empty=compare(sum(bounds), 1) <= 0)
 
 
 def intersection_bounds(a, b):
@@ -281,9 +270,9 @@ def _one_frame(h, r):
     if h.frame.alg is not r.frame.alg:
         raise TypeError("regions over different base numbers")
     frame = VectorFrame(r.bounds[0], h.bounds + r.bounds)
-    hole = _view(HoleRegion, frame, h.bounds, h.level, h.word)
-    hole._empty = h.is_empty() or compare(sum(r.bounds), 1) > 0
-    return hole, _view(CornerRegion, frame, r.bounds, r.level, r.word)
+    empty = h.is_empty() or compare(sum(r.bounds), 1) > 0
+    return (HoleRegion(frame, _packed(frame, h.bounds), h.level, h.word, empty=empty),
+            CornerRegion(frame, _packed(frame, r.bounds), r.level, r.word))
 
 
 def region_feasible_point(a, b):

@@ -447,6 +447,20 @@ class SeparationReport:
     certified: bool
     multinacci_reciprocal: int
 
+    @classmethod
+    def of(cls, theta, n_max, found, m, certify=False):
+        """The report of ``found``, ell_upper's (min_abs, witness) at
+        ``theta``, whose multinacci test gave ``m``.  With ``certify`` and
+        no multinacci reciprocal, it is certified when (2 + theta) *
+        |witness| < 2 exactly."""
+        theta_s = as_scalar(theta)
+        min_abs, witness = found
+        bound = 2.0 / (2.0 + float(theta_s))
+        certified = certify and m is None and compare((2 + theta_s) * witness.value, 2) < 0
+        return cls(theta_float=float(theta_s), n_max=n_max, min_abs=min_abs,
+                   witness=witness, bound=bound, certified=certified,
+                   multinacci_reciprocal=m or 0)
+
     def as_json_dict(self):
         return {
             "theta": self.theta_float,
@@ -463,28 +477,14 @@ def separation_bound_check(theta, n_max, node_cap=DEFAULT_NODE_CAP):
     """Check the degree-bounded minimum against the 2/(2+theta) ceiling.
 
     The ceiling only applies when 1/theta is not multinacci; a multinacci
-    reciprocal is flagged and reported uncertified.  Certification compares
-    (2 + theta) * |witness| < 2 exactly.
+    reciprocal is flagged and reported uncertified.
     """
     theta_s = as_scalar(theta)
     if compare(theta_s, Fraction(3, 2)) <= 0 or compare(theta_s, 2) >= 0:
         raise DomainError("separation check expects theta in (3/2, 2)")
     m = is_multinacci_reciprocal(theta)
-    min_abs, witness = ell_upper(theta_s, n_max, node_cap=node_cap)
-    bound = 2.0 / (2.0 + float(theta_s))
-    if m is not None:
-        certified = False
-    else:
-        certified = compare((2 + theta_s) * witness.value, 2) < 0
-    return SeparationReport(
-        theta_float=float(theta_s),
-        n_max=n_max,
-        min_abs=min_abs,
-        witness=witness,
-        bound=bound,
-        certified=certified,
-        multinacci_reciprocal=m if m is not None else 0,
-    )
+    found = ell_upper(theta_s, n_max, node_cap=node_cap)
+    return SeparationReport.of(theta_s, n_max, found, m, certify=True)
 
 
 # ----------------------------------------------------------------------

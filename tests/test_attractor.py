@@ -108,13 +108,13 @@ def test_levels_list_their_regions_in_word_order(lam, d, depth):
 def counted_views(monkeypatch):
     """A list that collects each CornerRegion view made from here on."""
     made = []
-    view = CornerRegion.view
+    init = CornerRegion.__init__
 
-    def counted(frame, vec, level, word):
+    def counted(self, frame, vec, level, word, image=None):
         made.append(word)
-        return view(frame, vec, level, word)
+        init(self, frame, vec, level, word, image)
 
-    monkeypatch.setattr(CornerRegion, "view", counted)
+    monkeypatch.setattr(CornerRegion, "__init__", counted)
     return made
 
 

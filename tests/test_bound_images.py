@@ -163,8 +163,8 @@ def test_lower_below_upper_agrees_with_exact(case):
     name, (a, x), (b, y) = case
     frame = FRAMES[name][0]
     # d = 0: one bound each, so the view test is exactly L < U.
-    hole = HoleRegion.view(frame, frame.pack(b), 0, ())
-    region = CornerRegion.view(frame, frame.pack(a), 0, ())
+    hole = HoleRegion(frame, frame.pack(b), 0, ())
+    region = CornerRegion(frame, frame.pack(a), 0, ())
     assert hole_meets_region(hole, region) == (compare(x, y) < 0)
 
 
@@ -194,8 +194,8 @@ def test_images_decide_constants_and_ties_without_the_exact_path(name, monkeypat
         assert image_ceil(7 * lo, 7 * hi, frame.unit) == (7 * k, False)
     for n in (1, 5, 30):
         vec = frame.vector(powers[n])
-        view = CornerRegion.view(frame, frame.pack(vec), 0, ())
-        hole = HoleRegion.view(frame, frame.pack(vec), 0, ())
+        view = CornerRegion(frame, frame.pack(vec), 0, ())
+        hole = HoleRegion(frame, frame.pack(vec), 0, ())
         assert not hole_meets_region(hole, view)
     # In increasing order, each value twice: a tie is one lane group.
     values = [powers[0] * -2, powers[0] * 0, powers[30], powers[5], powers[1], powers[0] * 3]
@@ -278,9 +278,9 @@ def test_integer_valued_vector_reaches_the_exact_path():
     assert image_ceil(lo, hi, frame.unit) is None
     with pytest.raises(PrecisionExhausted):
         scalar_ceil(frame.scalar(one))
-    hole = HoleRegion.view(frame, frame.pack((1, 0, 0, 0)), 0, ())
+    hole = HoleRegion(frame, frame.pack((1, 0, 0, 0)), 0, ())
     with pytest.raises(PrecisionExhausted):
-        hole_meets_region(hole, CornerRegion.view(frame, frame.pack(one), 0, ()))
+        hole_meets_region(hole, CornerRegion(frame, frame.pack(one), 0, ()))
 
 
 # ----------------------------------------------------------------------

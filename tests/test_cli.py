@@ -268,6 +268,39 @@ def test_level_loops_keep_bytes_and_refinement_history(capsys, monkeypatch,
     assert parsed[0].generation == generation
 
 
+# Exit code, sha256 of stdout and, at an algebraic lambda, its final
+# refinement generation for verdict branches that no other digest pins:
+# each handler prints one JSON document per verdict, and ell prints the
+# raw minimum outside (3/2, 2).
+VERDICT_HISTORY = {
+    ("selfsim", "--lambda", "omega:2", "-n", "4"): (
+        EXIT_OK,
+        "895d79365f398027457cfa46d14142fe8db267947a3ac65642e345d7efe3700d", 55),
+    ("witness", "--lambda", "rational:59/100"): (
+        EXIT_OK,
+        "2b72a592c1861f60c0924898d6744b15e3d0dfdbd2cdec69da1a29f685b76423", None),
+    ("witness", "--lambda", "rational:13/20"): (
+        EXIT_VERDICT,
+        "46ad663cf06fb1e97ce1819eca873102de1dae482998c7e0cf956faafaeda4f2", None),
+    ("ell", "--theta", "rational:7/5", "--degree", "12"): (
+        EXIT_OK,
+        "f18c1c5d1752899ad0d8cf723de8310896bb6806b617712b1b96ac9aca39bb5f", None),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERDICT_HISTORY), ids=" ".join)
+def test_verdict_branches_keep_bytes(capsys, monkeypatch, argv):
+    parsed = []
+    name = "parse_theta_token" if argv[0] == "ell" else "parse_ratio_token"
+    parse = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda token: parsed.append(parse(token)) or parsed[-1])
+    code, out, _ = run(capsys, *argv)
+    want_code, digest, generation = VERDICT_HISTORY[argv]
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert getattr(parsed[0], "generation", None) == generation
+
+
 def test_expand_tail(capsys):
     code, out, _ = run(
         capsys, "expand", "--lambda", "omega:2", "--x", "1", "-n", "8", "--tail"

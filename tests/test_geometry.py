@@ -133,7 +133,7 @@ def _on_other_frame(region):
     frame = VectorFrame(region.bounds[0], region.bounds + (Fraction(1, 7),))
     assert frame.den != region.frame.den
     vec = frame.pack(tuple(c for x in region.bounds for c in frame.vector(x)))
-    view = type(region).view(frame, vec, 2, (9, 9))
+    view = type(region)(frame, vec, 2, (9, 9))
     assert view.vec != region.vec
     return view
 
