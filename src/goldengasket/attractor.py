@@ -421,22 +421,18 @@ class _Coordinates(dict):
 
     def __missing__(self, group):
         vec = self.frame.unpack(group)
-        c, frac = self._ceil(vec, True)
-        e, _ = self._ceil(tuple(map(add, vec, self.tail)), False)
+        c, frac = self._ceil(vec)
+        e, _ = self._ceil(tuple(map(add, vec, self.tail)))
         self[group] = known = c, frac, e - c
         return known
 
-    def _ceil(self, vec, flag):
+    def _ceil(self, vec):
         """(ceil(r x), whether r x is not an integer) of the scalar x of
-        ``vec``; without ``flag`` the exact path leaves the second open."""
+        ``vec``, from its image or, on a straddle, from ``scalar_ceil``."""
         frame, r = self.frame, self.r
         lo, hi = frame.images(vec)[0]
-        decided = image_ceil(r * lo, r * hi, frame.unit)
-        if decided is None:
-            x = r * frame.scalar(vec)
-            c = scalar_ceil(x)
-            decided = c, flag and compare(x, c) != 0
-        return decided
+        return (image_ceil(r * lo, r * hi, frame.unit)
+                or scalar_ceil(r * frame.scalar(vec)))
 
 
 class _Codes(dict):

@@ -313,9 +313,6 @@ class AlgebraicNumber:
 
     # -- conversions
 
-    def combination(self, coeffs):
-        return LinearCombination(self, coeffs)
-
     def as_scalar(self):
         return LinearCombination(self, (0, 1))
 
@@ -591,10 +588,8 @@ def _settle(v, decide, what, screen=True):
     Nothing else refines for a question about a combination.
     """
     if screen:
-        coeffs, den = v.coeffs, 1
-        if not all(type(c) is int for c in coeffs):
-            den = math.lcm(*(c.denominator for c in coeffs))
-            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in v.coeffs))
+        coeffs = [c.numerator * (den // c.denominator) for c in v.coeffs]
         lo, hi = _dot_image(coeffs, *v.alg.power_images())
         answer = decide(lo, hi, den << (FIXED_BITS + 1))
         if answer is not None:
@@ -699,9 +694,11 @@ def scalar_sign(v):
 
 
 def scalar_ceil(v):
+    """(ceil(v), whether v is not an integer), as ``image_ceil`` answers."""
     if isinstance(v, LinearCombination):
-        return _settle(v, image_ceil, "ceiling")[0]
-    return math.ceil(v)
+        return _settle(v, image_ceil, "ceiling")
+    c = math.ceil(v)
+    return c, c != v
 
 
 # ----------------------------------------------------------------------
@@ -791,7 +788,9 @@ def uniqueness_dimension(m):
 
 def sierpinski_dimension(d, lam):
     """Similarity dimension log(d+1)/(-log lam) of the totally disconnected
-    or just-touching regime; requires 0 < lam <= 1/2, decided exactly."""
+    or just-touching regime, for an int d >= 1 and 0 < lam <= 1/2 (exact)."""
+    if not isinstance(d, int) or d < 1:
+        raise DomainError("simplex dimension must be a positive integer")
     lam = as_scalar(lam)
     if scalar_sign(lam) <= 0 or compare(lam, Fraction(1, 2)) > 0:
         raise DomainError("separation requires 0 < lam <= 1/2")

@@ -225,7 +225,7 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     base = as_scalar(base)
     if scalar_sign(base) <= 0:
         raise DomainError("base must be positive")
-    if isinstance(base, Fraction) and base == 1:
+    if base == 1:
         raise DomainError("base 1 admits no nonzero minimum structure")
     search = _SignedSumSearch(base, n_max, node_cap)
     search.descend(0, 0.0, search.origin, False)

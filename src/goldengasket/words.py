@@ -77,10 +77,11 @@ def greedy_expansion(lam, x, depth, tail_convention=False):
     for k in range(1, depth + 1):
         pw = pw * lam
         cand = partial + pw
-        if compare(cand, x) <= 0:
+        s = compare(cand, x)
+        if s <= 0:
             digits.append(1)
             partial = cand
-            if terminated_at is None and compare(partial, x) == 0:
+            if terminated_at is None and s == 0:
                 terminated_at = k
         else:
             digits.append(0)
@@ -185,50 +186,44 @@ def u_sequence(n_max):
     return CountingSeq(kind="u", values=tuple(vals[: n_max + 1]))
 
 
-def h_sequence(m, k_max):
-    """Carrier-piece counts of the infinite-IFS decomposition.
+def _check_counts(m, k_max):
+    if not isinstance(m, int) or m < 2:
+        raise DomainError("m must be >= 2 and an integer")
+    if not isinstance(k_max, int) or k_max < 0:
+        raise DomainError("k_max must be >= 0 and an integer")
 
-    For m >= 3 these are the hexagon counts: zero below index m, then 3,
-    then h_k = 2*(h_{k-m+1} + ... + h_{k-1}).  At m = 2 the pieces are
-    trapezia instead and the count at level n is 3 * 2^(n-1).
-    """
-    if m < 2:
-        raise DomainError("m must be >= 2")
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
-    if m == 2:
-        vals = [0] + [3 * 2 ** (n - 1) for n in range(1, k_max + 1)]
-        return CountingSeq(kind="h", values=tuple(vals), m=2)
+
+def _hexagon_counts(m, k_max):
+    """h_0..h_k_max of the recurrence: zero below index m, then 3, then
+    h_k = 2*(h_{k-m+1} + ... + h_{k-1})."""
     vals = [0] * min(m, k_max + 1)
     if k_max >= m:
         vals.append(3)
     for k in range(m + 1, k_max + 1):
         vals.append(2 * sum(vals[k - m + 1 : k]))
-    return CountingSeq(kind="h", values=tuple(vals), m=m)
+    return vals
+
+
+def h_sequence(m, k_max):
+    """Carrier-piece counts of the infinite-IFS decomposition, for ints
+    m >= 2 and k_max >= 0: the hexagon counts of ``_hexagon_counts`` for
+    m >= 3.  At m = 2 the pieces are trapezia instead, indexed by level:
+    the count at level n >= 1 is 3 * 2^(n-1)."""
+    _check_counts(m, k_max)
+    if m == 2:
+        vals = [0] + [3 * 2 ** (n - 1) for n in range(1, k_max + 1)]
+        return CountingSeq(kind="h", values=tuple(vals), m=2)
+    return CountingSeq(kind="h", values=tuple(_hexagon_counts(m, k_max)), m=m)
 
 
 def p_sequence(m, k_max):
-    """Triangle-piece counts, indexed by contraction exponent.
-
-    For m >= 3: zero below m, p_m = p_{m+1} = 3, then
-    p_k = h_{k-m} + 3*(h_{k-m+1} + ... + h_{k-2}).  The m = 2 variant
-    seeds 3, 3 and doubles from index 4 on.
-    """
-    if m < 2:
-        raise DomainError("m must be >= 2")
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
-    if m == 2:
-        vals = []
-        for k in range(k_max + 1):
-            if k < 2:
-                vals.append(0)
-            elif k <= 3:
-                vals.append(3)
-            else:
-                vals.append(3 * 2 ** (k - 4))
-        return CountingSeq(kind="p", values=tuple(vals), m=2)
-    h = h_sequence(m, k_max).values
+    """Triangle-piece counts indexed by contraction exponent, for ints
+    m >= 2 and k_max >= 0: zero below m, p_m = p_{m+1} = 3, then
+    p_k = h_{k-m} + 3*(h_{k-m+1} + ... + h_{k-2}) with the h of
+    ``_hexagon_counts``.  At m = 2 that h is 3 * 2^(k-2) from k = 2, so
+    p doubles from p_4 = 3 on."""
+    _check_counts(m, k_max)
+    h = _hexagon_counts(m, k_max)
     vals = []
     for k in range(k_max + 1):
         if k < m:

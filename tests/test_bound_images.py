@@ -135,7 +135,7 @@ def test_ceiling_and_integrality_images_agree_with_exact(case, r):
         assert frame.alg is not None and any(vec[1:])
         return
     rx = r * x
-    c = scalar_ceil(rx)
+    c, _ = scalar_ceil(rx)
     assert decided == (c, compare(rx, c) != 0)
 
 
@@ -150,7 +150,7 @@ def test_corner_compare_images_agree_with_exact(case, r, shift):
     lo, hi = _image(frame, tuple(map(add, a, b)))
     decided = image_ceil(r * lo, r * hi, frame.unit)
     total = r * x + r * y
-    e = scalar_ceil(total)
+    e, _ = scalar_ceil(total)
     if decided is not None:
         assert decided[0] == e
     k = e - 1 + shift
@@ -366,7 +366,7 @@ def ref_area(lam, n, r):
     levels, _ = ref_levels(lam, 2, n)
     for bounds, _ in levels[n]:
         rl = [r * b for b in bounds]
-        ceil = [scalar_ceil(x) for x in rl]
+        ceil = [scalar_ceil(x)[0] for x in rl]
         floor = [c - (compare(x, c) != 0) for x, c in zip(rl, ceil)]
         up_lo |= np.all([up[t] >= ceil[t] for t in range(3)], axis=0)
         dn_lo |= np.all([down[t] >= ceil[t] for t in range(3)], axis=0)
@@ -501,7 +501,7 @@ def test_grid_kernel_matches_the_reference_at_multinacci_ratios(m):
                          ids=["omega2", "lambda-star"])
 def test_grid_kernel_exact_fallbacks_give_the_same_bracket(make, n, r, monkeypatch):
     expected = estimate_area(make(), 2, n, r)
-    calls = {"ceil": 0, "compare": 0}
+    calls = {"ceil": 0, "compare": 0, "coordinate": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -513,12 +513,15 @@ def test_grid_kernel_exact_fallbacks_give_the_same_bracket(make, n, r, monkeypat
     monkeypatch.setattr(attractor, "scalar_ceil",
                         counted("ceil", attractor.scalar_ceil))
     monkeypatch.setattr(attractor, "compare", counted("compare", attractor.compare))
+    monkeypatch.setattr(attractor._Coordinates, "__missing__",
+                        counted("coordinate", attractor._Coordinates.__missing__))
     assert estimate_area(make(), 2, n, r) == expected
-    # Two ceilings per distinct coordinate, C and the E of its corner test,
-    # and one compare for the integrality of C; the range check of lam
-    # makes one more compare.  The corner tests themselves compare ints.
+    # Two ceilings per distinct coordinate, C and the E of its corner test;
+    # the ceiling of C also says whether it is an integer.  The range check
+    # of lam is the only compare: the corner tests themselves compare ints.
     assert calls["ceil"] > 0
-    assert calls["ceil"] == 2 * (calls["compare"] - 1)
+    assert calls["ceil"] == 2 * calls["coordinate"]
+    assert calls["compare"] == 1
 
 
 def test_exact_corner_tie_is_not_below():

@@ -174,6 +174,10 @@ def test_lambda_star_value():
 def test_sierpinski_dimension_domain():
     with pytest.raises(DomainError):
         sierpinski_dimension(2, Fraction(3, 5))
+    # d is a positive int, as for the level builders.
+    for d, lam in ((0, Fraction(1, 2)), (2.5, Fraction(1, 3)), (-1, Fraction(1, 2))):
+        with pytest.raises(DomainError, match="simplex dimension"):
+            sierpinski_dimension(d, lam)
 
 
 def test_sierpinski_dimension_decides_one_half_exactly():
@@ -442,7 +446,7 @@ def test_combination_ring_matches_floats(a, b):
     w = multinacci(2)
     fa = sum(c * float(w) ** k for k, c in enumerate(a))
     fb = sum(c * float(w) ** k for k, c in enumerate(b))
-    A, B = w.combination(a), w.combination(b)
+    A, B = LinearCombination(w, a), LinearCombination(w, b)
     assert abs(float(A + B) - (fa + fb)) < 1e-9
     assert abs(float(A * B) - fa * fb) < 1e-9
     assert abs(float(A - B) - (fa - fb)) < 1e-9
@@ -456,7 +460,7 @@ def test_exact_sign_agrees_with_clear_floats(a, b):
     fb = sum(c * float(w) ** k for k, c in enumerate(b))
     if abs(fa - fb) < 1e-6:
         return
-    got = compare(w.combination(a), w.combination(b))
+    got = compare(LinearCombination(w, a), LinearCombination(w, b))
     assert got == (1 if fa > fb else -1)
 
 
@@ -571,9 +575,29 @@ def test_constant_vectors_settle_without_refining(make, index):
     for c in (0, 3, -2, Fraction(0), Fraction(4, 2), Fraction(7, 3), Fraction(-1, 2)):
         v = LinearCombination(base, (c,))
         assert v.sign() == (c > 0) - (c < 0)
-        assert scalar_ceil(v) == math.ceil(c)
+        assert scalar_ceil(v)[0] == math.ceil(c)
         assert float(v) == float(c)
     assert base.generation == generation
+
+
+@pytest.mark.parametrize("make", [lambda: multinacci(2), lambda_star],
+                         ids=["omega2", "lambda-star"])
+def test_scalar_ceil_answers_like_image_ceil(make):
+    """(ceil(x), whether x is not an integer) on every scalar kind: ints,
+    Fractions at and next to integers, constant combinations, and
+    k +- lam^60, which no image at the default width settles.  The
+    reference is compare."""
+    alg = make()
+    tiny = alg.as_scalar() ** 60
+    near = [Fraction(k) + e for k in (-2, 0, 1, 5)
+            for e in (0, Fraction(1, 10**30), -Fraction(1, 10**30))]
+    values = [-2, 0, 7] + near + [LinearCombination(alg, (x,)) for x in near]
+    values += [k + s * tiny for k in (-2, 0, 1, 5) for s in (1, -1)]
+    for x in values:
+        c, fractional = scalar_ceil(x)
+        assert type(c) is int
+        assert compare(x, c) <= 0 < compare(x, c - 1)
+        assert fractional == (compare(x, c) != 0)
 
 
 def test_discarded_base_is_freed_without_a_collection():

@@ -776,6 +776,8 @@ def test_converse_rejects_floats_and_window():
     (lambda: min_abs_signed_sum(golden_ratio(), 0), "n_max must be an integer >= 1"),
     (lambda: min_abs_signed_sum(Fraction(-3, 2), 4), "base must be positive"),
     (lambda: min_abs_signed_sum(Fraction(1), 4), "base 1 admits no nonzero minimum"),
+    (lambda: min_abs_signed_sum(LinearCombination(multinacci(3), (1,)), 4),
+     "base 1 admits no nonzero minimum"),
     (lambda: gap_property_holds(Fraction(3, 2), 4), "ratio must lie in"),
     (lambda: multinacci_reciprocal(1), "multinacci index"),
     (lambda: converse_witness(multinacci(2).as_scalar(), 5), "needs a rational ratio"),
@@ -783,7 +785,7 @@ def test_converse_rejects_floats_and_window():
     # refuses it as bad input, not as a budget run out.
     (lambda: min_abs_signed_sum(golden_ratio(), 4, node_cap=0), "node_cap must be >= 1"),
     (lambda: ell_upper(Fraction(9, 5), 4, node_cap=-3), "node_cap must be >= 1"),
-], ids=["n-max", "negative-base", "base-one", "gap-ratio", "multinacci-index",
+], ids=["n-max", "negative-base", "base-one", "base-one-combination", "gap-ratio", "multinacci-index",
         "converse-algebraic", "node-cap-zero", "node-cap-negative"])
 def test_search_refusals(call, match):
     with pytest.raises(DomainError, match=match):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goldengasket import words
 from goldengasket.errors import DomainError, ResourceLimit
 from goldengasket.exact import compare, multinacci
 from goldengasket.geometry import image_region, vertex
@@ -70,6 +71,23 @@ def test_tail_convention_periodic_tails():
     w3 = multinacci(3)
     exp = greedy_expansion(w3, 1, 9, tail_convention=True)
     assert exp.digits == (1, 1, 0, 1, 1, 0, 1, 1, 0)
+
+
+@pytest.mark.parametrize("tail,calls", [(False, 16), (True, 17)])
+def test_greedy_asks_one_compare_per_digit(tail, calls, monkeypatch):
+    # Four range checks, then one compare per digit: the digit that ends
+    # the expansion of 1 (at k = 2 for omega_2) reads that compare's sign,
+    # and the tail convention asks once more whether x is 1.
+    asked = []
+
+    def spy(a, b):
+        asked.append((a, b))
+        return compare(a, b)
+
+    monkeypatch.setattr(words, "compare", spy)
+    exp = greedy_expansion(multinacci(2), 1, 12, tail_convention=tail)
+    assert len(asked) == calls
+    assert exp.digits == ((1, 0) * 6 if tail else (1, 1) + (0,) * 10)
 
 
 def test_tail_convention_sums_back_to_one():
@@ -287,6 +305,13 @@ def test_generating_functions_reproduce_recurrences(m):
     assert gf_series_check(m, 30)
 
 
+def test_p_sequence_at_two_is_its_generating_function():
+    # P(t) = 3t^2 + 3t^3 + 3t^4 / (1 - 2t) = (3t^2 - 3t^3 - 3t^4) / (1 - 2t),
+    # the m = 2 case that gf_series_check leaves out.
+    want = series_coefficients([0, 0, 3, -3, -3], [1, -2], 40)
+    assert list(p_sequence(2, 40).values) == want
+
+
 def test_gf_check_excludes_trapezoid_case():
     with pytest.raises(DomainError):
         gf_series_check(2, 10)
@@ -313,7 +338,12 @@ def test_sequence_domain_errors():
 @pytest.mark.parametrize("call,match", [
     (lambda: h_sequence(3, -1), "k_max must be >= 0"),
     (lambda: p_sequence(1, 3), "m must be >= 2"),
-], ids=["h-negative-k", "p-small-m"])
+    (lambda: h_sequence(2.5, 4), "m must be >= 2 and an integer"),
+    (lambda: p_sequence(Fraction(3), 4), "m must be >= 2 and an integer"),
+    (lambda: h_sequence(3, 4.0), "k_max must be >= 0 and an integer"),
+    (lambda: p_sequence(2, "8"), "k_max must be >= 0 and an integer"),
+], ids=["h-negative-k", "p-small-m", "h-float-m", "p-fraction-m",
+        "h-float-k", "p-str-k"])
 def test_sequence_refusals(call, match):
     with pytest.raises(DomainError, match=match):
         call()
