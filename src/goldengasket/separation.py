@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -208,7 +209,13 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     prefers, sorted by float sum.  Vectors are packed ints and each table
     degree is one pass over whole columns.  When no two patches share a
     vector, one table serves both kinds of prefix: the all-zero prefix
-    walks it past the patches led by -1, which are not visits.  Entries
+    walks it past the patches led by -1, which are not visits.  At a
+    rational base p/q with max(p, q) > 2 that always holds: if
+    sum(e_k (p/q)^k) = 0 with every |e_k| <= 2, and a and b are the least
+    and greatest k with e_k != 0, multiplying by q^b/p^a leaves every term
+    but e_a q^(b-a) a multiple of p, so p | e_a, and likewise q | e_b.
+    There the table is float sums and patch codes only, with no dedup,
+    and a visited entry's vector is rebuilt from its code.  Entries
     within the float margin of the incumbent are visited; a leaf (prefix
     plus entry vector) is evaluated exactly unless it is zero, which is
     skipped, or the incumbent's vector up to sign, which ties with it.
@@ -220,8 +227,8 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError("n_max must be an integer >= 1")
-    if node_cap < 1:
-        raise DomainError("node_cap must be >= 1")
+    if not isinstance(node_cap, int) or isinstance(node_cap, bool) or node_cap < 1:
+        raise DomainError("node_cap must be an integer >= 1")
     base = as_scalar(base)
     if scalar_sign(base) <= 0:
         raise DomainError("base must be positive")
@@ -245,6 +252,24 @@ def _first_per_vector(table):
     vecs = table[1]
     first = dict(zip(reversed(vecs), range(len(vecs) - 1, -1, -1)))
     return table if len(first) == len(vecs) else _pick(table, sorted(first.values()))
+
+
+class _PatchVectors(Sequence):
+    """The vector column of a table of codes: row i's vector is the sum of
+    the patch's digits times the ``steps``, one per table degree."""
+
+    def __init__(self, codes, steps):
+        self.codes, self.steps = codes, steps
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, row):
+        code, vec = self.codes[row], 0
+        for step in self.steps:
+            d = (code + 1) % 3 - 1
+            vec, code = vec + d * step, (code - d) // 3
+        return vec
 
 
 class _SignedSumSearch:
@@ -278,6 +303,10 @@ class _SignedSumSearch:
     If no two of the 3^t patches share a vector, the +1-led ones are the
     full table's rows of code > 0, with the same floats, and ``lead`` is
     None: the all-zero prefix walks the full table past the other rows.
+    At a rational base other than 2 and 1/2 no two patches share a value
+    (see ``min_abs_signed_sum``), so the stages keep every row without a
+    dedup pass and carry sums and codes only; the displacement column is a
+    ``_PatchVectors`` that decodes a row's code when ``finish`` visits it.
     """
 
     def __init__(self, base, n_max, node_cap):
@@ -302,14 +331,18 @@ class _SignedSumSearch:
 
         self.boundary = n_max + 1 - min(9, (n_max + 2) // 2)
         self.degrees = degrees = sorted(order[self.boundary:])
-        full, ups = ([0.0], [0], [0]), []
+        digit_vectors = [self.vectors[k] for k in degrees]
+        # No two patches share a value at p/q with max(p, q) > 2.
+        shared = self.alg is not None or max(base.numerator, base.denominator) <= 2
+        first = _first_per_vector if shared else (lambda table: table)
+        full, ups = ([0.0], [0], [0]) if shared else ([0.0], [0]), []
         for j, k in enumerate(degrees):
-            steps = (fweights[k], self.vectors[k], 3**j)
+            steps = (fweights[k], digit_vectors[j], 3**j) if shared else (fweights[k], 3**j)
             up = [[x + step for x in column] for step, column in zip(steps, full)]
             ups.append(up)
             if degrees[0] != 0 and j == len(degrees) - 1:
                 # Below one: the last stage is the up rows in tie-rule order.
-                full = _first_per_vector(tuple(
+                full = first(tuple(
                     [zero, *chain.from_iterable(chain((-x for x in up), up) for up in column)]
                     for zero, column in zip((0.0, 0, 0), zip(*ups))))
                 break
@@ -318,12 +351,15 @@ class _SignedSumSearch:
                 out = [None] * (3 * len(column))
                 out[0::3], out[1::3], out[2::3] = [x - step for x in column], column, column_up
                 stage.append(out)
-            full = _first_per_vector(stage)
+            full = first(stage)
         self.lead = None
         if len(full[0]) < 3 ** len(degrees):
             lead = _first_per_vector(tuple([*chain.from_iterable(column)] for column in zip(*ups)))
             self.lead = _sorted(lead, lead[0].__getitem__)
         self.full = _sorted(full, full[0].__getitem__)
+        if not shared:
+            sums, codes = self.full
+            self.full = (sums, _PatchVectors(codes, digit_vectors), codes)
 
     def incumbent(self):
         if self.best_key is None:

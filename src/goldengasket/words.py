@@ -208,7 +208,9 @@ def h_sequence(m, k_max):
     """Carrier-piece counts of the infinite-IFS decomposition, for ints
     m >= 2 and k_max >= 0: the hexagon counts of ``_hexagon_counts`` for
     m >= 3.  At m = 2 the pieces are trapezia instead, indexed by level:
-    the count at level n >= 1 is 3 * 2^(n-1)."""
+    the count at level n >= 1 is 3 * 2^(n-1).  That is one step ahead of
+    the h of ``_hexagon_counts(2, .)``, which ``p_sequence(2)`` sums:
+    entry i here is its entry i + 1."""
     _check_counts(m, k_max)
     if m == 2:
         vals = [0] + [3 * 2 ** (n - 1) for n in range(1, k_max + 1)]

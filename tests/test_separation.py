@@ -50,7 +50,7 @@ from goldengasket.separation import (
     prune_margin,
     separation_bound_check,
 )
-from goldengasket.separation import _SignedSumSearch, _multinacci_interval
+from goldengasket.separation import _PatchVectors, _SignedSumSearch, _multinacci_interval
 from goldengasket.cli import parse_theta_token
 from goldengasket.attractor import check_total_self_similarity, Violation
 
@@ -408,6 +408,24 @@ def test_rational_bases_with_colliding_patches_match_brute_force(base, collides)
         assert got_f == float(want_abs)
         if base < 1:
             assert gap_property_holds(base, n_max) == (want_abs >= base ** (n_max + 1))
+
+
+@pytest.mark.parametrize("base,collides", [
+    *((b, False) for b in (Fraction(3), Fraction(3, 2), Fraction(2, 3), Fraction(5, 3),
+                           Fraction(1, 3), Fraction(40, 23))),
+    (Fraction(2), True), (Fraction(1, 2), True),
+], ids=["3", "3/2", "2/3", "5/3", "1/3", "40/23", "2", "1/2"])
+def test_rational_patches_share_a_value_only_at_two_and_one_half(base, collides):
+    # All 3^t patches over t consecutive powers: at p/q with max(p, q) > 2
+    # no two have one value, so the search keeps no vector column there and
+    # dedups nothing; at 2 and 1/2 a pair collides and the column stays.
+    for t in range(1, 8):
+        values = {sum(d * base**k for k, d in enumerate(digits))
+                  for digits in product((-1, 0, 1), repeat=t)}
+        assert (len(values) < 3**t) == (collides and t > 1), t
+        search = _SignedSumSearch(base, 2 * t - 1, DEFAULT_NODE_CAP)
+        assert isinstance(search.full[1], _PatchVectors) == (not collides)
+        assert len(search.full[0]) == len(values)
 
 
 def test_rational_search_memory_peak():
@@ -783,10 +801,15 @@ def test_converse_rejects_floats_and_window():
     (lambda: converse_witness(multinacci(2).as_scalar(), 5), "needs a rational ratio"),
     # The CLI rejects --node-cap below 1 as a usage error; the search
     # refuses it as bad input, not as a budget run out.
-    (lambda: min_abs_signed_sum(golden_ratio(), 4, node_cap=0), "node_cap must be >= 1"),
-    (lambda: ell_upper(Fraction(9, 5), 4, node_cap=-3), "node_cap must be >= 1"),
+    (lambda: min_abs_signed_sum(golden_ratio(), 4, node_cap=0), "node_cap must be an integer >= 1"),
+    (lambda: ell_upper(Fraction(9, 5), 4, node_cap=-3), "node_cap must be an integer >= 1"),
+    # Not an int: 2.5 would run and run out after 2 nodes, True would run a
+    # one-node search.
+    (lambda: min_abs_signed_sum(Fraction(9, 5), 4, node_cap=2.5), "node_cap must be an integer >= 1"),
+    (lambda: separation_bound_check(Fraction(9, 5), 4, node_cap=True),
+     "node_cap must be an integer >= 1"),
 ], ids=["n-max", "negative-base", "base-one", "base-one-combination", "gap-ratio", "multinacci-index",
-        "converse-algebraic", "node-cap-zero", "node-cap-negative"])
+        "converse-algebraic", "node-cap-zero", "node-cap-negative", "node-cap-float", "node-cap-bool"])
 def test_search_refusals(call, match):
     with pytest.raises(DomainError, match=match):
         call()

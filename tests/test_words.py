@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldengasket import words
+from goldengasket import exact, words
 from goldengasket.errors import DomainError, ResourceLimit
-from goldengasket.exact import compare, multinacci
+from goldengasket.exact import as_scalar, compare, multinacci, sigma
 from goldengasket.geometry import image_region, vertex
 from goldengasket.words import (
     UNIQUE_COUNT_CAP,
@@ -31,6 +31,7 @@ from goldengasket.words import (
     u_sequence,
     unique_address_counts,
 )
+from goldengasket.words import _hexagon_counts
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +264,26 @@ def test_unique_address_counts_in_one_pass(m):
         expected[0], expected[1], expected[79]]
 
 
+@pytest.mark.parametrize("m", range(2, 11))
+def test_unique_address_counts_grow_by_sigmas_polynomial(m, monkeypatch):
+    # c_n = 3 c_(n-1) - 2 c_(n-m), from n = m + 1 on.  Its reversed
+    # polynomial 1 - 3t + 2t^m is the one sigma(m) isolates a root of, so
+    # the unique-address growth and the piece counts' denominator share
+    # sigma.
+    recurrence = {1: 3, m: -2}
+    counts = [None, *unique_address_counts(m, 60)]
+    for n in range(m + 1, 61):
+        assert counts[n] == sum(a * counts[n - i] for i, a in recurrence.items()), n
+    reversed_poly = [1] + [-recurrence.get(i, 0) for i in range(1, m + 1)]
+    asked = []
+    isolate = exact.smallest_positive_root
+    monkeypatch.setattr(exact, "smallest_positive_root",
+                        lambda coeffs, *args, **kw: asked.append(coeffs) or isolate(coeffs, *args, **kw))
+    root = as_scalar(sigma(m))
+    assert asked == [reversed_poly]
+    assert sum(c * root**k for k, c in enumerate(reversed_poly)) == 0
+
+
 def test_unique_address_count_limits():
     # The cap is checked before any counting, so one past it fails at once.
     assert UNIQUE_COUNT_CAP == 10**5
@@ -293,6 +314,16 @@ def test_u_sequence_brute_at_golden_ratio():
 def test_h_sequence_frozen():
     assert h_sequence(3, 8).values == (0, 0, 0, 3, 6, 18, 48, 132, 360)
     assert h_sequence(2, 6).values == (0, 3, 6, 12, 24, 48, 96)
+
+
+def test_h_sequence_at_two_is_indexed_one_step_ahead():
+    # At m = 2 h_sequence counts by level; the h that p_sequence(2) sums is
+    # indexed by contraction exponent, one step behind.
+    for k in range(41):
+        h = h_sequence(2, k).values
+        assert len(h) == k + 1
+        for i in range(k + 1):
+            assert h[i] == _hexagon_counts(2, k + 1)[i + 1], (k, i)
 
 
 def test_p_sequence_frozen():
