@@ -18,7 +18,10 @@ certified integer images, one per distinct lane group, by the exact core's
 deciders, and drop to the exact scalars only on a straddle: the hole sweep
 ranks the bounds it reads once, by sorted position, since distinct lane
 groups hold distinct scalars, so a pair is an int compare; the grid
-compares ceilings.
+compares ceilings.  The maps share one ratio and are centred at the
+vertices, so every level set is closed under the permutations of the
+vertices: the hole sweep descends one hole per orbit and permutes the
+bound fields of its regions' ints for the others.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain
-from operator import add
+from itertools import chain, repeat
+from operator import add, itemgetter, lshift
 
 from .errors import DomainError, ResourceLimit
 from .exact import (
@@ -76,9 +79,9 @@ def _check_lam(lam):
 
 
 def _check_level(d, n):
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise DomainError("simplex dimension must be a positive integer")
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError("level must be a nonnegative integer")
 
 
@@ -238,12 +241,16 @@ class HoleReport:
 def classify_holes(lam, d, n, max_words=None):
     """Classify the candidate holes f_w(H_0), |w| = n, against level n+1.
 
-    Candidates are deduplicated by their exact bound vectors and go down
-    the region tree of ``_levels`` together, a level at a time, pruning
-    subtrees that miss each hole: a region lies inside its maker, so a
-    meeting pair is reached, and tested, once; below the root only the
-    bound a region's last digit raised is tested, by ranks (``_rank``).
-    Words are made for level n, and for level n+1 only for violations.
+    Candidates are deduplicated by their exact bound vectors, and one per
+    orbit of the vertex permutations, the first in word order, goes down
+    the region tree of ``_levels`` with the others, a level at a time,
+    pruning subtrees that miss each hole: a region lies inside its maker,
+    so a meeting pair is reached, and tested, once; below the root only
+    the bound a region's last digit raised is tested, by ranks (``_rank``).
+    The other members of an orbit meet the permuted regions of its
+    representative, each found by packed int, and are sorted into word
+    order once per violating hole.  Words are made for level n, and for
+    level n+1 only for violations.
     The bounds of a candidate sum to 1 + lam^n (d - (d+1) lam), so at ratios
     >= d/(d+1) the central hole is empty and no level is built.
     """
@@ -281,6 +288,33 @@ def _descend(pairs, made, low, side, ups):
             for c in range(made[at], made[at + 1]) if low[c] < up[side[c]]]
 
 
+def _orbit_pairs(pairs, reps, uppers, vecs, span, mask):
+    """The pairs (h, c) of every candidate h, sorted, from ``pairs``, those
+    of the orbit representatives: ``reps[h]`` is h's, and ``uppers`` the
+    upper lane groups of each.  Member h meets the regions whose packed
+    ints, of ``vecs``, are the representative's with each bound field moved
+    to where its upper group sits in h's (the two argsorts matched)."""
+    met = {}
+    for r, c in pairs:
+        met.setdefault(r, []).append(c)
+    out, index = [], None
+    for h, r in enumerate(reps):
+        regions = met.get(r)
+        if regions is None:
+            continue
+        if h != r:
+            src, dst = uppers[r], uppers[h]
+            if index is None:
+                index = {vec: c for c, vec in enumerate(vecs)}
+                fields = {c: [vecs[c] >> j * span & mask for j in range(len(src))]
+                          for c in chain(*met.values())}
+            pick = itemgetter(*sorted(range(len(src)), key=src.__getitem__))
+            to = [j * span for j in sorted(range(len(dst)), key=dst.__getitem__)]
+            regions = sorted([index[sum(map(lshift, pick(fields[c]), to))] for c in regions])
+        out += zip(repeat(h), regions)
+    return out
+
+
 def _classify(lam, d, n, tree, words):
     """The HoleReport of level n over ``tree``, the levels 0..n+1 of
     ``_levels``, and ``words``, level n's, swept a level at a time over the
@@ -288,7 +322,18 @@ def _classify(lam, d, n, tree, words):
     children raised and of the holes'.  A level lists its regions in word
     order, each maker's children a range after its predecessor's, so the
     pairs stay sorted by hole, then region word; those at level n+1 are
-    violations, and only they need level n+1's words."""
+    violations, and only they need level n+1's words.
+
+    Only one hole per orbit of the (d+1)! vertex permutations is swept: the
+    first in word order of the candidates whose upper bounds are the same
+    lane groups in some order.  Permuting the vertices permutes the
+    coordinates of every level set onto itself, so a permutation that takes
+    a representative's bounds to a member's takes the regions that meet the
+    one to those that meet the other (where bounds repeat, the regions that
+    meet are fixed by the swap, so any matching of them serves).  A
+    member's regions are the representative's with their bound fields so
+    permuted, found by packed int in level n+1 and sorted into word order:
+    one sort per violating hole that is not its orbit's representative."""
     frame = tree[0][0]
     span, mask = frame.span, (1 << frame.span) - 1
     width = frame.delta(frame.vector((1 - lam) * lam**n) * (d + 1))
@@ -302,10 +347,14 @@ def _classify(lam, d, n, tree, words):
              for top, word, groups in zip(tops, words, uppers)]
     root = CornerRegion(frame, tree[0][1][0], 0, ())
     ups = [tuple(map(ranks.get, groups)) for groups in uppers]
-    pairs = [(h, 0) for h, hole in enumerate(holes) if hole_meets_region(hole, root)]
+    orbits = {}
+    reps = [orbits.setdefault(tuple(sorted(groups)), h) for h, groups in enumerate(uppers)]
+    pairs = [(h, 0) for h, hole in enumerate(holes)
+             if reps[h] == h and hole_meets_region(hole, root)]
     for _, vecs, made, digits in levels:
         low = [ranks[vec >> b * span & mask] for vec, b in zip(vecs, digits)]
         pairs = _descend(pairs, made, low, digits, ups)
+    pairs = _orbit_pairs(pairs, reps, uppers, tree[n + 1][1], span, mask)
     deeper = _words([tree[n + 1][2:]], words) if pairs else ()
     views = {c: CornerRegion(frame, tree[n + 1][1][c], n + 1, deeper[c])
              for c in {c for _, c in pairs}}

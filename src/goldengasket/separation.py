@@ -225,7 +225,7 @@ def min_abs_signed_sum(base, n_max, node_cap=DEFAULT_NODE_CAP):
     attached when ``node_cap`` (at least 1) runs out: every branch node and
     every visited entry (one distinct leaf vector) counts.
     """
-    if not isinstance(n_max, int) or n_max < 1:
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
         raise DomainError("n_max must be an integer >= 1")
     if not isinstance(node_cap, int) or isinstance(node_cap, bool) or node_cap < 1:
         raise DomainError("node_cap must be an integer >= 1")

@@ -8,10 +8,11 @@ from goldengasket import attractor
 @pytest.fixture
 def swept_pairs(monkeypatch):
     """A list of each (hole, region) pair the hole sweep decides from here
-    on: at the root each candidate's ``hole_meets_region`` call, as (hole
-    word, 0, region word), and below it each child ``attractor._descend``
-    compares, as (hole index, level, region index), the level counted by
-    the calls."""
+    on: at the root the ``hole_meets_region`` call of each orbit's
+    representative, as (hole word, 0, region word), and below it each child
+    ``attractor._descend`` compares, as (hole index, level, region index),
+    the level counted by the calls.  The pairs of the other members of an
+    orbit are permuted from their representative's, not decided."""
     pairs = []
     levels = []
     meets, descend = attractor.hole_meets_region, attractor._descend

@@ -10,7 +10,9 @@ and must land inside the grid brackets.
 import math
 import tracemalloc
 import xml.dom.minidom
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -36,11 +38,12 @@ from goldengasket.exact import (
     multinacci,
     tau,
 )
-from goldengasket.geometry import CornerRegion
+from goldengasket.geometry import CornerRegion, HoleRegion, hole_region
 from goldengasket.words import u_sequence
 
 W2 = multinacci(2)
 W3 = multinacci(3)
+W4 = multinacci(4)
 # Root of x^3 - x^2 + 2x - 1 between omega_3 and omega_2, where words merge
 # (lam + lam^2 + lam^4 = 1) and holes are violated.
 LAM0 = isolate_root([-1, 1, 1, 0, 1], (Fraction(1, 2), Fraction(2, 3)))
@@ -158,6 +161,19 @@ def test_build_level_validation():
         build_level(Fraction(3, 5), 0, 2)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: classify_holes(Fraction(3, 5), True, True), "simplex dimension"),
+    (lambda: classify_holes(Fraction(3, 5), 2, True), "level must be"),
+    (lambda: build_level(Fraction(3, 5), 2, False), "level must be"),
+    (lambda: check_total_self_similarity(Fraction(3, 5), True, 4), "simplex dimension"),
+    (lambda: box_dimension_estimate(Fraction(3, 5), True, 4), "simplex dimension"),
+], ids=["holes", "holes-level", "level", "selfsim", "boxdim"])
+def test_bool_sizes_are_refused(call, match):
+    # bool is an int: True would run as 1 and come back in the report.
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 def test_word_cap_limits_enumeration(monkeypatch):
     assert len(build_level(W2, 2, 5, max_words=243)) == 162
     with pytest.raises(ResourceLimit):
@@ -217,11 +233,13 @@ def test_holes_violated_past_golden_ratio():
 
 
 @pytest.mark.parametrize("lam,tests,violations",
-                         [(W2, 9891, 0), (LAM0, 18324, 270)],
+                         [(W2, 1773, 0), (LAM0, 3112, 270)],
                          ids=["omega2", "lambda0"])
 def test_classify_holes_tests_each_pair_once(lam, tests, violations, swept_pairs):
     # Every (hole, region) pair the sweep decides is decided once: the
-    # root's full test, then each child's rank compare in _descend.
+    # root's full test, then each child's rank compare in _descend.  Only
+    # one hole per orbit of the vertex permutations is swept, so the other
+    # members' pairs are not decided but permuted.
     rep = classify_holes(lam, 2, 6)
     assert len(swept_pairs) == len(set(swept_pairs)) == tests
     pairs = [(h.word, r.word) for h, r in rep.violations]
@@ -237,6 +255,92 @@ def test_hole_report_lists_pairs_in_word_order(lam, n):
     violating = set(rep.violating_holes())
     assert [h for h in rep.candidates if h not in violating] == list(rep.genuine)
     assert [h for h in rep.candidates if h in violating] == list(rep.violating_holes())
+
+
+def _classify_unreduced(lam, d, n, tree, words):
+    """The hole sweep that sends every candidate down the region tree,
+    kept as the reference of the sweep over one hole per orbit."""
+    frame = tree[0][0]
+    span, mask = frame.span, (1 << frame.span) - 1
+    width = frame.delta(frame.vector((1 - lam) * lam**n) * (d + 1))
+    tops = [vec + width for vec in tree[n][1]]
+    uppers = [tuple(top >> j * span & mask for j in range(d + 1)) for top in tops]
+    levels = tree[1:n + 2]
+    raised = (vec >> b * span & mask
+              for _, vecs, _, digits in levels for vec, b in zip(vecs, digits))
+    images, ranks = attractor._rank(frame, chain(*uppers, raised))
+    holes = [HoleRegion(frame, top, n, word, tuple(map(images.get, groups)))
+             for top, word, groups in zip(tops, words, uppers)]
+    root = CornerRegion(frame, tree[0][1][0], 0, ())
+    ups = [tuple(map(ranks.get, groups)) for groups in uppers]
+    pairs = [(h, 0) for h, hole in enumerate(holes) if attractor.hole_meets_region(hole, root)]
+    for _, vecs, made, digits in levels:
+        low = [ranks[vec >> b * span & mask] for vec, b in zip(vecs, digits)]
+        pairs = attractor._descend(pairs, made, low, digits, ups)
+    deeper = attractor._words([tree[n + 1][2:]], words) if pairs else ()
+    views = {c: CornerRegion(frame, tree[n + 1][1][c], n + 1, deeper[c])
+             for c in {c for _, c in pairs}}
+    hit = {h for h, _ in pairs}
+    return attractor.HoleReport(
+        n=n, candidates=tuple(holes),
+        genuine=tuple(hole for h, hole in enumerate(holes) if h not in hit),
+        violations=tuple((holes[h], views[c]) for h, c in pairs))
+
+
+def report_words(rep):
+    return ([h.word for h in rep.candidates], [h.word for h in rep.genuine],
+            [(h.word, r.word) for h, r in rep.violations])
+
+
+def orbits(holes):
+    """The number of holes in each orbit of the vertex permutations, keyed
+    by the multiset of a hole's exact upper bounds."""
+    return Counter(frozenset(Counter(h.bounds).items()) for h in holes)
+
+
+@pytest.mark.parametrize("lam,d,n", [
+    (W2, 2, 6), (W3, 2, 6), (W4, 2, 6), (LAM0, 2, 6), (lambda_star(), 2, 5),
+    (Fraction(40, 61), 2, 6), (Fraction(37, 57), 2, 6), (Fraction(59, 100), 2, 5),
+    (W2, 3, 4), (Fraction(3, 5), 3, 3),
+], ids=["omega2", "omega3", "omega4", "lambda0", "lambda-star", "40-61", "37-57", "0.59",
+        "omega2-d3", "0.60-d3"])
+def test_orbit_sweep_matches_the_unreduced_sweep(lam, d, n, monkeypatch):
+    # Same candidates, genuine holes and violations, pairs in the same
+    # order, and the same first violation in the self-similarity scan.
+    got = classify_holes(lam, d, n)
+    verdict = check_total_self_similarity(lam, d, n)
+    monkeypatch.setattr(attractor, "_classify", _classify_unreduced)
+    want = classify_holes(lam, d, n)
+    assert report_words(got) == report_words(want)
+    assert got == want
+    assert verdict == check_total_self_similarity(lam, d, n)
+
+
+@pytest.mark.parametrize("lam,d,n,sizes,violating", [
+    (W2, 2, 0, {1}, set()),
+    (W2, 2, 6, {3, 6}, set()),
+    (Fraction(40, 61), 2, 6, {3, 6}, {6}),
+    (Fraction(3, 5), 2, 4, {3, 6}, {6}),
+    (W2, 3, 0, {1}, set()),
+    (W2, 3, 4, {4, 12, 24}, set()),
+    (Fraction(3, 5), 3, 4, {4, 12, 24}, {12, 24}),
+], ids=["omega2-n0", "omega2", "40-61", "0.60", "omega2-d3-n0", "omega2-d3", "0.60-d3"])
+def test_orbit_sweep_at_every_orbit_size(lam, d, n, sizes, violating, monkeypatch):
+    # Level 0 has one hole, fixed by every permutation.  The hole of the
+    # word 0^n is fixed by the swap of the other vertices: its orbit has
+    # d + 1 members, and bounds that repeat match either way.  A violating
+    # orbit of 12 at d = 3 permutes its regions past a repeated bound.
+    got = classify_holes(lam, d, n)
+    size = orbits(got.candidates)
+    assert set(size.values()) == sizes
+    assert {size[key] for key in orbits(got.violating_holes())} == violating
+    if n:
+        radial = hole_region((0,) * n, lam, d)
+        assert size[frozenset(Counter(radial.bounds).items())] == d + 1
+    monkeypatch.setattr(attractor, "_classify", _classify_unreduced)
+    want = classify_holes(lam, d, n)
+    assert report_words(got) == report_words(want)
+    assert got == want
 
 
 def test_hole_sweep_makes_views_only_for_its_report(monkeypatch):

@@ -808,8 +808,13 @@ def test_converse_rejects_floats_and_window():
     (lambda: min_abs_signed_sum(Fraction(9, 5), 4, node_cap=2.5), "node_cap must be an integer >= 1"),
     (lambda: separation_bound_check(Fraction(9, 5), 4, node_cap=True),
      "node_cap must be an integer >= 1"),
+    # True would run as degree 1.
+    (lambda: min_abs_signed_sum(Fraction(9, 5), True), "n_max must be an integer >= 1"),
+    (lambda: ell_upper(Fraction(9, 5), True), "n_max must be an integer >= 1"),
+    (lambda: gap_property_holds(Fraction(3, 5), True), "n_max must be an integer >= 1"),
 ], ids=["n-max", "negative-base", "base-one", "base-one-combination", "gap-ratio", "multinacci-index",
-        "converse-algebraic", "node-cap-zero", "node-cap-negative", "node-cap-float", "node-cap-bool"])
+        "converse-algebraic", "node-cap-zero", "node-cap-negative", "node-cap-float", "node-cap-bool",
+        "n-max-bool", "ell-n-max-bool", "gap-n-bool"])
 def test_search_refusals(call, match):
     with pytest.raises(DomainError, match=match):
         call()

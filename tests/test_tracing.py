@@ -5,9 +5,14 @@ arguments by name, so a refactor that renames one silently zeroes a
 per-layer metric.  Each test runs one traced job and checks its counts.
 """
 
+from collections import Counter
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from goldengasket import cli
+from goldengasket.exact import multinacci
+from goldengasket.geometry import hole_region
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -48,14 +53,23 @@ def test_traced_rational_area_job_counts_every_word(monkeypatch, capsys):
     assert metrics["exact.ceil_calls"] == 0
 
 
+def orbits(lam, n):
+    """The orbits of the vertex permutations among the planar candidate
+    holes of level n: the distinct multisets of their exact upper bounds."""
+    holes = (hole_region(word, lam) for word in product(range(3), repeat=n))
+    return len({frozenset(Counter(h.bounds).items()) for h in holes})
+
+
 def test_traced_holes_job_counts_hole_tests(monkeypatch, capsys, swept_pairs):
     metrics = traced_metrics(
         monkeypatch, capsys, ["holes", "--lambda", "omega:2", "-n", "2"]
     )
-    # The hook sees each candidate's full test at the root; the rank
-    # compares below it are the other pairs of the sweep.
-    assert metrics["geometry.hole_tests"] == metrics["attractor.candidates"] == 9
-    assert len(swept_pairs) == len(set(swept_pairs)) == 87
+    # The hook sees the full test at the root of one hole per orbit of the
+    # vertex permutations; the rank compares below it are the other pairs
+    # of the sweep.
+    assert metrics["attractor.candidates"] == 9
+    assert metrics["geometry.hole_tests"] == orbits(multinacci(2), 2) == 2
+    assert len(swept_pairs) == len(set(swept_pairs)) == 20
 
 
 def test_traced_rational_holes_job_counts_hole_tests(monkeypatch, capsys, swept_pairs):
@@ -63,8 +77,9 @@ def test_traced_rational_holes_job_counts_hole_tests(monkeypatch, capsys, swept_
         monkeypatch, capsys, ["holes", "--lambda", "rational:59/100", "-n", "3"],
         exit_code=cli.EXIT_VERDICT,
     )
-    assert metrics["geometry.hole_tests"] == metrics["attractor.candidates"] == 27
-    assert len(swept_pairs) == len(set(swept_pairs)) == 405
+    assert metrics["attractor.candidates"] == 27
+    assert metrics["geometry.hole_tests"] == orbits(Fraction(59, 100), 3) == 5
+    assert len(swept_pairs) == len(set(swept_pairs)) == 74
     assert metrics["attractor.violations"] == 6
 
 
